@@ -1,10 +1,11 @@
 """Compressed-domain multi-object detection and tracking.
 
 Objects are detected and tracked from P-frame macroblock features alone
-(skip flags, coefficient masks, motion vectors) and their blobs are
-sharpened once per GOP from partially decoded I-frame pixels. A
-synthetic scene generator produces feature streams with ground truth for
-end-to-end evaluation.
+(skip flags and coefficient masks) and their blobs are sharpened once
+per GOP from partially decoded I-frame pixels. The stream format also
+carries motion vectors, but the synthesizer writes zeros and the tracker
+does not read them. A synthetic scene generator produces feature streams
+with ground truth for end-to-end evaluation.
 """
 
 from .filtering import (
@@ -40,7 +41,6 @@ from .refinement import (
     background_subtract,
     interpolate_blobs,
     predict_blob,
-    refine_gop,
 )
 from .scene import GroundTruthRecord, SceneScript, encode_p_frame, synthesize
 from .stream import (

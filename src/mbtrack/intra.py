@@ -1,6 +1,6 @@
 """Lossless DC-predicted intra codec for 4x4 blocks.
 
-Each plane (R, G, B) is split into 4x4 blocks coded in raster order:
+Each plane (R, G, B) is split into 4x4 blocks, each coded with one of:
 
     mode 0: predictor is the constant 128 (only legal choice for the
             top-left block, which has no causal neighbors)
@@ -9,8 +9,14 @@ Each plane (R, G, B) is split into 4x4 blocks coded in raster order:
             the 4 pixels directly left of its left column, whichever exist
 
 Residuals are stored as int16, so reconstruction is exact. Serialized
-block layout is [mode u8][16 x residual i16 LE] and planes follow each
-other in R, G, B order.
+block layout is [mode u8][16 x residual i16 LE] with blocks in raster
+order, and planes follow each other in R, G, B order.
+
+The decoder reconstructs blocks one anti-diagonal (by + bx = d) at a
+time, all three planes together: the "2D-wave" order of parallel H.264
+decoding. A block's predictor reads only the block above it and the
+block to its left, both on the previous diagonal, so this order gives
+every block the same context, and the same pixels, as raster order.
 
 The point of the scheme is partial decoding: any rectangular region can
 be reconstructed without touching the rest of the frame by substituting
@@ -122,6 +128,13 @@ class IntraPayload:
 
     @classmethod
     def from_bytes(cls, data: bytes, width_px: int, height_px: int) -> "IntraPayload":
+        """Parse a serialized payload.
+
+        ``modes`` and ``residuals`` are views of ``data`` (read-only when
+        ``data`` is ``bytes``), not copies: a stream parses one payload per
+        I-frame, 1.9 MB at 640x480, and the allocator tends to map a fresh
+        copy of that size and page-fault it in again on every frame.
+        """
         nbx = width_px // BLOCK
         nby = height_px // BLOCK
         n = nbx * nby
@@ -131,8 +144,8 @@ class IntraPayload:
                 f"intra payload is {len(data)} bytes, expected {expected}"
             )
         arr = np.frombuffer(data, dtype=_BLOCK_DTYPE, count=3 * n)
-        modes = arr["mode"].reshape(3, nby, nbx).copy()
-        residuals = arr["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK).copy()
+        modes = arr["mode"].reshape(3, nby, nbx)
+        residuals = arr["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
         return cls(modes, residuals, width_px, height_px)
 
 
@@ -187,49 +200,75 @@ def encode_iframe(image) -> IntraPayload:
     return IntraPayload(modes, residuals, w, h)
 
 
-def _predict(rec: np.ndarray, by: int, bx: int, have_top: bool, have_left: bool,
-             top_row: np.ndarray | None, left_col: np.ndarray | None) -> int:
-    s = 0
-    n = 0
-    if have_top:
-        s += int(top_row.sum())
-        n += BLOCK
-    if have_left:
-        s += int(left_col.sum())
-        n += BLOCK
-    if n == 0:
-        raise IntraFormatError(f"block ({by}, {bx}): mode 1 with no causal neighbors")
-    return (s + n // 2) // n
+def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
+                   background: np.ndarray | None) -> np.ndarray:
+    """Reconstruct the nby x nbx blocks from block (by0, bx0), all planes at once.
+
+    The work array holds the rect's blocks padded by one block row above
+    and one block column to the left. The padding blocks' last pixel row
+    and column hold the ``background`` pixels just above and just left of
+    the rect, so a block on the rect's edge reads its context like any
+    other block. At the frame's top or left edge the padding stays zero
+    and the neighbour count leaves it out, as the codec defines.
+
+    Blocks are decoded one anti-diagonal ``i + j = d`` at a time (see the
+    module docstring). In a row-major array of row width r, consecutive
+    blocks of one anti-diagonal sit r - 1 apart, so a diagonal and the
+    blocks above and left of it are plain strided slices.
+
+    Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image.
+    """
+    if bx0 == 0 and by0 == 0 and np.any(payload.modes[:, 0, 0] != MODE_CONST):
+        raise IntraFormatError("block (0, 0): mode 1 with no causal neighbors")
+    h, w = nby * BLOCK, nbx * BLOCK
+    x0, y0 = bx0 * BLOCK, by0 * BLOCK
+    row = nbx + 1
+    work = np.zeros((3, nby + 1, row, BLOCK, BLOCK), dtype=np.uint8)
+    count = np.full((nby + 1, row), 2 * BLOCK, dtype=np.int32)
+    if by0 > 0:
+        work[:, 0, 1:, -1] = background[y0 - 1, x0 : x0 + w].T.reshape(3, nbx, BLOCK)
+    else:
+        count[1] -= BLOCK
+    if bx0 > 0:
+        work[:, 1:, 0, :, -1] = background[y0 : y0 + h, x0 - 1].T.reshape(3, nby, BLOCK)
+    else:
+        count[:, 1] -= BLOCK
+    # count is 0 only at block (0, 0), whose mode was checked to be 0 above.
+    count = np.maximum(count, 1).reshape(-1)
+    work_flat = work.reshape(3, -1, BLOCK, BLOCK)
+
+    frame_row = payload.width_px // BLOCK
+    modes = payload.modes.reshape(3, -1)
+    residuals = payload.residuals.reshape(3, -1, BLOCK, BLOCK)
+    # A one-block-wide frame has one block per diagonal; any step will do.
+    frame_step = max(frame_row - 1, 1)
+
+    for d in range(nby + nbx - 1):
+        i0 = max(0, d - nbx + 1)
+        k = min(d, nby - 1) + 1 - i0
+        c = (i0 + 1) * row + (d - i0 + 1)  # padded block (i0 + 1, d - i0 + 1)
+        span = (k - 1) * nbx + 1
+        cur = slice(c, c + span, nbx)
+        up = slice(c - row, c - row + span, nbx)
+        left = slice(c - 1, c - 1 + span, nbx)
+        g = (by0 + i0) * frame_row + (bx0 + d - i0)
+        src = slice(g, g + (k - 1) * frame_step + 1, frame_step)
+
+        s = (work_flat[:, up, -1].sum(axis=-1, dtype=np.int32)
+             + work_flat[:, left, :, -1].sum(axis=-1, dtype=np.int32))
+        n = count[cur]
+        pred = np.where(modes[:, src] == MODE_CONST, 128, (s + n // 2) // n)
+        blk = residuals[:, src].astype(np.int32)
+        blk += pred[:, :, None, None]
+        np.clip(blk, 0, 255, out=blk)
+        work_flat[:, cur] = blk
+    return work[:, 1:, 1:].transpose(1, 3, 2, 4, 0).reshape(h, w, 3)
 
 
 def decode_full(payload: IntraPayload) -> np.ndarray:
     """Reconstruct the whole frame. Returns (H, W, 3) uint8."""
-    w, h = payload.width_px, payload.height_px
-    nby, nbx = h // BLOCK, w // BLOCK
-    out = np.empty((h, w, 3), dtype=np.uint8)
-
-    for p in range(3):
-        plane = np.empty((h, w), dtype=np.int32)
-        modes = payload.modes[p]
-        residuals = payload.residuals[p].astype(np.int32)
-        for by in range(nby):
-            y0 = by * BLOCK
-            for bx in range(nbx):
-                x0 = bx * BLOCK
-                if modes[by, bx] == MODE_CONST:
-                    pred = 128
-                else:
-                    pred = _predict(
-                        plane, by, bx, by > 0, bx > 0,
-                        plane[y0 - 1, x0 : x0 + BLOCK] if by > 0 else None,
-                        plane[y0 : y0 + BLOCK, x0 - 1] if bx > 0 else None,
-                    )
-                blk = residuals[by, bx] + pred
-                np.clip(blk, 0, 255, out=blk)
-                plane[y0 : y0 + BLOCK, x0 : x0 + BLOCK] = blk
-        out[:, :, p] = plane
-
-    return out
+    nbx, nby = payload.width_px // BLOCK, payload.height_px // BLOCK
+    return _decode_blocks(payload, 0, 0, nbx, nby, None)
 
 
 def blocks_for_rect(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -242,10 +281,12 @@ def decode_region_partial(payload: IntraPayload, rect: tuple[int, int, int, int]
                           background: np.ndarray) -> tuple[PixelTile, DecodeStats]:
     """Reconstruct only the blocks intersecting ``rect``.
 
-    Blocks are decoded in raster order. A block's causal neighbors come from
-    blocks decoded in this same call when those blocks also intersect the
-    rect, and from ``background`` (a full-frame (H, W, 3) uint8 image)
-    otherwise. The returned tile is cropped to exactly ``rect``.
+    Blocks are decoded one anti-diagonal at a time, which gives the same
+    pixels as raster order (see the module docstring). A block's causal
+    neighbors come from blocks decoded in this same call when those blocks
+    also intersect the rect, and from ``background`` (a full-frame
+    (H, W, 3) uint8 image) otherwise. The returned tile is cropped to
+    exactly ``rect``.
 
     The decode cost is a pure function of the rect geometry:
     blocks_decoded counts the block positions the rect touches, regardless
@@ -257,46 +298,13 @@ def decode_region_partial(payload: IntraPayload, rect: tuple[int, int, int, int]
     if x < 0 or y < 0 or x + w > payload.width_px or y + h > payload.height_px:
         raise ValueError(f"rect {rect} is outside the {payload.width_px}x{payload.height_px} frame")
     background = np.asarray(background)
-    if background.shape != (payload.height_px, payload.width_px, 3):
-        raise ValueError("background must be a full-frame (H, W, 3) image")
+    if background.shape != (payload.height_px, payload.width_px, 3) or background.dtype != np.uint8:
+        raise ValueError("background must be a full-frame (H, W, 3) uint8 image")
 
     bx0, bx1, by0, by1 = blocks_for_rect(rect)
-    rx0, ry0 = bx0 * BLOCK, by0 * BLOCK
-    rw = (bx1 - bx0 + 1) * BLOCK
-    rh = (by1 - by0 + 1) * BLOCK
-
-    tile = np.empty((h, w, 3), dtype=np.uint8)
-    for p in range(3):
-        modes = payload.modes[p]
-        residuals = payload.residuals[p].astype(np.int32)
-        bg = background[:, :, p].astype(np.int32)
-        region = np.empty((rh, rw), dtype=np.int32)
-        for by in range(by0, by1 + 1):
-            ly0 = (by - by0) * BLOCK
-            gy0 = by * BLOCK
-            for bx in range(bx0, bx1 + 1):
-                lx0 = (bx - bx0) * BLOCK
-                gx0 = bx * BLOCK
-                if modes[by, bx] == MODE_CONST:
-                    pred = 128
-                else:
-                    top_row = left_col = None
-                    if by > 0:
-                        # neighbor block (by-1, bx) is in-region iff by-1 >= by0
-                        if by - 1 >= by0:
-                            top_row = region[ly0 - 1, lx0 : lx0 + BLOCK]
-                        else:
-                            top_row = bg[gy0 - 1, gx0 : gx0 + BLOCK]
-                    if bx > 0:
-                        if bx - 1 >= bx0:
-                            left_col = region[ly0 : ly0 + BLOCK, lx0 - 1]
-                        else:
-                            left_col = bg[gy0 : gy0 + BLOCK, gx0 - 1]
-                    pred = _predict(region, by, bx, by > 0, bx > 0, top_row, left_col)
-                blk = residuals[by, bx] + pred
-                np.clip(blk, 0, 255, out=blk)
-                region[ly0 : ly0 + BLOCK, lx0 : lx0 + BLOCK] = blk
-        tile[:, :, p] = region[y - ry0 : y - ry0 + h, x - rx0 : x - rx0 + w]
+    region = _decode_blocks(payload, bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1, background)
+    oy, ox = y - by0 * BLOCK, x - bx0 * BLOCK
+    tile = region[oy : oy + h, ox : ox + w].copy()
 
     stats = DecodeStats(
         blocks_decoded=(bx1 - bx0 + 1) * (by1 - by0 + 1),

@@ -217,29 +217,3 @@ def refine_object(object_id: int, decode, background: np.ndarray,
         rewrites=rewrites,
         unanchored=not anchor_refined,
     )
-
-
-def refine_gop(tracks: dict[int, list[tuple[int, BlobFeature]]],
-               payload, background: np.ndarray, config: RefineConfig,
-               iframe_index: int,
-               anchors: dict[int, tuple[int, BlobFeature, bool]]
-               ) -> dict[int, RefineResult]:
-    """Refine every tracked object against one I-frame payload.
-
-    tracks maps object id to its (frame, blob) pairs for the closing GOP;
-    anchors maps object id to its interpolation anchor. Convenience
-    driver over ``refine_object`` with a shared partial decoder.
-    """
-    from .intra import decode_region_partial
-
-    results = {}
-    for oid in sorted(tracks):
-        def decode(rect):
-            tile, _ = decode_region_partial(payload, rect, background)
-            return tile
-
-        results[oid] = refine_object(
-            oid, decode, background, config, tracks[oid], anchors[oid],
-            iframe_index, payload.width_px, payload.height_px,
-        )
-    return results

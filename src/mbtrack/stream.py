@@ -31,7 +31,7 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .intra import IntraPayload
+from .intra import IntraFormatError, IntraPayload
 
 MAGIC = b"MBFS"
 FORMAT_VERSION = 1
@@ -51,7 +51,8 @@ class StreamError(Exception):
 
 
 class StreamFormatError(StreamError):
-    """Bad magic, bad version, or a header field outside its legal range."""
+    """Bad magic, bad version, a header field outside its legal range, or
+    an I-frame payload the intra codec rejects."""
 
 
 class StreamTruncatedError(StreamError):
@@ -400,9 +401,10 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
                 yield FrameFeatures(frame_index, "P", mb_grid=grid)
             else:
                 raw = _read_exact(src, intra_size, "intra payload", frame_index)
-                yield FrameFeatures(
-                    frame_index, "I",
-                    intra_payload=IntraPayload.from_bytes(raw, width, height),
-                )
+                try:
+                    payload = IntraPayload.from_bytes(raw, width, height)
+                except IntraFormatError as err:
+                    raise StreamFormatError(f"frame {frame_index}: {err}") from err
+                yield FrameFeatures(frame_index, "I", intra_payload=payload)
 
     return header, background, frames()

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbtrack.intra import (
+    BLOCK,
+    MODE_CONST,
     DecodeStats,
     IntraFormatError,
     IntraPayload,
@@ -73,7 +77,12 @@ class TestRoundTrip:
         pay = encode_iframe(img)
         data = pay.to_bytes()
         assert len(data) == IntraPayload.byte_size(32, 16)
-        assert IntraPayload.from_bytes(data, 32, 16) == pay
+        parsed = IntraPayload.from_bytes(data, 32, 16)
+        assert parsed == pay
+        # the parsed arrays are unaligned views of the packed blocks
+        assert np.array_equal(decode_full(parsed), img)
+        tile, _ = decode_region_partial(parsed, (5, 3, 20, 9), img)
+        assert np.array_equal(tile.pixels, img[3:12, 5:25])
 
 
 class TestPayloadValidation:
@@ -167,3 +176,107 @@ class TestPartialDecode:
             decode_region_partial(pay, (12, 0, 8, 4), bg)
         with pytest.raises(ValueError):
             decode_region_partial(pay, (0, 0, 4, 4), bg[:8])
+        with pytest.raises(ValueError):
+            decode_region_partial(pay, (4, 4, 4, 4), bg.astype(np.int32) + 200)
+
+
+def reference_decode(payload, rect, background):
+    """Block-at-a-time raster-order decoder, the codec's definition.
+
+    Neighbors inside the rect's blocks come from this decode, neighbors
+    outside them from ``background``. Returns (tile pixels, DecodeStats).
+    """
+    x, y, w, h = rect
+    bx0, bx1, by0, by1 = blocks_for_rect(rect)
+    region = np.zeros(((by1 - by0 + 1) * BLOCK, (bx1 - bx0 + 1) * BLOCK, 3), dtype=np.int32)
+    bg = background.astype(np.int32)
+    for p in range(3):
+        for by in range(by0, by1 + 1):
+            ly, gy = (by - by0) * BLOCK, by * BLOCK
+            for bx in range(bx0, bx1 + 1):
+                lx, gx = (bx - bx0) * BLOCK, bx * BLOCK
+                pred = 128
+                if payload.modes[p, by, bx] != MODE_CONST:
+                    context = []
+                    if by > 0:
+                        src = region[ly - 1, lx : lx + BLOCK] if by > by0 else bg[gy - 1, gx : gx + BLOCK]
+                        context.extend(src[:, p])
+                    if bx > 0:
+                        src = region[ly : ly + BLOCK, lx - 1] if bx > bx0 else bg[gy : gy + BLOCK, gx - 1]
+                        context.extend(src[:, p])
+                    if not context:
+                        raise IntraFormatError(f"block ({by}, {bx}): mode 1 with no causal neighbors")
+                    pred = (int(sum(context)) + len(context) // 2) // len(context)
+                blk = payload.residuals[p, by, bx].astype(np.int32) + pred
+                region[ly : ly + BLOCK, lx : lx + BLOCK, p] = np.clip(blk, 0, 255)
+    oy, ox = y - by0 * BLOCK, x - bx0 * BLOCK
+    tile = region[oy : oy + h, ox : ox + w].astype(np.uint8)
+    return tile, DecodeStats((bx1 - bx0 + 1) * (by1 - by0 + 1), payload.blocks_per_plane)
+
+
+@st.composite
+def coded_frames(draw):
+    """(payload, rect, background) with random size, modes and residuals.
+
+    Residual magnitudes reach past 255, so reconstruction clips."""
+    nby, nbx = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    limit = draw(st.sampled_from([0, 3, 60, 300, 32767]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = rng.integers(0, 2, (3, nby, nbx)).astype(np.uint8)
+    modes[:, 0, 0] = MODE_CONST
+    residuals = rng.integers(-limit, limit, (3, nby, nbx, BLOCK, BLOCK), endpoint=True)
+    height, width = nby * BLOCK, nbx * BLOCK
+    payload = IntraPayload(modes, residuals.astype(np.int16), width, height)
+    x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    rect = (x, y, draw(st.integers(1, width - x)), draw(st.integers(1, height - y)))
+    background = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+    return payload, rect, background
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(coded_frames())
+    def test_partial_decode_matches_raster_reference(self, case):
+        payload, rect, background = case
+        tile, stats = decode_region_partial(payload, rect, background)
+        ref_pixels, ref_stats = reference_decode(payload, rect, background)
+        assert tile.rect == rect
+        assert tile.pixels.dtype == np.uint8
+        assert np.array_equal(tile.pixels, ref_pixels)
+        assert stats == ref_stats
+
+    @settings(max_examples=100, deadline=None)
+    @given(coded_frames())
+    def test_full_decode_matches_raster_reference(self, case):
+        payload, _, background = case
+        full_rect = (0, 0, payload.width_px, payload.height_px)
+        ref_pixels, _ = reference_decode(payload, full_rect, background)
+        assert np.array_equal(decode_full(payload), ref_pixels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_frames())
+    def test_partial_is_exact_when_context_lies_on_background(self, case):
+        payload, rect, background = case
+        frame = decode_full(payload)
+        # Put the row above and the column left of the rect's blocks on
+        # background, then re-encode: the substituted context is now right.
+        bx0, bx1, by0, by1 = blocks_for_rect(rect)
+        x0, x1, y0, y1 = bx0 * BLOCK, (bx1 + 1) * BLOCK, by0 * BLOCK, (by1 + 1) * BLOCK
+        if y0 > 0:
+            frame[y0 - 1, x0:x1] = background[y0 - 1, x0:x1]
+        if x0 > 0:
+            frame[y0:y1, x0 - 1] = background[y0:y1, x0 - 1]
+        tile, _ = decode_region_partial(encode_iframe(frame), rect, background)
+        x, y, w, h = rect
+        assert np.array_equal(tile.pixels, frame[y : y + h, x : x + w])
+
+    def test_neighbor_mode_at_origin_raises_in_both_entry_points(self):
+        pay = encode_iframe(uniform_image(8, 8, 50))
+        pay.modes[1, 0, 0] = 1  # bypasses the constructor's check
+        with pytest.raises(IntraFormatError):
+            decode_full(pay)
+        with pytest.raises(IntraFormatError):
+            decode_region_partial(pay, (0, 0, 4, 4), uniform_image(8, 8, 50))
+        # a rect away from block (0, 0) never predicts it
+        tile, _ = decode_region_partial(pay, (4, 4, 4, 4), uniform_image(8, 8, 50))
+        assert np.all(tile.pixels == 50)

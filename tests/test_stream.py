@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from mbtrack.intra import IntraPayload, encode_iframe
+from mbtrack.intra import IntraFormatError, IntraPayload, encode_iframe
 from mbtrack.stream import (
     FLAG_HAS_BACKGROUND,
     MAGIC,
@@ -209,3 +209,16 @@ class TestReaderValidation:
         _, _, it = read_stream(io.BytesIO(bytes(data)))
         with pytest.raises(StreamFormatError):
             next(it)
+
+    @pytest.mark.parametrize("mode,message", [
+        (7, "unknown prediction mode"),
+        (1, "mode 1 requires at least one causal neighbor"),
+    ])
+    def test_bad_intra_mode_is_a_typed_error_naming_the_frame(self, mode, message):
+        header, bg, frames = make_stream(width=32, height=32, frame_count=2)
+        data = bytearray(stream_to_bytes(header, bg, frames))
+        data[HEADER_SIZE + 5] = mode  # mode byte of block (0, 0), plane R, frame 0
+        _, _, it = read_stream(io.BytesIO(bytes(data)))
+        with pytest.raises(StreamFormatError, match=f"frame 0: {message}") as err:
+            next(it)
+        assert isinstance(err.value.__cause__, IntraFormatError)
