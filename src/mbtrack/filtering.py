@@ -111,6 +111,16 @@ class BlockGroup:
         if self.virtual and self.has_nonzero_coeff:
             raise ValueError("a virtual group carries no coefficient claim")
 
+    @classmethod
+    def _labelled(cls, frame_index: int, members: frozenset,
+                  has_nonzero_coeff: bool) -> "BlockGroup":
+        """A group ``ndimage.label`` built: connected and non-empty by
+        construction, so the validation in ``__post_init__`` is skipped."""
+        group = object.__new__(cls)
+        group.__dict__.update(frame_index=frame_index, members=members,
+                              has_nonzero_coeff=has_nonzero_coeff, virtual=False)
+        return group
+
     def __len__(self) -> int:
         return len(self.members)
 
@@ -118,19 +128,32 @@ class BlockGroup:
 def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     """Cluster a P-frame's non-skip macroblocks into 8-connected groups.
 
-    Groups come back in raster order of their first macroblock.
+    Groups come back in raster order of their first macroblock, and each
+    group's members are inserted in raster order.
     """
     if frame.kind != "P" or frame.mb_grid is None:
         raise ValueError("cluster_blocks needs a P-frame with macroblock features")
     grid = frame.mb_grid
-    nonskip = ~grid.skip
-    labels, count = ndimage.label(nonskip, structure=_EIGHT_CONNECTED)
+    labels, count = ndimage.label(~grid.skip, structure=_EIGHT_CONNECTED)
+    if count == 0:
+        return []
+    cols = labels.shape[1]
+    flat = labels.ravel()
+    cells = np.flatnonzero(flat)  # raster order
+    order = np.argsort(flat[cells], kind="stable")  # by label, raster order within
+    cells = cells[order]
+    cell_labels = flat[cells]
+    has_coeff = np.zeros(count + 1, dtype=bool)
+    has_coeff[cell_labels[grid.coeff_mask.ravel()[cells] != 0]] = True
+    ends = np.cumsum(np.bincount(cell_labels)[1:]).tolist()
+    my, mx = np.divmod(cells, cols)
+    pairs = list(zip(mx.tolist(), my.tolist()))
     groups = []
-    for k in range(1, count + 1):
-        cells = np.argwhere(labels == k)  # (my, mx) pairs
-        members = frozenset((int(mx), int(my)) for my, mx in cells)
-        has_coeff = bool(np.any(grid.coeff_mask[labels == k]))
-        groups.append(BlockGroup(frame.frame_index, members, has_coeff))
+    start = 0
+    for end, coeff in zip(ends, has_coeff[1:].tolist()):
+        groups.append(BlockGroup._labelled(frame.frame_index, frozenset(pairs[start:end]),
+                                           coeff))
+        start = end
     return groups
 
 
@@ -246,12 +269,6 @@ class EntityTracker:
         i = self._next_id
         self._next_id += 1
         return i
-
-    def real_entities(self) -> list[Entity]:
-        return [e for e in self.entities.values() if e.label is Label.REAL]
-
-    def active_occlusions(self) -> list["OcclusionGroup"]:
-        return [o for o in self.occlusions.values()]
 
     # -- one P-frame ------------------------------------------------------
 

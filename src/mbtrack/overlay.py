@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 from .intra import decode_full
-from .stream import read_stream
+from .stream import open_source, read_stream
 
 _PALETTE = np.array([
     [230, 60, 60],
@@ -92,42 +92,44 @@ def draw_label(image: np.ndarray, x: int, y: int, text: str,
 
 
 def render_overlays(source, records, out_dir, limit: int | None = None) -> list[str]:
-    """Write one annotated PPM per frame. Returns the file paths."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            source = f.read()
-    header, background_chunk, frames = read_stream(source)
+    """Write one annotated PPM per frame. Returns the file paths.
 
-    by_frame = defaultdict(list)
-    for r in records:
-        by_frame[r.frame_index].append(r)
+    source: bytes, a path, or a binary file object; a path or file object
+    is streamed, never read whole.
+    """
+    with open_source(source) as source:
+        header, background_chunk, frames = read_stream(source)
 
-    os.makedirs(out_dir, exist_ok=True)
-    background = background_chunk.rgb if background_chunk is not None else None
-    paths = []
-    for frame in frames:
-        if limit is not None and frame.frame_index >= limit:
-            break
-        if frame.kind == "I":
-            image = decode_full(frame.intra_payload)
-            if background is None:
-                background = image
-        else:
-            base = background if background is not None else np.zeros(
-                (header.height_px, header.width_px, 3), dtype=np.uint8)
-            image = base.copy()
+        by_frame = defaultdict(list)
+        for r in records:
+            by_frame[r.frame_index].append(r)
 
-        for rec in sorted(by_frame.get(frame.frame_index, []),
-                          key=lambda r: r.object_id):
-            color = color_for(rec.object_id)
-            x0 = int(round(rec.cx - rec.w / 2))
-            y0 = int(round(rec.cy - rec.h / 2))
-            x1 = x0 + int(round(rec.w))
-            y1 = y0 + int(round(rec.h))
-            draw_rect(image, x0, y0, x1, y1, color)
-            draw_label(image, x0 + 2, y0 + 2, str(rec.object_id), color)
+        os.makedirs(out_dir, exist_ok=True)
+        background = background_chunk.rgb if background_chunk is not None else None
+        paths = []
+        for frame in frames:
+            if limit is not None and frame.frame_index >= limit:
+                break
+            if frame.kind == "I":
+                image = decode_full(frame.intra_payload)
+                if background is None:
+                    background = image
+            else:
+                base = background if background is not None else np.zeros(
+                    (header.height_px, header.width_px, 3), dtype=np.uint8)
+                image = base.copy()
 
-        path = os.path.join(out_dir, f"frame_{frame.frame_index:06d}.ppm")
-        write_ppm(path, image)
-        paths.append(path)
-    return paths
+            for rec in sorted(by_frame.get(frame.frame_index, []),
+                              key=lambda r: r.object_id):
+                color = color_for(rec.object_id)
+                x0 = int(round(rec.cx - rec.w / 2))
+                y0 = int(round(rec.cy - rec.h / 2))
+                x1 = x0 + int(round(rec.w))
+                y1 = y0 + int(round(rec.h))
+                draw_rect(image, x0, y0, x1, y1, color)
+                draw_label(image, x0 + 2, y0 + 2, str(rec.object_id), color)
+
+            path = os.path.join(out_dir, f"frame_{frame.frame_index:06d}.ppm")
+            write_ppm(path, image)
+            paths.append(path)
+        return paths

@@ -14,7 +14,6 @@ immediate per-frame emission.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from .intra import PixelTile, decode_full, decode_region_partial
 from .occlusion import hue_histogram, match_identities
 from .refinement import BlobFeature, RefineConfig, refine_object
 from .scene import GroundTruthRecord
-from .stream import read_stream
+from .stream import open_source, read_stream
 
 
 @dataclass
@@ -91,7 +90,10 @@ class TrackResult:
     header: object
 
 
-STAGES = ("parse", "psmf", "partial_decode", "subtract", "interpolate", "occlusion")
+# Per P-frame: cluster, filter, step (EntityTracker.step) and emit (record
+# bookkeeping for the step's events and this frame's records).
+STAGES = ("parse", "cluster", "filter", "step", "emit", "partial_decode", "subtract",
+          "interpolate", "occlusion")
 
 
 class _Run:
@@ -147,14 +149,22 @@ class _Run:
     # -- P-frame -------------------------------------------------------------
 
     def process_pframe(self, frame) -> None:
+        timers = self.timers
         t0 = time.perf_counter()
         groups = cluster_blocks(frame)
+        t1 = time.perf_counter()
         active = spatial_filter(groups, enabled=self.cfg.psmf.enable_spatial_filter)
+        t2 = time.perf_counter()
         step_events = self.tracker.step(active, frame.frame_index)
+        t3 = time.perf_counter()
         self.events.extend(step_events)
         self._apply_step_events(step_events, frame.frame_index)
         self._emit_frame_records(frame.frame_index)
-        self.timers["psmf"] += time.perf_counter() - t0
+        t4 = time.perf_counter()
+        timers["cluster"] += t1 - t0
+        timers["filter"] += t2 - t1
+        timers["step"] += t3 - t2
+        timers["emit"] += t4 - t3
         if self.cfg.live:
             self._flush(frame.frame_index + 1, frame.frame_index)
 
@@ -398,46 +408,43 @@ def run_tracker(source, config: TrackerConfig | None = None,
                 on_emit=None) -> TrackResult:
     """Track every object in an MBFS stream.
 
-    source: bytes, a path, or a binary file object. Returns records,
-    events, and run metrics. ``on_emit(after_frame, batch)`` observes
-    each release of buffered records.
+    source: bytes, a path, or a binary file object. A path or file object
+    is streamed frame by frame, never read whole, so apart from the records
+    and events it returns, memory does not grow with the length of the
+    stream. Returns records, events, and run metrics. ``on_emit(after_frame,
+    batch)`` observes each release of buffered records.
     """
     config = config or TrackerConfig()
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            source = f.read()
-    elif hasattr(source, "read"):
-        source = source.read()
+    with open_source(source) as source:
+        t_start = time.perf_counter()
+        run = _Run(config, on_emit=on_emit)
 
-    t_start = time.perf_counter()
-    run = _Run(config, on_emit=on_emit)
-
-    t0 = time.perf_counter()
-    header, background_chunk, frames = read_stream(source)
-    run.timers["parse"] += time.perf_counter() - t0
-
-    background = background_chunk.rgb if background_chunk is not None else None
-    last_index = 0
-
-    while True:
         t0 = time.perf_counter()
-        try:
-            frame = next(frames)
-        except StopIteration:
-            run.timers["parse"] += time.perf_counter() - t0
-            break
+        header, background_chunk, frames = read_stream(source)
         run.timers["parse"] += time.perf_counter() - t0
-        last_index = frame.frame_index
 
-        if frame.kind == "I":
-            if background is None:
-                # No reference shipped: the first I-frame is the reference.
-                t0 = time.perf_counter()
-                background = decode_full(frame.intra_payload)
-                run.timers["partial_decode"] += time.perf_counter() - t0
-            run.process_iframe(frame, background, header.width_px, header.height_px)
-        else:
-            run.process_pframe(frame)
+        background = background_chunk.rgb if background_chunk is not None else None
+        last_index = 0
+
+        while True:
+            t0 = time.perf_counter()
+            try:
+                frame = next(frames)
+            except StopIteration:
+                run.timers["parse"] += time.perf_counter() - t0
+                break
+            run.timers["parse"] += time.perf_counter() - t0
+            last_index = frame.frame_index
+
+            if frame.kind == "I":
+                if background is None:
+                    # No reference shipped: the first I-frame is the reference.
+                    t0 = time.perf_counter()
+                    background = decode_full(frame.intra_payload)
+                    run.timers["partial_decode"] += time.perf_counter() - t0
+                run.process_iframe(frame, background, header.width_px, header.height_px)
+            else:
+                run.process_pframe(frame)
 
     run.finish(last_index)
     total = time.perf_counter() - t_start

@@ -299,16 +299,19 @@ def encode_p_frame(current: np.ndarray, previous: np.ndarray,
     h, w = current.shape[:2]
     rows, cols = h // MB, w // MB
 
-    diff = np.abs(current.astype(np.int16) - previous.astype(np.int16)).max(axis=2)
+    # Per-pixel change, as the largest absolute difference over the channels.
+    diff = np.maximum(current, previous) - np.minimum(current, previous)  # no wrap in uint8
+    diff = np.maximum(np.maximum(diff[..., 0], diff[..., 1]), diff[..., 2])
+    # Per 4x4 subblock: the maximum over strided slices, rows then columns.
+    rows4 = np.maximum(np.maximum(diff[0::4], diff[1::4]), np.maximum(diff[2::4], diff[3::4]))
+    sub_max = np.maximum(np.maximum(rows4[:, 0::4], rows4[:, 1::4]),
+                         np.maximum(rows4[:, 2::4], rows4[:, 3::4]))
+    sub_grid = sub_max.reshape(rows, 4, cols, 4).transpose(0, 2, 1, 3).reshape(rows, cols, 16)
+    mb_changed = sub_grid.any(axis=2)
 
-    changed = diff > 0
-    mb_changed = changed.reshape(rows, MB, cols, MB).any(axis=(1, 3))
-
-    sub = diff.reshape(h // 4, 4, w // 4, 4).max(axis=(1, 3)) > deadzone  # per 4x4
-    sub_bits = sub.reshape(rows, 4, cols, 4).transpose(0, 2, 1, 3).reshape(rows, cols, 16)
+    sub_bits = sub_grid > deadzone
     weights = (1 << np.arange(16, dtype=np.uint32))
     mask = (sub_bits.astype(np.uint32) * weights).sum(axis=2).astype(np.uint16)
-    mask[~mb_changed] = 0
 
     return MacroblockGrid(
         skip=~mb_changed,

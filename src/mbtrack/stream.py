@@ -24,7 +24,9 @@ the API-level record type enforces it for in-memory construction.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator
@@ -40,10 +42,10 @@ MB = 16  # macroblock edge in pixels
 
 _HEADER = struct.Struct("<4sHHHBBIH")
 _FRAME_PREFIX = struct.Struct("<cI")
-_MB_PAYLOAD = struct.Struct("<Hhh")
-
-_MB_SKIP_BYTE = b"\x01"
-_MB_CODED_BYTE = b"\x00"
+# A coded macroblock's record after its flag byte: [coeff_mask u16][mv_x i16][mv_y i16].
+_MB_PAYLOAD = np.dtype([("coeff_mask", "<u2"), ("mv", "<i2", (2,))])
+_PAYLOAD_OFFSETS = np.arange(1, 1 + _MB_PAYLOAD.itemsize)
+_MB_CODED = b"\x00"
 
 
 class StreamError(Exception):
@@ -167,13 +169,6 @@ class MacroblockGrid:
             np.zeros((rows, cols, 2), dtype=np.int16),
         )
 
-    def record_at(self, my: int, mx: int) -> MacroblockRecord:
-        return MacroblockRecord(
-            skip=bool(self.skip[my, mx]),
-            coeff_mask=int(self.coeff_mask[my, mx]),
-            mv_qpel=(int(self.mv_qpel[my, mx, 0]), int(self.mv_qpel[my, mx, 1])),
-        )
-
     def validate(self) -> None:
         bad = self.skip & ((self.coeff_mask != 0) | np.any(self.mv_qpel != 0, axis=2))
         if np.any(bad):
@@ -222,21 +217,24 @@ class FrameFeatures:
         )
 
 
+def _payload_index(starts: np.ndarray) -> np.ndarray:
+    """Byte offsets of the coded payloads whose flag bytes sit at ``starts``:
+    one row of 6 per record."""
+    return starts[:, None] + _PAYLOAD_OFFSETS
+
+
 def _serialize_pframe(grid: MacroblockGrid) -> bytes:
-    rows, cols = grid.shape
-    out = bytearray()
-    skip = grid.skip
-    mask = grid.coeff_mask
-    mv = grid.mv_qpel
-    pack = _MB_PAYLOAD.pack
-    for my in range(rows):
-        for mx in range(cols):
-            if skip[my, mx]:
-                out += _MB_SKIP_BYTE
-            else:
-                out += _MB_CODED_BYTE
-                out += pack(int(mask[my, mx]), int(mv[my, mx, 0]), int(mv[my, mx, 1]))
-    return bytes(out)
+    skip = grid.skip.ravel()
+    coded = np.flatnonzero(~skip)
+    sizes = np.where(skip, 1, 1 + _MB_PAYLOAD.itemsize)
+    starts = np.cumsum(sizes) - sizes  # flag byte of each record
+    out = np.ones(int(sizes.sum()), dtype=np.uint8)  # skip flags
+    out[starts[coded]] = 0
+    payload = np.empty(coded.size, dtype=_MB_PAYLOAD)
+    payload["coeff_mask"] = grid.coeff_mask.ravel()[coded]
+    payload["mv"] = grid.mv_qpel.reshape(-1, 2)[coded]
+    out[_payload_index(starts[coded])] = payload.view(np.uint8).reshape(-1, _MB_PAYLOAD.itemsize)
+    return out.tobytes()
 
 
 def write_stream(header: StreamHeader, background: BackgroundChunk | None,
@@ -313,39 +311,133 @@ def stream_to_bytes(header: StreamHeader, background: BackgroundChunk | None,
     return buf.getvalue()
 
 
-def _read_exact(src: BinaryIO, n: int, what: str, frame_index: int | None) -> bytes:
-    data = src.read(n)
-    if len(data) != n:
-        raise StreamTruncatedError(
-            f"stream ended inside {what}"
-            + (f" of frame {frame_index}" if frame_index is not None else ""),
-            frame_index=frame_index,
+def _truncated(what: str, frame_index: int | None) -> StreamTruncatedError:
+    return StreamTruncatedError(
+        f"stream ended inside {what}"
+        + (f" of frame {frame_index}" if frame_index is not None else ""),
+        frame_index=frame_index,
+    )
+
+
+class _Reader:
+    """Forward-only reader over bytes or a binary file object.
+
+    A file object is read in pieces, and never past the bytes a caller
+    asks for: ``window`` pulls only up to the end it is given, so nothing
+    is left over when a frame ends, and ``read`` of an I-frame payload is
+    one read from the file into a bytes object of its own, with no copy.
+    The lookahead is at most one P-frame, so memory does not grow with
+    the length of the stream.
+    """
+
+    def __init__(self, source):
+        if isinstance(source, (bytes, bytearray)):
+            self._buf = bytes(source)
+            self._src = None
+        else:
+            self._buf = b""
+            self._src = source
+        self._pos = 0
+
+    def _pull(self, n: int) -> bytes:
+        """Up to n bytes from the file object; fewer only at its end."""
+        parts = []
+        while n > 0:
+            data = self._src.read(n)
+            if not data:
+                break
+            parts.append(data)
+            n -= len(data)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
+
+    def read(self, n: int, what: str, frame_index: int | None) -> bytes:
+        """Exactly the next n bytes, as a bytes object of their own."""
+        buf, pos = self._buf, self._pos
+        if len(buf) - pos >= n:
+            self._pos = pos + n
+            return buf[pos : pos + n]
+        data = buf[pos:]
+        self._buf, self._pos = b"", 0
+        if self._src is not None:
+            data += self._pull(n - len(data))  # b"" + x is x itself: no copy
+        if len(data) != n:
+            raise _truncated(what, frame_index)
+        return data
+
+    def window(self, n: int) -> tuple[bytes, int]:
+        """(buffer, start): the unconsumed bytes are buffer[start:], at
+        least n of them unless the source ends first, and from a file
+        object no more than n."""
+        avail = len(self._buf) - self._pos
+        if avail < n and self._src is not None:
+            self._buf = self._buf[self._pos :] + self._pull(n - avail)
+            self._pos = 0
+        return self._buf, self._pos
+
+    def advance(self, n: int) -> None:
+        self._pos += n
+
+
+def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> MacroblockGrid:
+    """Parse one P-frame's records, in one pass over its bytes.
+
+    The loop runs once per coded record: every byte before the next 0x00
+    flag is a one-byte skip record, so ``find`` jumps from one coded record
+    to the next, and each one it finds moves the frame's end 6 bytes on.
+    Bytes are requested up to that end only, so the reader never takes
+    bytes of the next frame. All flag bytes are then checked at once, and
+    the coded payloads are gathered into one structured array. Errors are
+    the ones a record-by-record read raises: the first bad flag byte if it
+    comes before the end of the data, else truncation.
+    """
+    n = rows * cols
+    size = _MB_PAYLOAD.itemsize
+    buf, start = reader.window(n)
+    starts = []  # offset of each coded record's flag byte from start
+    end = n  # the frame's length if no later record is coded
+    p = 0  # offsets before p are searched
+    while True:
+        q = buf.find(_MB_CODED, start + p, start + end)
+        if q >= 0:
+            starts.append(q - start)
+            p = q - start + 1 + size
+            end += size
+            continue
+        have = len(buf) - start
+        if have >= end:
+            break
+        buf, start = reader.window(end)
+        if len(buf) - start == have:  # the source ended
+            break
+        p = max(p, have)
+
+    data = np.frombuffer(buf, dtype=np.uint8)[start : start + end]  # short when truncated
+    rel = np.array(starts, dtype=np.intp)
+    bad = data > 1  # reserved bits on a flag byte, or any payload byte
+    payload_at = _payload_index(rel)
+    bad[payload_at[payload_at < data.size]] = False
+    if bad.any():
+        at = int(np.argmax(bad))
+        my, mx = divmod(at - size * int(np.searchsorted(rel, at)), cols)
+        raise StreamInvariantError(
+            f"frame {frame_index}: macroblock ({mx}, {my}) has reserved"
+            f" flag bits {int(data[at]):#04x}"
         )
-    return data
+    if data.size < end:
+        raise _truncated("macroblock record", frame_index)
+    reader.advance(end)
 
-
-def _parse_pframe(src: BinaryIO, rows: int, cols: int, frame_index: int) -> MacroblockGrid:
-    skip = np.empty((rows, cols), dtype=bool)
-    mask = np.zeros((rows, cols), dtype=np.uint16)
-    mv = np.zeros((rows, cols, 2), dtype=np.int16)
-    unpack = _MB_PAYLOAD.unpack
-    for my in range(rows):
-        for mx in range(cols):
-            flags = _read_exact(src, 1, "macroblock record", frame_index)[0]
-            if flags & ~0x01:
-                raise StreamInvariantError(
-                    f"frame {frame_index}: macroblock ({mx}, {my}) has reserved"
-                    f" flag bits {flags:#04x}"
-                )
-            if flags & 0x01:
-                skip[my, mx] = True
-            else:
-                skip[my, mx] = False
-                m, vx, vy = unpack(_read_exact(src, 6, "macroblock record", frame_index))
-                mask[my, mx] = m
-                mv[my, mx, 0] = vx
-                mv[my, mx, 1] = vy
-    return MacroblockGrid(skip, mask, mv)
+    skip = np.ones(n, dtype=bool)
+    mask = np.zeros(n, dtype=np.uint16)
+    mv = np.zeros((n, 2), dtype=np.int16)
+    if starts:
+        coded = rel - size * np.arange(rel.size)  # macroblock index of each record
+        payload = data[_payload_index(rel)].view(_MB_PAYLOAD)[:, 0]
+        skip[coded] = False
+        mask[coded] = payload["coeff_mask"]
+        mv[coded] = payload["mv"]
+    return MacroblockGrid(skip.reshape(rows, cols), mask.reshape(rows, cols),
+                          mv.reshape(rows, cols, 2))
 
 
 def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[FrameFeatures]]:
@@ -355,12 +447,18 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     parsed and validated lazily as the iterator is consumed; errors are
     raised from the iterator at the offending frame. A parse failure
     never yields a partial frame.
-    """
-    src = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else source
 
-    raw = src.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
-        raise StreamTruncatedError("stream ended inside header")
+    A file object is streamed, never read whole, and never read past the
+    frame being parsed: besides the frames it has yielded, the reader holds
+    at most one P-frame (up to 7 bytes per macroblock) and one I-frame
+    payload, however long the stream is. Each
+    I-frame payload is a bytes object of its own, which the frame's
+    ``IntraPayload`` arrays view, so frames stay valid after the iterator
+    moves on.
+    """
+    reader = _Reader(source)
+
+    raw = reader.read(_HEADER.size, "header", None)
     magic, version, width, height, fps, gop_len, frame_count, flags = _HEADER.unpack(raw)
     if magic != MAGIC:
         raise StreamFormatError(f"bad magic {magic!r}")
@@ -370,10 +468,10 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
 
     background = None
     if header.has_background:
-        tag = _read_exact(src, 1, "background chunk tag", None)
+        tag = reader.read(1, "background chunk tag", None)
         if tag != b"B":
             raise StreamFormatError(f"expected background chunk, found tag {tag!r}")
-        raw = _read_exact(src, width * height * 3, "background chunk", None)
+        raw = reader.read(width * height * 3, "background chunk", None)
         background = BackgroundChunk(
             rgb=np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
         )
@@ -381,7 +479,7 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     def frames() -> Iterator[FrameFeatures]:
         intra_size = IntraPayload.byte_size(width, height)
         for expected in range(frame_count):
-            prefix = _read_exact(src, _FRAME_PREFIX.size, "frame prefix", expected)
+            prefix = reader.read(_FRAME_PREFIX.size, "frame prefix", expected)
             tag, frame_index = _FRAME_PREFIX.unpack(prefix)
             kind = tag.decode("ascii", errors="replace")
             if kind not in ("I", "P"):
@@ -397,10 +495,10 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
                     f" requires {want!r}"
                 )
             if kind == "P":
-                grid = _parse_pframe(src, header.mb_rows, header.mb_cols, frame_index)
+                grid = _parse_pframe(reader, header.mb_rows, header.mb_cols, frame_index)
                 yield FrameFeatures(frame_index, "P", mb_grid=grid)
             else:
-                raw = _read_exact(src, intra_size, "intra payload", frame_index)
+                raw = reader.read(intra_size, "intra payload", frame_index)
                 try:
                     payload = IntraPayload.from_bytes(raw, width, height)
                 except IntraFormatError as err:
@@ -408,3 +506,11 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
                 yield FrameFeatures(frame_index, "I", intra_payload=payload)
 
     return header, background, frames()
+
+
+def open_source(source):
+    """A context manager giving a readable source: a path is opened (and
+    closed on exit); bytes and file objects pass through untouched."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, "rb")
+    return contextlib.nullcontext(source)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from mbtrack.filtering import (
     BlockGroup,
@@ -66,6 +69,38 @@ class TestClustering:
             BlockGroup(0, frozenset({(0, 0), (5, 5)}), has_nonzero_coeff=True)
         with pytest.raises(ValueError):
             BlockGroup(0, frozenset(), has_nonzero_coeff=False)
+
+
+def reference_cluster(frame):
+    """The label-by-label loop ``cluster_blocks`` replaced: two scans of the
+    label image per group, and a validated (BFS-checked) BlockGroup."""
+    grid = frame.mb_grid
+    labels, count = ndimage.label(~grid.skip, structure=np.ones((3, 3), dtype=int))
+    groups = []
+    for k in range(1, count + 1):
+        cells = np.argwhere(labels == k)
+        members = frozenset((int(mx), int(my)) for my, mx in cells)
+        has_coeff = bool(np.any(grid.coeff_mask[labels == k]))
+        groups.append(BlockGroup(frame.frame_index, members, has_coeff))
+    return groups
+
+
+class TestClusteringAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.05, 0.3, 0.6, 0.95]), st.sampled_from([0.0, 0.2, 1.0]))
+    def test_groups_match_the_label_loop(self, rows, cols, seed, p_coded, p_coeff):
+        rng = np.random.default_rng(seed)
+        grid = MacroblockGrid.all_skip(rows, cols)
+        grid.skip[:] = rng.random((rows, cols)) >= p_coded
+        grid.coeff_mask[:] = np.where(~grid.skip & (rng.random((rows, cols)) < p_coeff),
+                                      rng.integers(1, 0x10000, (rows, cols)), 0)
+        frame = FrameFeatures(7, "P", mb_grid=grid)
+        got, want = cluster_blocks(frame), reference_cluster(frame)
+        assert got == want
+        # same set iteration order, so nothing downstream can tell them apart
+        assert [list(g.members) for g in got] == [list(g.members) for g in want]
+        assert all(not g.virtual for g in got)
 
 
 class TestSpatialFilter:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,8 +96,32 @@ class TestRunTracker:
         assert m["frame_count"] == 80
         assert 0 < m["blocks_decoded_ratio"] < 1
         assert set(m["stage_seconds"]) == {
-            "parse", "psmf", "partial_decode", "subtract", "interpolate", "occlusion"}
+            "parse", "cluster", "filter", "step", "emit", "partial_decode", "subtract",
+            "interpolate", "occlusion"}
         assert m["frames_per_second"] > 0
+
+
+class TestBoundedMemory:
+    def test_peak_memory_does_not_grow_with_stream_length(self, tmp_path):
+        def traced_run(gops):
+            script = single_object_scene(frame_count=8 * gops, speed_px=80 / (8 * gops))
+            data, _ = synthesize(script)
+            path = tmp_path / f"{gops}.mbfs"
+            path.write_bytes(data)
+            tracemalloc.start()
+            try:
+                result = run_tracker(path)
+                kept, peak = tracemalloc.get_traced_memory()  # kept: records and events
+            finally:
+                tracemalloc.stop()
+            assert result.records
+            return len(data), kept, peak
+
+        _, kept_short, peak_short = traced_run(4)
+        size_long, kept_long, peak_long = traced_run(16)
+        # Only what the run returns may grow; the stream is not held.
+        assert peak_long - peak_short <= (kept_long - kept_short) + 64 * 1024
+        assert peak_long < size_long / 2
 
 
 class TestEmissionContract:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbtrack.scene import (
     GroundTruthRecord,
@@ -18,7 +20,7 @@ from mbtrack.scene import (
     synthesize,
     write_ground_truth,
 )
-from mbtrack.stream import read_stream
+from mbtrack.stream import MacroblockGrid, read_stream
 
 CHECKER = {"type": "checker", "colors": [[200, 30, 30], [150, 20, 20]], "tile": 8}
 SOLID = {"type": "solid", "color": [20, 40, 200]}
@@ -164,6 +166,30 @@ class TestFeatureEncoding:
         prev, cur = self.frame_pair()
         cur[:16, :16] = 7
         assert not encode_p_frame(cur, prev).mv_qpel.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.001, 0.05, 1.0]), st.sampled_from([1, 3, 255]))
+    def test_matches_the_reshape_reference(self, rows, cols, seed, p_change, amplitude):
+        rng = np.random.default_rng(seed)
+        prev = rng.integers(0, 256, (rows * 16, cols * 16, 3), dtype=np.uint8)
+        step = rng.integers(-amplitude, amplitude + 1, prev.shape)
+        changed = rng.random(prev.shape) < p_change
+        cur = np.clip(prev + np.where(changed, step, 0), 0, 255).astype(np.uint8)
+        assert encode_p_frame(cur, prev) == reference_encode_p_frame(cur, prev)
+
+
+def reference_encode_p_frame(current, previous, deadzone=2):
+    """Feature encoding by int16 difference and reshaped reductions."""
+    h, w = current.shape[:2]
+    rows, cols = h // 16, w // 16
+    diff = np.abs(current.astype(np.int16) - previous.astype(np.int16)).max(axis=2)
+    mb_changed = (diff > 0).reshape(rows, 16, cols, 16).any(axis=(1, 3))
+    sub = diff.reshape(h // 4, 4, w // 4, 4).max(axis=(1, 3)) > deadzone
+    sub_bits = sub.reshape(rows, 4, cols, 4).transpose(0, 2, 1, 3).reshape(rows, cols, 16)
+    mask = (sub_bits.astype(np.uint32) << np.arange(16, dtype=np.uint32)).sum(axis=2)
+    mask[~mb_changed] = 0
+    return MacroblockGrid(~mb_changed, mask.astype(np.uint16), np.zeros((rows, cols, 2)))
 
 
 class TestSynthesis:

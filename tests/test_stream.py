@@ -5,8 +5,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbtrack.intra import IntraFormatError, IntraPayload, encode_iframe
+from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize
 from mbtrack.stream import (
     FLAG_HAS_BACKGROUND,
     MAGIC,
@@ -18,6 +21,7 @@ from mbtrack.stream import (
     StreamHeader,
     StreamInvariantError,
     StreamTruncatedError,
+    _serialize_pframe,
     read_stream,
     stream_to_bytes,
     write_stream,
@@ -222,3 +226,247 @@ class TestReaderValidation:
         with pytest.raises(StreamFormatError, match=f"frame 0: {message}") as err:
             next(it)
         assert isinstance(err.value.__cause__, IntraFormatError)
+
+
+class TestStreaming:
+    def test_short_reads_give_the_same_frames(self):
+        class Trickle(io.RawIOBase):
+            """A file object that returns at most 3 bytes per read."""
+
+            def __init__(self, data):
+                self._src = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def read(self, n=-1):
+                return self._src.read(min(n, 3) if n >= 0 else 3)
+
+        header, bg, frames = make_stream(seed=5, background=True)
+        data = stream_to_bytes(header, bg, frames)
+        h2, bg2, it = read_stream(Trickle(data))
+        assert (h2, bg2) == (header, bg)
+        assert list(it) == frames
+
+    def test_unseekable_buffered_source_gives_the_same_frames(self):
+        class Pipe(io.RawIOBase):
+            """A raw stream that cannot seek, like a pipe or a FIFO."""
+
+            def __init__(self, data):
+                self._src = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                return self._src.readinto(b)
+
+        header, bg, frames = make_stream(frame_count=9, gop_len=4, seed=3, background=True)
+        data = stream_to_bytes(header, bg, frames)
+        with io.BufferedReader(Pipe(data), buffer_size=64) as f:
+            assert not f.seekable()
+            h2, bg2, it = read_stream(f)
+            assert (h2, bg2) == (header, bg)
+            assert list(it) == frames
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reader_never_reads_past_the_frame_it_yields(self, seed):
+        header, bg, frames = make_stream(width=64, height=48, frame_count=8, gop_len=3,
+                                         seed=seed)
+        frames[1].mb_grid.skip[:] = False  # every record coded
+        ends = []
+        end = HEADER_SIZE
+        for frame in frames:
+            end += 5 + (len(_serialize_pframe(frame.mb_grid)) if frame.kind == "P"
+                        else IntraPayload.byte_size(64, 48))
+            ends.append(end)
+        with io.BytesIO(stream_to_bytes(header, bg, frames) + b"tail") as f:
+            _, _, it = read_stream(f)
+            for frame, end in zip(it, ends):
+                assert f.tell() == end, frame.frame_index
+            assert f.read() == b"tail"
+
+    def test_kept_iframes_survive_the_reader_moving_on(self):
+        header, bg, frames = make_stream(frame_count=9, gop_len=4, seed=2)
+        with io.BytesIO(stream_to_bytes(header, bg, frames)) as f:
+            _, _, it = read_stream(f)
+            got = list(it)
+        assert got == frames
+        assert got[0].intra_payload == frames[0].intra_payload
+
+
+# -- the record-by-record P-frame codec, kept as the reference -----------------
+
+_MB_PAYLOAD = struct.Struct("<Hhh")
+
+
+def reference_serialize_pframe(grid):
+    out = bytearray()
+    for my in range(grid.shape[0]):
+        for mx in range(grid.shape[1]):
+            if grid.skip[my, mx]:
+                out += b"\x01"
+            else:
+                out += b"\x00"
+                out += _MB_PAYLOAD.pack(int(grid.coeff_mask[my, mx]),
+                                        int(grid.mv_qpel[my, mx, 0]),
+                                        int(grid.mv_qpel[my, mx, 1]))
+    return bytes(out)
+
+
+def _reference_read_exact(src, n, what, frame_index):
+    data = src.read(n)
+    if len(data) != n:
+        raise StreamTruncatedError(
+            f"stream ended inside {what}"
+            + (f" of frame {frame_index}" if frame_index is not None else ""),
+            frame_index=frame_index,
+        )
+    return data
+
+
+def reference_parse_pframe(src, rows, cols, frame_index):
+    skip = np.empty((rows, cols), dtype=bool)
+    mask = np.zeros((rows, cols), dtype=np.uint16)
+    mv = np.zeros((rows, cols, 2), dtype=np.int16)
+    for my in range(rows):
+        for mx in range(cols):
+            flags = _reference_read_exact(src, 1, "macroblock record", frame_index)[0]
+            if flags & ~0x01:
+                raise StreamInvariantError(
+                    f"frame {frame_index}: macroblock ({mx}, {my}) has reserved"
+                    f" flag bits {flags:#04x}"
+                )
+            if flags & 0x01:
+                skip[my, mx] = True
+            else:
+                skip[my, mx] = False
+                m, vx, vy = _MB_PAYLOAD.unpack(
+                    _reference_read_exact(src, 6, "macroblock record", frame_index))
+                mask[my, mx] = m
+                mv[my, mx, 0] = vx
+                mv[my, mx, 1] = vy
+    return MacroblockGrid(skip, mask, mv)
+
+
+@st.composite
+def random_grids(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coded = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    grid = MacroblockGrid(
+        ~coded,
+        np.where(coded, rng.integers(0, 0x10000, (rows, cols)), 0),
+        np.where(coded[..., None], rng.integers(-32768, 32768, (rows, cols, 2)), 0),
+    )
+    # Payload bytes 0x00 and 0x01 look like flags; make them common.
+    if draw(st.booleans()):
+        grid.coeff_mask[coded] &= 0x0101
+        grid.mv_qpel[coded] &= 0x0101
+    return grid
+
+
+def pframe_stream(grid):
+    """A two-frame stream [I, P] whose P-frame is ``grid``. Returns the
+    stream bytes and the offset of the P-frame's first record."""
+    rows, cols = grid.shape
+    header = StreamHeader(width_px=cols * 16, height_px=rows * 16, fps=25, gop_len=2,
+                          frame_count=2)
+    iframe = encode_iframe(np.zeros((rows * 16, cols * 16, 3), np.uint8))
+    frames = [FrameFeatures(0, "I", intra_payload=iframe), FrameFeatures(1, "P", mb_grid=grid)]
+    data = stream_to_bytes(header, None, frames)
+    return data, HEADER_SIZE + 5 + IntraPayload.byte_size(cols * 16, rows * 16) + 5
+
+
+def outcome(parse):
+    """(grid, None) on success, else (None, (type, message, frame_index))."""
+    try:
+        return parse(), None
+    except (StreamInvariantError, StreamTruncatedError) as err:
+        return None, (type(err), str(err), getattr(err, "frame_index", None))
+
+
+def new_parse(data, as_file):
+    def parse():
+        _, _, it = read_stream(io.BytesIO(data) if as_file else data)
+        return list(it)[1].mb_grid
+    return parse
+
+
+def reference_parse(body, shape):
+    return lambda: reference_parse_pframe(io.BytesIO(body), *shape, 1)
+
+
+def flag_offsets(grid):
+    """Byte offset of each macroblock's flag inside the P-frame body."""
+    sizes = np.where(grid.skip.ravel(), 1, 7)
+    return (np.cumsum(sizes) - sizes).tolist()
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(random_grids(), st.booleans())
+    def test_parser_and_writer_match_the_record_loop(self, grid, as_file):
+        body = reference_serialize_pframe(grid)
+        assert _serialize_pframe(grid) == body
+        data, at = pframe_stream(grid)
+        assert data[at:] == body
+        got, err = outcome(new_parse(data, as_file))
+        assert err is None
+        assert got == reference_parse_pframe(io.BytesIO(body), *grid.shape, 1) == grid
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_grids(), st.booleans())
+    def test_every_truncation_raises_like_the_record_loop(self, grid, as_file):
+        data, at = pframe_stream(grid)
+        body = data[at:]
+        for cut in range(len(body)):
+            got = outcome(new_parse(data[: at + cut], as_file))
+            assert got == outcome(reference_parse(body[:cut], grid.shape)), cut
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_grids(), st.data())
+    def test_every_reserved_flag_byte_raises_like_the_record_loop(self, grid, data):
+        stream, at = pframe_stream(grid)
+        offsets = flag_offsets(grid)
+        where = data.draw(st.sampled_from(offsets))
+        for value in range(0x02, 0x100):
+            bad = bytearray(stream)
+            bad[at + where] = value
+            got = outcome(new_parse(bytes(bad), as_file=False))
+            assert got == outcome(reference_parse(bytes(bad[at:]), grid.shape)), value
+            assert "reserved" in got[1][1]
+
+    def test_synthesized_pframe_fails_like_the_record_loop_everywhere(self):
+        obj = SceneObject(id=1, w=48, h=32, fill={"type": "solid", "color": [200, 30, 30]},
+                          path=[Waypoint(0, 24, 24), Waypoint(2, 40, 40)])
+        script = SceneScript(width=64, height=64, frame_count=3, gop_len=2, objects=[obj])
+        data, _ = synthesize(script)
+        _, _, it = read_stream(data)
+        grid = list(it)[1].mb_grid
+        assert 0 < np.count_nonzero(~grid.skip) < grid.skip.size
+        body = _serialize_pframe(grid)
+        at = data.index(b"P\x01\x00\x00\x00") + 5
+        assert data[at : at + len(body)] == body
+        for cut in range(len(body)):
+            for as_file in (False, True):
+                got = outcome(new_parse(data[: at + cut], as_file))
+                assert got == outcome(reference_parse(body[:cut], grid.shape)), cut
+        for where in flag_offsets(grid):
+            for value in range(0x02, 0x100):
+                bad = bytearray(data)
+                bad[at + where] = value
+                got = outcome(new_parse(bytes(bad), as_file=False))
+                want = outcome(reference_parse(bytes(bad[at : at + len(body)]), grid.shape))
+                assert got == want, (where, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_grids(), st.data())
+    def test_bad_flag_against_truncation_raises_like_the_record_loop(self, grid, data):
+        stream, at = pframe_stream(grid)
+        body = bytearray(stream[at:])
+        for where in data.draw(st.lists(st.sampled_from(flag_offsets(grid)), max_size=3)):
+            body[where] = data.draw(st.integers(0x02, 0xFF))
+        cut = data.draw(st.integers(0, len(body)))
+        got = outcome(new_parse(stream[:at] + bytes(body[:cut]), data.draw(st.booleans())))
+        assert got == outcome(reference_parse(bytes(body[:cut]), grid.shape))
