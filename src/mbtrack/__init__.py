@@ -47,7 +47,6 @@ from .stream import (
     BackgroundChunk,
     FrameFeatures,
     MacroblockGrid,
-    MacroblockRecord,
     StreamHeader,
     read_stream,
     stream_to_bytes,

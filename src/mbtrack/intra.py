@@ -260,7 +260,10 @@ def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int
         pred = np.where(modes[:, src] == MODE_CONST, 128, (s + n // 2) // n)
         blk = residuals[:, src].astype(np.int32)
         blk += pred[:, :, None, None]
-        np.clip(blk, 0, 255, out=blk)
+        # In-place bounds, not np.clip, whose Python wrapper costs more
+        # than the clamp on these small arrays.
+        np.maximum(blk, 0, out=blk)
+        np.minimum(blk, 255, out=blk)
         work_flat[:, cur] = blk
     return work[:, 1:, 1:].transpose(1, 3, 2, 4, 0).reshape(h, w, 3)
 

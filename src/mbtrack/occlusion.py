@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .filtering import BlockGroup, Entity, TrackEvent
+    from .filtering import Entity
     from .intra import PixelTile
 
 HUE_BINS = 64
@@ -56,30 +56,25 @@ def hue_histogram(tile: "PixelTile", mask: np.ndarray) -> HueHistogram:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != tile.pixels.shape[:2]:
         raise ValueError("mask shape does not match tile")
-    pix = tile.pixels[mask].astype(np.float64)
-    if pix.size == 0:
+    px = tile.pixels
+    # One channel plane at a time: a 1-D gather per plane, and max/min
+    # as elementwise ufuncs instead of reductions over a 3-long axis.
+    r, g, b = (px[:, :, c][mask] for c in range(3))
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
+    colored = mx != mn
+    if not colored.any():
         return HueHistogram(np.zeros(HUE_BINS), 0)
-
-    mx = pix.max(axis=1)
-    mn = pix.min(axis=1)
-    chroma = mx - mn
-    colored = chroma > 0
-    pix = pix[colored]
-    if pix.size == 0:
-        return HueHistogram(np.zeros(HUE_BINS), 0)
-    mx = mx[colored]
-    chroma = chroma[colored]
-
-    r, g, b = pix[:, 0], pix[:, 1], pix[:, 2]
+    r, g, b, mx = r[colored], g[colored], b[colored], mx[colored]
+    chroma = (mx - mn[colored]).astype(np.float64)
     # First channel attaining the max decides the sector.
-    sector = np.argmax(pix == mx[:, None], axis=1)
-    hue6 = np.empty(len(pix))
-    is_r = sector == 0
-    is_g = sector == 1
-    is_b = sector == 2
-    hue6[is_r] = ((g[is_r] - b[is_r]) / chroma[is_r]) % 6.0
-    hue6[is_g] = (b[is_g] - r[is_g]) / chroma[is_g] + 2.0
-    hue6[is_b] = (r[is_b] - g[is_b]) / chroma[is_b] + 4.0
+    is_r = r == mx
+    is_g = ~is_r & (g == mx)
+    r, g, b = (c.astype(np.int16) for c in (r, g, b))
+    hue6 = np.where(is_r, g - b, np.where(is_g, b - r, r - g)) / chroma
+    # Sector offsets 0, 2, 4. In the red sector hue6 is in [-1, 1], where
+    # ``% 6.0`` (slow in numpy) is exactly ``+ 6.0`` on negatives.
+    hue6 += np.where(is_r, np.where(hue6 < 0, 6.0, 0.0), np.where(is_g, 2.0, 4.0))
     hue_deg = hue6 * 60.0
 
     idx = np.floor(hue_deg / 360.0 * HUE_BINS).astype(int)
@@ -142,53 +137,3 @@ def snapshot_prior(o: OcclusionGroup, entity: "Entity", frame_index: int,
     if entity.prior_hue is None:
         events.append(TrackEvent(frame_index, "prior_capture_failed",
                                  {"occlusion_id": o.id, "object_id": entity.id}))
-
-
-@dataclass(frozen=True)
-class CollisionDecision:
-    """What to do with one group that overlaps several tracked units.
-
-    kind is one of:
-      "occlusion"  -- two or more real objects collided; members lists them
-      "absorb"     -- exactly one real object; candidates merge into it
-      "merge"      -- only candidates; they merge into the oldest
-    """
-
-    kind: str
-    target_id: int | None
-    member_ids: tuple[int, ...] = ()
-
-
-def detect_collision(group: "BlockGroup", overlapped: list["Entity"]) -> CollisionDecision:
-    """Classify a multi-unit overlap. Pure decision; no state is touched."""
-    from .filtering import Label
-
-    if len(overlapped) < 2:
-        raise ValueError("a collision needs at least two overlapped entities")
-    reals = [e for e in overlapped if e.label is Label.REAL]
-    cands = [e for e in overlapped if e.label is Label.CANDIDATE]
-    if len(reals) >= 2:
-        return CollisionDecision("occlusion", None, tuple(sorted(r.id for r in reals)))
-    if len(reals) == 1:
-        return CollisionDecision("absorb", reals[0].id,
-                                 tuple(sorted(c.id for c in cands)))
-    winner = min(cands, key=lambda e: (e.seed_frame, e.id))
-    losers = tuple(sorted(c.id for c in cands if c is not winner))
-    return CollisionDecision("merge", winner.id, losers)
-
-
-@dataclass(frozen=True)
-class SplitDecision:
-    """Outcome of checking an occlusion region against this frame's groups."""
-
-    split: bool
-    fragment_seeds: tuple[frozenset, ...] = ()
-
-
-def detect_split(occlusion: OcclusionGroup, overlapping_groups: list["BlockGroup"]
-                 ) -> SplitDecision:
-    """A split begins when >= 2 groups overlap the occlusion's region."""
-    hits = [g for g in overlapping_groups if g.members & occlusion.region]
-    if len(hits) >= 2:
-        return SplitDecision(True, tuple(g.members for g in hits))
-    return SplitDecision(False)

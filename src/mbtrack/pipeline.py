@@ -336,7 +336,8 @@ class _Run:
             entity.prior_hue = hue
             if entity.pending_identity:
                 posterior_hues[uid] = hue
-        self.timers["subtract"] += time.perf_counter() - t0
+        # Hue exists for identity priors, so it counts as occlusion work.
+        self.timers["occlusion"] += time.perf_counter() - t0
 
         self.anchors[uid] = (i, result.blob, result.refined)
         self.gop_blobs[uid] = []

@@ -104,6 +104,29 @@ def decode_rect_for(pred: BlobFeature, frame_w: int, frame_h: int) -> tuple[int,
     return pred.int_rect(frame_w, frame_h, border=BLOCK)
 
 
+def _square_filter(mask: np.ndarray, r: int, erode: bool) -> np.ndarray:
+    """Binary erosion (AND) or dilation (OR) of a 2-D mask by the (2r+1)
+    square, r >= 1.
+
+    The square is separable: one pass over r shifted slices each way down
+    the rows, then the same pass on the transpose. Everything outside the
+    array counts as background, as in ``scipy.ndimage`` with
+    ``border_value=0``: erosion clears the r cells next to each edge, and
+    dilation reads only what is inside.
+    """
+    op = np.logical_and if erode else np.logical_or
+    for _ in range(2):
+        out = mask.copy()
+        for k in range(1, r + 1):
+            op(out[k:], mask[:-k], out=out[k:])
+            op(out[:-k], mask[k:], out=out[:-k])
+        if erode:
+            out[:r] = False
+            out[-r:] = False
+        mask = out.T
+    return mask
+
+
 def background_subtract(tile: PixelTile, background: np.ndarray,
                         config: RefineConfig) -> tuple[np.ndarray, BlobFeature | None]:
     """Foreground mask and tight blob for one decoded tile.
@@ -116,27 +139,33 @@ def background_subtract(tile: PixelTile, background: np.ndarray,
     frame coordinates or None when nothing survives).
     """
     x, y, w, h = tile.rect
-    bg = np.asarray(background)
-    crop = bg[y : y + h, x : x + w].astype(np.int16)
-    diff = np.abs(tile.pixels.astype(np.int16) - crop).max(axis=2)
-    mask = diff > config.epsilon
+    pix = tile.pixels
+    crop = np.asarray(background)[y : y + h, x : x + w]
+    # |pix - crop| without a signed copy: max minus min stays in range.
+    diff = np.maximum(pix, crop)
+    diff -= np.minimum(pix, crop)
+    mask = diff[:, :, 0] > config.epsilon
+    mask |= diff[:, :, 1] > config.epsilon
+    mask |= diff[:, :, 2] > config.epsilon
 
     if config.morph_radius > 0 and mask.any():
         r = config.morph_radius
-        se = np.ones((2 * r + 1,) * 2, dtype=bool)
+        # No pad for the opening: the border already counts as background,
+        # and an opening never reaches into the ring a pad would add.
+        opened = _square_filter(_square_filter(mask, r, erode=True), r, erode=False)
         # Pad so closing's erosion sees the dilated ring instead of the
         # array border; otherwise blobs touching the tile edge lose a row.
-        padded = np.pad(mask, r, mode="constant")
-        padded = ndimage.binary_opening(padded, structure=se)
-        padded = ndimage.binary_closing(padded, structure=se)
-        mask = padded[r:-r, r:-r]
+        padded = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
+        padded[r:-r, r:-r] = opened
+        closed = _square_filter(_square_filter(padded, r, erode=False), r, erode=True)
+        mask = closed[r:-r, r:-r]
 
     if config.min_component_area > 0 and mask.any():
-        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-        if count:
-            areas = np.bincount(labels.ravel())
-            small = areas < config.min_component_area
-            small[0] = False
+        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        areas = np.bincount(labels.ravel())
+        small = areas < config.min_component_area
+        small[0] = False
+        if small.any():
             mask[small[labels]] = False
 
     if not mask.any():

@@ -271,8 +271,8 @@ def _paint_fill(img: np.ndarray, x0: int, y0: int, w: int, h: int, fill: dict) -
         img[y0 : y0 + h, x0 : x0 + w] = np.asarray(fill["color"], dtype=np.uint8)
     elif fill["type"] == "checker":
         t = int(fill.get("tile", 8))
-        yy, xx = np.mgrid[0:h, 0:w]  # anchored to the object's own corner
-        pattern = ((xx // t) + (yy // t)) % 2
+        # Anchored to the object's own corner; broadcast, no index grids.
+        pattern = (np.arange(h)[:, None] // t + np.arange(w) // t) % 2
         c = np.asarray(fill["colors"], dtype=np.uint8)
         img[y0 : y0 + h, x0 : x0 + w] = c[pattern]
     else:

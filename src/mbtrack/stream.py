@@ -120,27 +120,6 @@ class BackgroundChunk:
         return np.array_equal(self.rgb, other.rgb)
 
 
-@dataclass(frozen=True)
-class MacroblockRecord:
-    """One macroblock's P-frame features.
-
-    A skip block changed nothing: it may not claim coefficients or motion.
-    """
-
-    skip: bool
-    coeff_mask: int = 0
-    mv_qpel: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        if self.skip and (self.coeff_mask != 0 or self.mv_qpel != (0, 0)):
-            raise StreamInvariantError("skip macroblock with coefficients or motion")
-        if not (0 <= self.coeff_mask <= 0xFFFF):
-            raise StreamInvariantError(f"coeff_mask {self.coeff_mask:#x} out of range")
-        for c in self.mv_qpel:
-            if not (-32768 <= c <= 32767):
-                raise StreamInvariantError(f"motion vector {self.mv_qpel} out of range")
-
-
 class MacroblockGrid:
     """Dense (rows, cols) macroblock feature arrays for one P-frame.
 

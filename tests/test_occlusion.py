@@ -1,17 +1,14 @@
-"""Hue histograms, identity matching, collision and split decisions."""
+"""Hue histograms and identity matching."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbtrack.filtering import BlockGroup, Entity, Label
 from mbtrack.intra import PixelTile
 from mbtrack.occlusion import (
     HUE_BINS,
-    CollisionDecision,
     HueHistogram,
-    OcclusionGroup,
-    detect_collision,
-    detect_split,
     hue_histogram,
     match_identities,
 )
@@ -84,6 +81,94 @@ class TestHueHistogram:
         assert a.distance(a) == 0.0
 
 
+def reference_hue_histogram(tile, mask):
+    """The implementation ``hue_histogram`` replaced: an (n, 3) float64
+    gather, reductions over the channel axis, the sector as the argmax of
+    the first channel equal to the max, and ``% 6.0`` in the red sector."""
+    mask = np.asarray(mask, dtype=bool)
+    pix = tile.pixels[mask].astype(np.float64)
+    if pix.size == 0:
+        return HueHistogram(np.zeros(HUE_BINS), 0)
+
+    mx = pix.max(axis=1)
+    mn = pix.min(axis=1)
+    chroma = mx - mn
+    colored = chroma > 0
+    pix = pix[colored]
+    if pix.size == 0:
+        return HueHistogram(np.zeros(HUE_BINS), 0)
+    mx = mx[colored]
+    chroma = chroma[colored]
+
+    r, g, b = pix[:, 0], pix[:, 1], pix[:, 2]
+    sector = np.argmax(pix == mx[:, None], axis=1)
+    hue6 = np.empty(len(pix))
+    is_r = sector == 0
+    is_g = sector == 1
+    is_b = sector == 2
+    hue6[is_r] = ((g[is_r] - b[is_r]) / chroma[is_r]) % 6.0
+    hue6[is_g] = (b[is_g] - r[is_g]) / chroma[is_g] + 2.0
+    hue6[is_b] = (r[is_b] - g[is_b]) / chroma[is_b] + 4.0
+    hue_deg = hue6 * 60.0
+
+    idx = np.floor(hue_deg / 360.0 * HUE_BINS).astype(int)
+    np.clip(idx, 0, HUE_BINS - 1, out=idx)
+    bins = np.bincount(idx, minlength=HUE_BINS).astype(np.float64)
+    n = int(bins.sum())
+    return HueHistogram(bins / n, n)
+
+
+@st.composite
+def hue_cases(draw):
+    """(tile, mask) with random pixels. Channel values come from a small
+    palette or the full range; the palette makes gray pixels and channel
+    ties (r = g = max, g = b = max, r = b = max) common. Some tiles are all
+    gray and some masks are empty."""
+    h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = draw(st.sampled_from([(0, 255), (0, 1, 254, 255), (7, 128, 200),
+                                    tuple(range(256))]))
+    pixels = rng.choice(np.array(palette, dtype=np.uint8), (h, w, 3))
+    kind = draw(st.sampled_from(["mixed", "ties", "gray"]))
+    if kind == "ties":  # force two channels to share the max
+        a, b = draw(st.sampled_from([(0, 1), (1, 2), (0, 2)]))
+        top = pixels.max(axis=2)
+        pixels[:, :, a] = top
+        pixels[:, :, b] = top
+    elif kind == "gray":
+        pixels[:] = pixels[:, :, :1]
+    mask = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return PixelTile((0, 0, w, h), pixels), mask
+
+
+class TestHueAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(hue_cases())
+    def test_histogram_matches_reference(self, case):
+        tile, mask = case
+        assert hue_histogram(tile, mask) == reference_hue_histogram(tile, mask)
+
+    def test_every_red_sector_ratio_matches_reference(self):
+        # Red is the max: hue6 = (g - b) / chroma, in [-1, 1], where the
+        # reference takes % 6.0. One tile per chroma holds every g - b.
+        for chroma in range(1, 256):
+            diff = np.arange(-chroma, chroma + 1)
+            px = np.zeros((1, len(diff), 3), dtype=np.uint8)
+            px[0, :, 0] = chroma
+            px[0, :, 1] = np.maximum(diff, 0)
+            px[0, :, 2] = np.maximum(-diff, 0)
+            tile, mask = PixelTile((0, 0, len(diff), 1), px), np.ones((1, len(diff)), bool)
+            assert hue_histogram(tile, mask) == reference_hue_histogram(tile, mask)
+
+    @pytest.mark.parametrize("color, bin_index", [
+        ((200, 200, 10), 10),   # r = g = max: hue 60
+        ((10, 200, 200), 32),   # g = b = max: hue 180
+        ((200, 10, 200), 53),   # r = b = max: hue 300
+    ])
+    def test_channel_ties_sit_on_the_sector_boundary(self, color, bin_index):
+        assert hist_of(color).bins[bin_index] == 1.0
+
+
 class TestIdentityMatching:
     def test_clean_swap_recovered(self):
         priors = {1: one_hot(0), 2: one_hot(21)}
@@ -116,54 +201,3 @@ class TestIdentityMatching:
     def test_empty_sides_are_fine(self):
         assert match_identities({}, {7: one_hot(0)}) == ({}, [])
         assert match_identities({1: one_hot(0)}, {}) == ({}, [])
-
-
-def entity(eid, label, cells, seed_frame=0):
-    return Entity(id=eid, seed_frame=seed_frame, region=frozenset(cells), label=label)
-
-
-def grp(cells, frame_index=5):
-    return BlockGroup(frame_index, frozenset(cells), has_nonzero_coeff=True)
-
-
-class TestCollisionDecision:
-    def test_two_reals_open_an_occlusion(self):
-        a = entity(1, Label.REAL, {(0, 0)})
-        b = entity(2, Label.REAL, {(5, 0)})
-        d = detect_collision(grp({(x, 0) for x in range(6)}), [a, b])
-        assert d == CollisionDecision("occlusion", None, (1, 2))
-
-    def test_one_real_absorbs_candidates(self):
-        a = entity(1, Label.REAL, {(0, 0)})
-        c = entity(9, Label.CANDIDATE, {(3, 0)})
-        d = detect_collision(grp({(x, 0) for x in range(4)}), [a, c])
-        assert d == CollisionDecision("absorb", 1, (9,))
-
-    def test_candidates_merge_into_oldest(self):
-        c1 = entity(4, Label.CANDIDATE, {(0, 0)}, seed_frame=3)
-        c2 = entity(5, Label.CANDIDATE, {(2, 0)}, seed_frame=1)
-        d = detect_collision(grp({(x, 0) for x in range(3)}), [c1, c2])
-        assert d == CollisionDecision("merge", 5, (4,))
-
-    def test_single_entity_is_not_a_collision(self):
-        with pytest.raises(ValueError):
-            detect_collision(grp({(0, 0)}), [entity(1, Label.REAL, {(0, 0)})])
-
-
-class TestSplitDecision:
-    def occlusion(self):
-        return OcclusionGroup(id=3, member_object_ids=[1, 2], prior_hues={},
-                              region=frozenset((x, 0) for x in range(8)))
-
-    def test_two_overlapping_groups_split(self):
-        d = detect_split(self.occlusion(), [grp({(0, 0), (1, 0)}), grp({(6, 0), (7, 0)})])
-        assert d.split
-        assert d.fragment_seeds == (frozenset({(0, 0), (1, 0)}),
-                                    frozenset({(6, 0), (7, 0)}))
-
-    def test_one_group_keeps_tracking_whole(self):
-        assert not detect_split(self.occlusion(), [grp({(2, 0), (3, 0)})]).split
-
-    def test_non_overlapping_groups_ignored(self):
-        d = detect_split(self.occlusion(), [grp({(0, 5), (1, 5)}), grp({(4, 5), (5, 5)})])
-        assert not d.split

@@ -101,6 +101,28 @@ class TestRunTracker:
         assert m["frames_per_second"] > 0
 
 
+    def test_hue_time_counts_under_occlusion_not_subtract(self, monkeypatch):
+        import time
+
+        from mbtrack import pipeline
+
+        calls = []
+
+        def slow_hue(tile, mask):
+            calls.append(1)
+            time.sleep(0.01)
+            return hue(tile, mask)
+
+        hue = pipeline.hue_histogram
+        monkeypatch.setattr(pipeline, "hue_histogram", slow_hue)
+        data, _ = synthesize(single_object_scene(frame_count=40))
+        stages = run_tracker(data).metrics["stage_seconds"]
+        slept = 0.01 * len(calls)
+        assert calls
+        assert stages["occlusion"] >= slept
+        assert stages["subtract"] < slept
+
+
 class TestBoundedMemory:
     def test_peak_memory_does_not_grow_with_stream_length(self, tmp_path):
         def traced_run(gops):

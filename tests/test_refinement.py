@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from mbtrack.intra import PixelTile
 from mbtrack.refinement import (
@@ -91,6 +94,13 @@ class TestBackgroundSubtract:
         mask, blob = background_subtract(PixelTile(tile.rect, px), bg, RefineConfig())
         assert blob is None and not mask.any()
 
+    def test_thin_strip_on_the_tile_edge_is_opened_away(self):
+        # Two rows thick against a 3x3 element: the border beyond the tile
+        # counts as background, so the opening removes the strip.
+        tile, bg = tile_scene(paint=((0, 2), (0, 32)))
+        mask, blob = background_subtract(tile, bg, RefineConfig(min_component_area=0))
+        assert blob is None and not mask.any()
+
     def test_small_component_dropped_by_area_floor(self):
         tile, bg = tile_scene(paint=((8, 11), (8, 11)))  # 3x3 survives opening
         _, blob = background_subtract(tile, bg, RefineConfig())
@@ -117,9 +127,88 @@ class TestBackgroundSubtract:
         _, blob = background_subtract(tile, bg, RefineConfig(epsilon=15))
         assert blob is not None
 
+    def test_difference_of_exactly_epsilon_is_background(self):
+        tile, bg = tile_scene(value=75)  # difference of 25
+        cfg = RefineConfig(epsilon=25, morph_radius=0, min_component_area=0)
+        mask, blob = background_subtract(tile, bg, cfg)
+        assert blob is None and not mask.any()
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             RefineConfig(epsilon=-1)
+
+
+def reference_background_subtract(tile, background, config):
+    """The implementation ``background_subtract`` replaced: int16 channel
+    differences reduced over the channel axis, and scipy's binary opening
+    and closing on a zero-padded mask."""
+    x, y, w, h = tile.rect
+    bg = np.asarray(background)
+    crop = bg[y : y + h, x : x + w].astype(np.int16)
+    diff = np.abs(tile.pixels.astype(np.int16) - crop).max(axis=2)
+    mask = diff > config.epsilon
+
+    if config.morph_radius > 0 and mask.any():
+        r = config.morph_radius
+        se = np.ones((2 * r + 1,) * 2, dtype=bool)
+        padded = np.pad(mask, r, mode="constant")
+        padded = ndimage.binary_opening(padded, structure=se)
+        padded = ndimage.binary_closing(padded, structure=se)
+        mask = padded[r:-r, r:-r]
+
+    if config.min_component_area > 0 and mask.any():
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        if count:
+            areas = np.bincount(labels.ravel())
+            small = areas < config.min_component_area
+            small[0] = False
+            mask[small[labels]] = False
+
+    if not mask.any():
+        return mask, None
+
+    rows = np.any(mask, axis=1)
+    cols = np.any(mask, axis=0)
+    r0, r1 = np.argmax(rows), len(rows) - 1 - np.argmax(rows[::-1])
+    c0, c1 = np.argmax(cols), len(cols) - 1 - np.argmax(cols[::-1])
+    bh = float(r1 - r0 + 1)
+    bw = float(c1 - c0 + 1)
+    return mask, BlobFeature(cx=x + c0 + bw / 2.0, cy=y + r0 + bh / 2.0, h=bh, w=bw)
+
+
+@st.composite
+def subtraction_cases(draw):
+    """(tile, background, config): a tile 1-40 px a side cut from a random
+    background, with random rectangles painted over it (some touching the
+    tile edge) and optional salt noise."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 8, 256]))  # few levels: many exact ties
+    background = rng.integers(0, levels, (h + 8, w + 8, 3), dtype=np.uint8)
+    x, y = (int(v) for v in rng.integers(0, 9, 2))
+    pixels = background[y : y + h, x : x + w].copy()
+    for _ in range(draw(st.integers(0, 4))):
+        r0, r1 = np.sort(rng.integers(0, h + 1, 2))
+        c0, c1 = np.sort(rng.integers(0, w + 1, 2))
+        pixels[r0:r1, c0:c1] = rng.integers(0, 256, 3)
+    noise = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    pixels[noise] = rng.integers(0, 256, (int(noise.sum()), 3))
+    config = RefineConfig(epsilon=draw(st.integers(0, 300)),
+                          morph_radius=draw(st.integers(0, 3)),
+                          min_component_area=draw(st.integers(0, 40)))
+    return PixelTile((x, y, w, h), pixels), background, config
+
+
+class TestSubtractionAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(subtraction_cases())
+    def test_mask_and_blob_match_scipy_reference(self, case):
+        tile, background, config = case
+        mask, blob = background_subtract(tile, background, config)
+        want_mask, want_blob = reference_background_subtract(tile, background, config)
+        assert mask.dtype == bool and mask.shape == want_mask.shape
+        assert np.array_equal(mask, want_mask)
+        assert blob == want_blob
 
 
 class TestInterpolation:

@@ -115,6 +115,16 @@ class TestRendering:
         assert tuple(img[y0 + 8, x0]) == (150, 20, 20)
         assert tuple(img[y0, x0 + 16]) == (200, 30, 30)
 
+    @pytest.mark.parametrize("w, h, tile", [(48, 48, 8), (37, 22, 5), (20, 30, 1), (24, 24, 50)])
+    def test_checker_fill_matches_the_index_grid_reference(self, w, h, tile):
+        fill = {"type": "checker", "colors": [[1, 2, 3], [4, 5, 6]], "tile": tile}
+        obj = SceneObject(id=1, w=w, h=h, fill=fill, path=[Waypoint(0, 50, 50)])
+        img = small_script(objects=[obj]).render_frame(0)
+        yy, xx = np.mgrid[0:h, 0:w]
+        want = np.asarray(fill["colors"], dtype=np.uint8)[((xx // tile) + (yy // tile)) % 2]
+        x0, y0 = 50 - w // 2, 50 - h // 2
+        assert np.array_equal(img[y0 : y0 + h, x0 : x0 + w], want)
+
     def test_later_objects_draw_on_top(self):
         a = SceneObject(id=1, w=48, h=48, fill=SOLID, path=[Waypoint(0, 100, 64)])
         b = SceneObject(id=2, w=48, h=48, fill={"type": "solid", "color": [9, 9, 9]},

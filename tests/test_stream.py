@@ -16,7 +16,6 @@ from mbtrack.stream import (
     BackgroundChunk,
     FrameFeatures,
     MacroblockGrid,
-    MacroblockRecord,
     StreamFormatError,
     StreamHeader,
     StreamInvariantError,
@@ -96,14 +95,6 @@ class TestHeader:
 
 
 class TestMacroblockInvariants:
-    def test_skip_record_must_be_empty(self):
-        with pytest.raises(StreamInvariantError):
-            MacroblockRecord(skip=True, coeff_mask=1)
-        with pytest.raises(StreamInvariantError):
-            MacroblockRecord(skip=True, mv_qpel=(1, 0))
-        MacroblockRecord(skip=True)  # fine
-        MacroblockRecord(skip=False, coeff_mask=0xFFFF, mv_qpel=(-4, 4))
-
     def test_grid_validate_catches_contradiction(self):
         g = MacroblockGrid.all_skip(2, 2)
         g.coeff_mask[1, 0] = 3  # skip cell claiming coefficients
