@@ -12,11 +12,29 @@ Residuals are stored as int16, so reconstruction is exact. Serialized
 block layout is [mode u8][16 x residual i16 LE] with blocks in raster
 order, and planes follow each other in R, G, B order.
 
+Decoded pixels are clamped to 0..255, and later blocks predict from the
+clamped pixels. ``encode_iframe`` codes uint8 frames losslessly, so its
+payloads never clip; only a corrupt payload, or a partial decode whose
+substituted context differs from the coded frame, makes a pixel clip.
+
 The decoder reconstructs blocks one anti-diagonal (by + bx = d) at a
 time, all three planes together: the "2D-wave" order of parallel H.264
 decoding. A block's predictor reads only the block above it and the
 block to its left, both on the previous diagonal, so this order gives
 every block the same context, and the same pixels, as raster order.
+
+The wave carries predictors, not pixels. While no pixel clips, a block
+is its residuals plus its predictor p, so the sum of the edge a
+neighbour shows a block is that edge's residual sum R plus 4 * p. With
+D = (R_up + R_left + n // 2) >> 2, fixed by the residuals alone, a mode-1
+predictor of n = 8 neighbours is (D + p_up + p_left) >> 1 and one of
+n = 4 neighbours is D + p_nb: exact integer identities, since nested
+floor divisions by powers of two collapse into one. So the wave moves
+one int32 per block and plane, and the pixels are rebuilt once, after
+it, a band of block rows at a time so that no integer copy of the whole
+rect's residuals raises peak memory. A rebuilt pixel outside 0..255
+means the payload clips; the rect is then decoded again by the clamped
+wave, which carries pixels and clamps every block as it goes.
 
 The point of the scheme is partial decoding: any rectangular region can
 be reconstructed without touching the rest of the frame by substituting
@@ -36,6 +54,9 @@ MODE_NEIGHBOR_DC = 1  # mean of available causal neighbors
 # Packed wire layout for one coded block: mode byte + 16 residuals.
 _BLOCK_DTYPE = np.dtype([("mode", "u1"), ("residuals", "<i2", (16,))])
 assert _BLOCK_DTYPE.itemsize == 33
+
+# Blocks per plane whose pixels are rebuilt in one step after the predictor wave.
+_REBUILD_BLOCKS = 1024
 
 
 class IntraFormatError(ValueError):
@@ -200,9 +221,128 @@ def encode_iframe(image) -> IntraPayload:
     return IntraPayload(modes, residuals, w, h)
 
 
+def _edge_sum(edge: np.ndarray) -> np.ndarray:
+    """Sum over the last axis (4 long) of an int16 edge view, as int32.
+
+    Four adds: on the unaligned strided views of a parsed payload they
+    cost a tenth of a ``sum`` reduction over the same axis.
+    """
+    s = edge[..., 0].astype(np.int32)
+    for k in range(1, BLOCK):
+        s += edge[..., k]
+    return s
+
+
 def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
                    background: np.ndarray | None) -> np.ndarray:
     """Reconstruct the nby x nbx blocks from block (by0, bx0), all planes at once.
+
+    Runs the predictor recurrence of the module docstring. ``pred`` holds
+    one int32 per block and plane, padded by one block row above and one
+    block column to the left that stay 0. It starts as D: the residual
+    sums of the neighbouring edges inside the rect, the ``background``
+    pixel sums of the edges just above and just left of the rect (their
+    predictor is the padding's 0), nothing beyond the frame's top or left
+    edge, where n is 4. Block (0, 0) of the frame, mode 0, starts as 128
+    with no neighbours. On the frame's top row and left column p = D + p_nb
+    is a running sum; every other block is decoded one anti-diagonal
+    ``i + j = d`` at a time, in place: p = (D + p_up + p_left) >> 1. In a
+    row-major array of row width r, consecutive blocks of one anti-diagonal
+    sit r - 1 apart, so a diagonal and the blocks above and left of it are
+    plain strided slices.
+
+    The pixels are rebuilt as residual plus predictor, ``_REBUILD_BLOCKS``
+    blocks per plane at a time, so the int16 sums never cover the whole
+    rect (at 640x480 they would add 1.8 MB to the peak), then moved into
+    the (h, w, 3) output one plane and pixel offset at a time: 48 strided
+    copies, which numpy runs far faster than one copy whose innermost
+    axis is the 3 channels.
+
+    ``_decode_blocks_clamped`` decodes the rect instead when a mode-0
+    block lies anywhere but at the frame's origin (``encode_iframe``
+    never writes one; such a block ignores its neighbours, which the
+    recurrence would need a per-block mask for) or when a rebuilt pixel
+    leaves 0..255. Every pixel is checked, so the result is exact: if no
+    rebuilt pixel leaves 0..255, then by induction in wave order no pixel
+    clipped and every predictor was the codec's; if one does, the first
+    such pixel in wave order was rebuilt from the codec's predictor, so
+    the check sees it whatever the predictors after it hold.
+
+    Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image.
+    """
+    modes = payload.modes[:, by0 : by0 + nby, bx0 : bx0 + nbx]
+    origin = bx0 == 0 and by0 == 0
+    if origin and np.any(modes[:, 0, 0] != MODE_CONST):
+        raise IntraFormatError("block (0, 0): mode 1 with no causal neighbors")
+    if np.count_nonzero(modes == MODE_CONST) != (3 if origin else 0):
+        return _decode_blocks_clamped(payload, bx0, by0, nbx, nby, background)
+    h, w = nby * BLOCK, nbx * BLOCK
+    x0, y0 = bx0 * BLOCK, by0 * BLOCK
+    res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
+    row = nbx + 1
+
+    pred = np.zeros((3, nby + 1, row), dtype=np.int32)
+    core = pred[:, 1:, 1:]  # the rect's blocks
+    core[:, 1:] = _edge_sum(res[:, :-1, :, -1])  # bottom rows of the blocks above
+    core[:, :, 1:] += _edge_sum(res[:, :, :-1, :, -1])  # right columns of those left
+    core += BLOCK  # n // 2 for n = 8
+    if by0 > 0:
+        core[:, 0] += _edge_sum(background[y0 - 1, x0 : x0 + w].T.reshape(3, nbx, BLOCK))
+    else:
+        core[:, 0] -= BLOCK // 2
+    if bx0 > 0:
+        core[:, :, 0] += _edge_sum(background[y0 : y0 + h, x0 - 1].T.reshape(3, nby, BLOCK))
+    else:
+        core[:, :, 0] -= BLOCK // 2
+    core >>= 2
+    if origin:
+        core[:, 0, 0] = 128
+
+    r0 = c0 = 0
+    if by0 == 0:
+        np.cumsum(core[:, 0], axis=-1, out=core[:, 0])
+        r0 = 1
+    if bx0 == 0:
+        np.cumsum(core[:, :, 0], axis=-1, out=core[:, :, 0])
+        c0 = 1
+    rows, cols = nby - r0, nbx - c0
+    pred_flat = pred.reshape(3, -1)
+    for d in range(rows + cols - 1 if rows and cols else 0):
+        i0 = max(0, d - cols + 1)
+        k = min(d, rows - 1) + 1 - i0
+        c = (r0 + i0 + 1) * row + (c0 + d - i0 + 1)  # padded block of (i0, d - i0)
+        span = (k - 1) * nbx + 1
+        p = pred_flat[:, c : c + span : nbx]
+        p += pred_flat[:, c - row : c - row + span : nbx]
+        p += pred_flat[:, c - 1 : c - 1 + span : nbx]
+        p >>= 1
+
+    # int16 sums: the first block in wave order with a pixel outside
+    # 0..255 has the codec's predictor, in 0..255, so its sum wraps, if at
+    # all, only past 32767 to a negative value, and as uint16 that pixel
+    # is > 255. Predictors after it may be wrong and wrap anywhere; the
+    # rect is decoded again then anyway.
+    core = core.astype(np.int16)[..., None, None]
+    blocks = np.empty((3, nby, nbx, BLOCK, BLOCK), dtype=np.uint8)
+    step = max(1, _REBUILD_BLOCKS // nbx)
+    for i in range(0, nby, step):
+        blk = res[:, i : i + step] + core[:, i : i + step]
+        if blk.view(np.uint16).max() > 255:
+            return _decode_blocks_clamped(payload, bx0, by0, nbx, nby, background)
+        blocks[:, i : i + step] = blk
+    out = np.empty((h, w, 3), dtype=np.uint8)
+    out_blocks = out.reshape(nby, BLOCK, nbx, BLOCK, 3)
+    for plane in range(3):
+        for r in range(BLOCK):
+            for s in range(BLOCK):
+                out_blocks[:, r, :, s, plane] = blocks[plane, :, :, r, s]
+    return out
+
+
+def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
+                           background: np.ndarray | None) -> np.ndarray:
+    """``_decode_blocks`` for any payload: the wave carries pixels and
+    clamps every block as it goes, so it is exact where pixels clip.
 
     The work array holds the rect's blocks padded by one block row above
     and one block column to the left. The padding blocks' last pixel row
@@ -289,7 +429,8 @@ def decode_region_partial(payload: IntraPayload, rect: tuple[int, int, int, int]
     neighbors come from blocks decoded in this same call when those blocks
     also intersect the rect, and from ``background`` (a full-frame
     (H, W, 3) uint8 image) otherwise. The returned tile is cropped to
-    exactly ``rect``.
+    exactly ``rect``; its pixels are a view of the region this call
+    decoded, which nothing else holds, so no copy is made.
 
     The decode cost is a pure function of the rect geometry:
     blocks_decoded counts the block positions the rect touches, regardless
@@ -307,7 +448,7 @@ def decode_region_partial(payload: IntraPayload, rect: tuple[int, int, int, int]
     bx0, bx1, by0, by1 = blocks_for_rect(rect)
     region = _decode_blocks(payload, bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1, background)
     oy, ox = y - by0 * BLOCK, x - bx0 * BLOCK
-    tile = region[oy : oy + h, ox : ox + w].copy()
+    tile = region[oy : oy + h, ox : ox + w]
 
     stats = DecodeStats(
         blocks_decoded=(bx1 - bx0 + 1) * (by1 - by0 + 1),

@@ -161,12 +161,17 @@ def background_subtract(tile: PixelTile, background: np.ndarray,
         mask = closed[r:-r, r:-r]
 
     if config.min_component_area > 0 and mask.any():
-        labels, _ = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-        areas = np.bincount(labels.ravel())
-        small = areas < config.min_component_area
-        small[0] = False
-        if small.any():
-            mask[small[labels]] = False
+        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+        if count == 1:
+            # The usual case: the area is the mask's, with no count per label.
+            if np.count_nonzero(mask) < config.min_component_area:
+                mask[:] = False
+        else:
+            areas = np.bincount(labels.ravel())
+            small = areas < config.min_component_area
+            small[0] = False
+            if small.any():
+                mask[small[labels]] = False
 
     if not mask.any():
         return mask, None

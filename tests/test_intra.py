@@ -1,13 +1,17 @@
 """Lossless intra block codec: prediction rules, round-trips, partial decode."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbtrack import intra
 from mbtrack.intra import (
     BLOCK,
     MODE_CONST,
+    MODE_NEIGHBOR_DC,
     DecodeStats,
     IntraFormatError,
     IntraPayload,
@@ -280,3 +284,132 @@ class TestAgainstReference:
         # a rect away from block (0, 0) never predicts it
         tile, _ = decode_region_partial(pay, (4, 4, 4, 4), uniform_image(8, 8, 50))
         assert np.all(tile.pixels == 50)
+
+
+@st.composite
+def encoder_frames(draw):
+    """(image, payload): a random image and its ``encode_iframe`` payload.
+
+    Images mix noise, flat patches and the extremes 0 and 255."""
+    nby, nbx = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    image = rng.integers(0, 256, (nby * BLOCK, nbx * BLOCK, 3), dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 4))):
+        y, x = rng.integers(0, nby * BLOCK), rng.integers(0, nbx * BLOCK)
+        image[y : y + rng.integers(1, 12), x : x + rng.integers(1, 12)] = rng.choice([0, 255, 77])
+    return image, encode_iframe(image)
+
+
+def random_rect(draw, width, height):
+    x, y = draw(st.integers(0, width - 1)), draw(st.integers(0, height - 1))
+    return (x, y, draw(st.integers(1, width - x)), draw(st.integers(1, height - y)))
+
+
+@contextlib.contextmanager
+def clamped_wave_calls(forbid=False):
+    """Records each decode that falls back to the clamped wave; with
+    ``forbid`` set, makes it raise instead."""
+    calls = []
+    original = intra._decode_blocks_clamped
+
+    def spy(*args):
+        if forbid:
+            raise AssertionError("decode reached the clamped wave")
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intra, "_decode_blocks_clamped", spy)
+        yield calls
+
+
+class TestPathChoice:
+    """Encoder payloads take the predictor wave; clipping ones fall back."""
+
+    @pytest.mark.parametrize("height,width", [(4, 4), (4, 640), (480, 4), (240, 320), (480, 640)])
+    def test_encoder_full_frames_never_reach_the_clamped_wave(self, height, width):
+        rng = np.random.default_rng(height * width)
+        image = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+        image[: height // 2, : width // 3] = 255
+        image[height // 2 :, width // 3 :] = 0
+        payload = encode_iframe(image)
+        with clamped_wave_calls(forbid=True):
+            assert np.array_equal(decode_full(payload), image)
+
+    @settings(max_examples=150, deadline=None)
+    @given(encoder_frames(), st.data())
+    def test_encoder_payloads_never_reach_the_clamped_wave(self, frame, data):
+        image, _ = frame
+        height, width = image.shape[:2]
+        rect = random_rect(data.draw, width, height)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        background = rng.integers(0, 256, image.shape, dtype=np.uint8)
+        # Put the rect's context row and column on background, so the
+        # substituted context is the coded one, and encode again.
+        bx0, bx1, by0, by1 = blocks_for_rect(rect)
+        x0, x1, y0, y1 = bx0 * BLOCK, (bx1 + 1) * BLOCK, by0 * BLOCK, (by1 + 1) * BLOCK
+        if y0 > 0:
+            image[y0 - 1, x0:x1] = background[y0 - 1, x0:x1]
+        if x0 > 0:
+            image[y0:y1, x0 - 1] = background[y0:y1, x0 - 1]
+        payload = encode_iframe(image)
+        x, y, w, h = rect
+        with clamped_wave_calls(forbid=True):
+            assert np.array_equal(decode_full(payload), image)
+            tile, _ = decode_region_partial(payload, rect, background)
+        assert np.array_equal(tile.pixels, image[y : y + h, x : x + w])
+
+    @settings(max_examples=150, deadline=None)
+    @given(encoder_frames(), st.data())
+    def test_clipping_only_in_the_last_block_matches_reference(self, frame, data):
+        image, payload = frame
+        height, width = image.shape[:2]
+        plane = data.draw(st.integers(0, 2))
+        r, s = data.draw(st.integers(0, BLOCK - 1)), data.draw(st.integers(0, BLOCK - 1))
+        value = int(payload.residuals[plane, -1, -1, r, s])
+        pixel = int(image[height - BLOCK + r, width - BLOCK + s, plane])
+        # To 256 or -1 exactly, far past 255 or below 0, or as far as
+        # int16 goes, where residual plus predictor wraps around.
+        payload.residuals[plane, -1, -1, r, s] = data.draw(st.sampled_from(
+            [value + 256 - pixel, value - 1 - pixel, value + 256, value - 256, 32767, -32768]))
+        full_rect = (0, 0, width, height)
+        # A rect that holds the last block.
+        x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        rect = (x, y, width - x, height - y)
+        with clamped_wave_calls() as calls:
+            full = decode_full(payload)
+            tile, _ = decode_region_partial(payload, rect, image)
+        assert len(calls) == 2
+        assert np.array_equal(full, reference_decode(payload, full_rect, image)[0])
+        assert np.array_equal(tile.pixels, reference_decode(payload, rect, image)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(encoder_frames(), st.data())
+    def test_corrupt_origin_block_matches_reference(self, frame, data):
+        image, payload = frame
+        height, width = image.shape[:2]
+        plane = data.draw(st.integers(0, 2))
+        r, s = data.draw(st.integers(0, BLOCK - 1)), data.draw(st.integers(0, BLOCK - 1))
+        payload.residuals[plane, 0, 0, r, s] += 300  # the error cascades
+        rect = random_rect(data.draw, width, height)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        background = rng.integers(0, 256, image.shape, dtype=np.uint8)
+        full_rect = (0, 0, width, height)
+        assert np.array_equal(decode_full(payload), reference_decode(payload, full_rect, image)[0])
+        tile, _ = decode_region_partial(payload, rect, background)
+        assert np.array_equal(tile.pixels, reference_decode(payload, rect, background)[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_frames())
+    def test_neighbor_mode_payloads_match_reference(self, case):
+        # coded_frames draws random mode maps, which send nearly every
+        # decode to the clamped wave; with mode 1 everywhere but the
+        # origin, the predictor wave runs, clipping or not.
+        payload, rect, background = case
+        payload.modes[:] = MODE_NEIGHBOR_DC
+        payload.modes[:, 0, 0] = MODE_CONST
+        full_rect = (0, 0, payload.width_px, payload.height_px)
+        assert np.array_equal(decode_full(payload),
+                              reference_decode(payload, full_rect, background)[0])
+        tile, _ = decode_region_partial(payload, rect, background)
+        assert np.array_equal(tile.pixels, reference_decode(payload, rect, background)[0])
