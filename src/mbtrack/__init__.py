@@ -26,6 +26,7 @@ from .intra import (
     PixelTile,
     decode_full,
     decode_region_partial,
+    decode_regions_partial,
     encode_iframe,
 )
 from .occlusion import (

@@ -258,9 +258,7 @@ class EntityTracker:
         self.config = config or PsmfConfig()
         self.entities: dict[int, Entity] = {}  # candidates, reals, fragments
         self.frozen: dict[int, Entity] = {}  # occluded members, by id
-        self.missing: dict[int, Entity] = {}  # members never re-identified
         self.occlusions: dict[int, "OcclusionGroup"] = {}
-        self.closed_occlusions: dict[int, "OcclusionGroup"] = {}
         self._next_id = 1
 
     # -- id plumbing ------------------------------------------------------
@@ -596,7 +594,8 @@ class EntityTracker:
 
         Matched members resume as real objects carrying the fragment's
         region; unmatched fragments keep their provisional ids as new
-        objects; unmatched members stay frozen, never to emit again.
+        objects; unmatched members are dropped with a ``member_missing``
+        event, never to emit again.
         """
         for frag_id, member_id in sorted(assignment.items()):
             frag = self.entities.pop(frag_id)
@@ -615,11 +614,10 @@ class EntityTracker:
                                          {"object_id": fid, "occlusion_id": o.id}))
         for mid in o.member_object_ids:
             if mid in self.frozen:
-                m = self.frozen.pop(mid)
-                self.missing[mid] = m
+                del self.frozen[mid]
                 events.append(TrackEvent(frame_index, "member_missing",
                                          {"object_id": mid, "occlusion_id": o.id}))
         o.fragment_ids = []
-        self.closed_occlusions[o.id] = self.occlusions.pop(o.id)
+        del self.occlusions[o.id]
         events.append(TrackEvent(frame_index, "occlusion_closed",
                                  {"occlusion_id": o.id}))

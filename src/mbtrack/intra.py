@@ -33,12 +33,18 @@ floor divisions by powers of two collapse into one. So the wave moves
 one int32 per block and plane, and the pixels are rebuilt once, after
 it, a band of block rows at a time so that no integer copy of the whole
 rect's residuals raises peak memory. A rebuilt pixel outside 0..255
-means the payload clips; the rect is then decoded again by the clamped
-wave, which carries pixels and clamps every block as it goes.
+means the payload clips; that rect alone is then decoded again by the
+clamped wave, which carries pixels and clamps every block as it goes.
 
 The point of the scheme is partial decoding: any rectangular region can
 be reconstructed without touching the rest of the frame by substituting
 a background image for neighbor pixels that fall outside the region.
+``decode_regions_partial`` decodes many regions in one wave: each keeps
+its own predictor planes in one zero-padded stack, aligned so that every
+region's wave starts at the same cell, and the wave takes as many steps
+as the largest region needs. Padding lies below and right of every
+region, and the recurrence reads only above and left, so no region reads
+it (see ``_decode_regions``). A full decode is the one-region case.
 """
 
 from __future__ import annotations
@@ -180,49 +186,8 @@ def _check_image(image) -> np.ndarray:
     return image
 
 
-def encode_iframe(image) -> IntraPayload:
-    """Encode an RGB frame losslessly.
-
-    Because coding is lossless, reconstructed neighbor pixels equal source
-    pixels, so the predictors for every block can be computed from the
-    source image directly and the whole plane encodes vectorized.
-    """
-    image = _check_image(image)
-    h, w = image.shape[:2]
-    nby, nbx = h // BLOCK, w // BLOCK
-
-    modes = np.empty((3, nby, nbx), dtype=np.uint8)
-    residuals = np.empty((3, nby, nbx, BLOCK, BLOCK), dtype=np.int16)
-
-    for p in range(3):
-        src = image[:, :, p].astype(np.int32)
-
-        # Sum of the 4 pixels above each block (row 4*by - 1), zero for by == 0.
-        top_sum = np.zeros((nby, nbx), dtype=np.int64)
-        top_sum[1:] = src[BLOCK - 1 :: BLOCK][: nby - 1].reshape(nby - 1, nbx, BLOCK).sum(axis=2)
-        # Sum of the 4 pixels left of each block (col 4*bx - 1), zero for bx == 0.
-        left_sum = np.zeros((nby, nbx), dtype=np.int64)
-        left_sum[:, 1:] = (
-            src[:, BLOCK - 1 :: BLOCK][:, : nbx - 1].reshape(nby, BLOCK, nbx - 1).sum(axis=1)
-        )
-
-        counts = np.zeros((nby, nbx), dtype=np.int64)
-        counts[1:] += BLOCK
-        counts[:, 1:] += BLOCK
-
-        pred = np.full((nby, nbx), 128, dtype=np.int64)
-        has_nb = counts > 0
-        pred[has_nb] = (top_sum[has_nb] + left_sum[has_nb] + counts[has_nb] // 2) // counts[has_nb]
-
-        modes[p] = np.where(has_nb, MODE_NEIGHBOR_DC, MODE_CONST)
-        blocks = src.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3)
-        residuals[p] = (blocks - pred[:, :, None, None]).astype(np.int16)
-
-    return IntraPayload(modes, residuals, w, h)
-
-
 def _edge_sum(edge: np.ndarray) -> np.ndarray:
-    """Sum over the last axis (4 long) of an int16 edge view, as int32.
+    """Sum over the last axis (4 long) of an integer edge view, as int32.
 
     Four adds: on the unaligned strided views of a parsed payload they
     cost a tenth of a ``sum`` reduction over the same axis.
@@ -233,56 +198,56 @@ def _edge_sum(edge: np.ndarray) -> np.ndarray:
     return s
 
 
-def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
-                   background: np.ndarray | None) -> np.ndarray:
-    """Reconstruct the nby x nbx blocks from block (by0, bx0), all planes at once.
+def encode_iframe(image) -> IntraPayload:
+    """Encode an RGB frame losslessly.
 
-    Runs the predictor recurrence of the module docstring. ``pred`` holds
-    one int32 per block and plane, padded by one block row above and one
-    block column to the left that stay 0. It starts as D: the residual
-    sums of the neighbouring edges inside the rect, the ``background``
-    pixel sums of the edges just above and just left of the rect (their
-    predictor is the padding's 0), nothing beyond the frame's top or left
-    edge, where n is 4. Block (0, 0) of the frame, mode 0, starts as 128
-    with no neighbours. On the frame's top row and left column p = D + p_nb
-    is a running sum; every other block is decoded one anti-diagonal
-    ``i + j = d`` at a time, in place: p = (D + p_up + p_left) >> 1. In a
-    row-major array of row width r, consecutive blocks of one anti-diagonal
-    sit r - 1 apart, so a diagonal and the blocks above and left of it are
-    plain strided slices.
-
-    The pixels are rebuilt as residual plus predictor, ``_REBUILD_BLOCKS``
-    blocks per plane at a time, so the int16 sums never cover the whole
-    rect (at 640x480 they would add 1.8 MB to the peak), then moved into
-    the (h, w, 3) output one plane and pixel offset at a time: 48 strided
-    copies, which numpy runs far faster than one copy whose innermost
-    axis is the 3 channels.
-
-    ``_decode_blocks_clamped`` decodes the rect instead when a mode-0
-    block lies anywhere but at the frame's origin (``encode_iframe``
-    never writes one; such a block ignores its neighbours, which the
-    recurrence would need a per-block mask for) or when a rebuilt pixel
-    leaves 0..255. Every pixel is checked, so the result is exact: if no
-    rebuilt pixel leaves 0..255, then by induction in wave order no pixel
-    clipped and every predictor was the codec's; if one does, the first
-    such pixel in wave order was rebuilt from the codec's predictor, so
-    the check sees it whatever the predictors after it hold.
-
-    Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image.
+    Because coding is lossless, reconstructed neighbor pixels equal source
+    pixels, so the predictors for every block can be computed from the
+    source image directly and the whole frame encodes vectorized. The
+    neighbour count n is fixed by position: 8 inside the frame, 4 on its
+    first block row and column, none at the origin, which is mode 0.
     """
-    modes = payload.modes[:, by0 : by0 + nby, bx0 : bx0 + nbx]
-    origin = bx0 == 0 and by0 == 0
-    if origin and np.any(modes[:, 0, 0] != MODE_CONST):
-        raise IntraFormatError("block (0, 0): mode 1 with no causal neighbors")
-    if np.count_nonzero(modes == MODE_CONST) != (3 if origin else 0):
-        return _decode_blocks_clamped(payload, bx0, by0, nbx, nby, background)
+    image = _check_image(image)
+    h, w = image.shape[:2]
+    nby, nbx = h // BLOCK, w // BLOCK
+    planes = image.transpose(2, 0, 1)  # (3, h, w) view
+
+    # Sums of the 4 pixels above each block below the first block row, and
+    # of the 4 pixels left of each block right of the first block column.
+    top = _edge_sum(planes[:, BLOCK - 1 : h - 1 : BLOCK].reshape(3, nby - 1, nbx, BLOCK))
+    left = _edge_sum(
+        planes[:, :, BLOCK - 1 : w - 1 : BLOCK].reshape(3, nby, BLOCK, nbx - 1).transpose(0, 1, 3, 2)
+    )
+    pred = np.empty((3, nby, nbx), dtype=np.int16)
+    pred[:, 0, 0] = 128
+    pred[:, 0, 1:] = (left[:, 0] + BLOCK // 2) >> 2
+    pred[:, 1:, 0] = (top[:, :, 0] + BLOCK // 2) >> 2
+    pred[:, 1:, 1:] = (top[:, :, 1:] + left[:, 1:] + BLOCK) >> 3
+
+    modes = np.full((3, nby, nbx), MODE_NEIGHBOR_DC, dtype=np.uint8)
+    modes[:, 0, 0] = MODE_CONST
+    residuals = np.empty((3, nby, nbx, BLOCK, BLOCK), dtype=np.int16)
+    blocks = planes.reshape(3, nby, BLOCK, nbx, BLOCK).transpose(0, 1, 3, 2, 4)
+    np.subtract(blocks, pred[:, :, :, None, None], out=residuals)
+    return IntraPayload(modes, residuals, w, h)
+
+
+def _start_predictors(core: np.ndarray, payload: IntraPayload, bx0: int, by0: int,
+                      background: np.ndarray | None) -> None:
+    """Fill ``core``, the zeroed (3, nby, nbx) int32 slab of one rect, with D.
+
+    D holds the residual sums of the neighbouring edges inside the rect,
+    the ``background`` pixel sums of the edges just above and just left of
+    the rect (their predictor is the padding's 0), and nothing beyond the
+    frame's top or left edge, where n is 4. Block (0, 0) of the frame,
+    mode 0, gets 128 with no neighbours. On the frame's top row and left
+    column p = D + p_nb is a running sum, so those blocks leave here with
+    their final predictors.
+    """
+    nby, nbx = core.shape[1:]
     h, w = nby * BLOCK, nbx * BLOCK
     x0, y0 = bx0 * BLOCK, by0 * BLOCK
     res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
-    row = nbx + 1
-
-    pred = np.zeros((3, nby + 1, row), dtype=np.int32)
-    core = pred[:, 1:, 1:]  # the rect's blocks
     core[:, 1:] = _edge_sum(res[:, :-1, :, -1])  # bottom rows of the blocks above
     core[:, :, 1:] += _edge_sum(res[:, :, :-1, :, -1])  # right columns of those left
     core += BLOCK  # n // 2 for n = 8
@@ -295,28 +260,26 @@ def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int
     else:
         core[:, :, 0] -= BLOCK // 2
     core >>= 2
-    if origin:
+    if bx0 == 0 and by0 == 0:
         core[:, 0, 0] = 128
-
-    r0 = c0 = 0
     if by0 == 0:
         np.cumsum(core[:, 0], axis=-1, out=core[:, 0])
-        r0 = 1
     if bx0 == 0:
         np.cumsum(core[:, :, 0], axis=-1, out=core[:, :, 0])
-        c0 = 1
-    rows, cols = nby - r0, nbx - c0
-    pred_flat = pred.reshape(3, -1)
-    for d in range(rows + cols - 1 if rows and cols else 0):
-        i0 = max(0, d - cols + 1)
-        k = min(d, rows - 1) + 1 - i0
-        c = (r0 + i0 + 1) * row + (c0 + d - i0 + 1)  # padded block of (i0, d - i0)
-        span = (k - 1) * nbx + 1
-        p = pred_flat[:, c : c + span : nbx]
-        p += pred_flat[:, c - row : c - row + span : nbx]
-        p += pred_flat[:, c - 1 : c - 1 + span : nbx]
-        p >>= 1
 
+
+def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.ndarray | None:
+    """Pixels of one rect from its final predictors ``core`` (3, nby, nbx).
+
+    The pixels are residual plus predictor, ``_REBUILD_BLOCKS`` blocks per
+    plane at a time, so the int16 sums never cover the whole rect (at
+    640x480 they would add 1.8 MB to the peak), then moved into the
+    (h, w, 3) output one plane and pixel offset at a time: 48 strided
+    copies, which numpy runs far faster than one copy whose innermost axis
+    is the 3 channels. Returns None when a pixel leaves 0..255.
+    """
+    nby, nbx = core.shape[1:]
+    res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
     # int16 sums: the first block in wave order with a pixel outside
     # 0..255 has the codec's predictor, in 0..255, so its sum wraps, if at
     # all, only past 32767 to a negative value, and as uint16 that pixel
@@ -328,9 +291,9 @@ def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int
     for i in range(0, nby, step):
         blk = res[:, i : i + step] + core[:, i : i + step]
         if blk.view(np.uint16).max() > 255:
-            return _decode_blocks_clamped(payload, bx0, by0, nbx, nby, background)
+            return None
         blocks[:, i : i + step] = blk
-    out = np.empty((h, w, 3), dtype=np.uint8)
+    out = np.empty((nby * BLOCK, nbx * BLOCK, 3), dtype=np.uint8)
     out_blocks = out.reshape(nby, BLOCK, nbx, BLOCK, 3)
     for plane in range(3):
         for r in range(BLOCK):
@@ -339,10 +302,90 @@ def _decode_blocks(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int
     return out
 
 
+def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, int]],
+                    background: np.ndarray | None) -> list[np.ndarray]:
+    """Reconstruct each (bx0, by0, nbx, nby) block region, all in one wave.
+
+    Runs the predictor recurrence of the module docstring for every
+    region at once. Each region gets its own three planes in one
+    zero-padded int32 stack of shape (3K, R, C), started as D by
+    ``_start_predictors``. A region sits with its first block at (1, 1),
+    under one padding row and left of one padding column that stay 0,
+    except that a region on the frame's top (left) edge sits one row (one
+    column) higher (further left): its finished running-sum row (column)
+    then lies in the padding, and every region's wave starts at (1, 1).
+    The wave decodes one anti-diagonal ``i + j = d`` of the whole stack at
+    a time, in place: p = (D + p_up + p_left) >> 1, so it runs as many
+    steps as the largest region needs, not their sum. In a row-major array
+    of row width C, consecutive blocks of one anti-diagonal sit C - 1
+    apart, so a diagonal and the blocks above and left of it are plain
+    strided slices. Stack cells outside a region lie below or right of
+    all of it, and a cell reads only the cells above and left of it, so
+    no region's block ever reads them, nor another region's planes.
+
+    ``_decode_blocks_clamped`` decodes a region instead when a mode-0
+    block lies anywhere in it but at the frame's origin (``encode_iframe``
+    never writes one; such a block ignores its neighbours, which the
+    recurrence would need a per-block mask for) or when a rebuilt pixel
+    leaves 0..255. Every pixel is checked, so the result is exact: if no
+    rebuilt pixel leaves 0..255, then by induction in wave order no pixel
+    clipped and every predictor was the codec's; if one does, the first
+    such pixel in wave order was rebuilt from the codec's predictor, so
+    the check sees it whatever the predictors after it hold.
+
+    Returns one (4*nby, 4*nbx, 3) uint8 image per region, in order.
+    """
+    out: list[np.ndarray | None] = [None] * len(regions)
+    fast = []
+    for k, (bx0, by0, nbx, nby) in enumerate(regions):
+        modes = payload.modes[:, by0 : by0 + nby, bx0 : bx0 + nbx]
+        origin = bx0 == 0 and by0 == 0
+        if origin and np.any(modes[:, 0, 0] != MODE_CONST):
+            raise IntraFormatError("block (0, 0): mode 1 with no causal neighbors")
+        if np.count_nonzero(modes == MODE_CONST) == (3 if origin else 0):
+            fast.append(k)
+        else:
+            out[k] = _decode_blocks_clamped(payload, *regions[k], background)
+    if not fast:
+        return out
+
+    # Rows and columns each region's wave covers, below and right of (0, 0).
+    rows = max(regions[k][3] - (regions[k][1] == 0) for k in fast)
+    cols = max(regions[k][2] - (regions[k][0] == 0) for k in fast)
+    stack = np.zeros((3 * len(fast), rows + 1, cols + 1), dtype=np.int32)
+    cores = []
+    for j, k in enumerate(fast):
+        bx0, by0, nbx, nby = regions[k]
+        r, c = int(by0 > 0), int(bx0 > 0)
+        core = stack[3 * j : 3 * j + 3, r : r + nby, c : c + nbx]
+        _start_predictors(core, payload, bx0, by0, background)
+        cores.append(core)
+
+    row = cols + 1
+    flat = stack.reshape(len(stack), -1)
+    for d in range(rows + cols - 1 if rows and cols else 0):
+        i0 = max(0, d - cols + 1)
+        n = min(d, rows - 1) + 1 - i0
+        c = (i0 + 1) * row + (d - i0 + 1)  # stack cell of (i0, d - i0)
+        span = (n - 1) * cols + 1
+        p = flat[:, c : c + span : cols]
+        p += flat[:, c - row : c - row + span : cols]
+        p += flat[:, c - 1 : c - 1 + span : cols]
+        p >>= 1
+
+    for k, core in zip(fast, cores):
+        bx0, by0 = regions[k][:2]
+        out[k] = _rebuild(payload, core, bx0, by0)
+        if out[k] is None:
+            out[k] = _decode_blocks_clamped(payload, *regions[k], background)
+    return out
+
+
 def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
                            background: np.ndarray | None) -> np.ndarray:
-    """``_decode_blocks`` for any payload: the wave carries pixels and
-    clamps every block as it goes, so it is exact where pixels clip.
+    """One region of ``_decode_regions`` for any payload: the wave carries
+    pixels and clamps every block as it goes, so it is exact where pixels
+    clip.
 
     The work array holds the rect's blocks padded by one block row above
     and one block column to the left. The padding blocks' last pixel row
@@ -411,7 +454,7 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
 def decode_full(payload: IntraPayload) -> np.ndarray:
     """Reconstruct the whole frame. Returns (H, W, 3) uint8."""
     nbx, nby = payload.width_px // BLOCK, payload.height_px // BLOCK
-    return _decode_blocks(payload, 0, 0, nbx, nby, None)
+    return _decode_regions(payload, [(0, 0, nbx, nby)], None)[0]
 
 
 def blocks_for_rect(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -420,38 +463,51 @@ def blocks_for_rect(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int
     return (x // BLOCK, (x + w - 1) // BLOCK, y // BLOCK, (y + h - 1) // BLOCK)
 
 
-def decode_region_partial(payload: IntraPayload, rect: tuple[int, int, int, int],
-                          background: np.ndarray) -> tuple[PixelTile, DecodeStats]:
-    """Reconstruct only the blocks intersecting ``rect``.
+def decode_regions_partial(payload: IntraPayload, rects: list[tuple[int, int, int, int]],
+                           background: np.ndarray) -> tuple[list[PixelTile], DecodeStats]:
+    """Reconstruct only the blocks intersecting each of ``rects``, in one wave.
 
-    Blocks are decoded one anti-diagonal at a time, which gives the same
-    pixels as raster order (see the module docstring). A block's causal
-    neighbors come from blocks decoded in this same call when those blocks
-    also intersect the rect, and from ``background`` (a full-frame
-    (H, W, 3) uint8 image) otherwise. The returned tile is cropped to
-    exactly ``rect``; its pixels are a view of the region this call
-    decoded, which nothing else holds, so no copy is made.
+    Each rect is decoded on its own, as if alone: a block's causal
+    neighbors come from blocks decoded for this same rect when those
+    blocks also intersect it, and from ``background`` (a full-frame
+    (H, W, 3) uint8 image) otherwise. Rects may overlap or repeat. All of
+    them advance through one predictor wave together (see
+    ``_decode_regions``), which gives the same pixels as raster order. Each
+    returned tile is cropped to exactly its rect; its pixels are a view of
+    the region decoded for it, which nothing else holds, so no copy is
+    made.
 
     The decode cost is a pure function of the rect geometry:
-    blocks_decoded counts the block positions the rect touches, regardless
-    of payload content or how many neighbors were substituted.
+    blocks_decoded sums, over the rects, the block positions each touches,
+    regardless of payload content or how many neighbors were substituted.
     """
-    x, y, w, h = rect
-    if w <= 0 or h <= 0:
-        raise ValueError(f"rect {rect} has non-positive size")
-    if x < 0 or y < 0 or x + w > payload.width_px or y + h > payload.height_px:
-        raise ValueError(f"rect {rect} is outside the {payload.width_px}x{payload.height_px} frame")
     background = np.asarray(background)
     if background.shape != (payload.height_px, payload.width_px, 3) or background.dtype != np.uint8:
         raise ValueError("background must be a full-frame (H, W, 3) uint8 image")
+    regions = []
+    for x, y, w, h in rects:
+        if w <= 0 or h <= 0:
+            raise ValueError(f"rect {(x, y, w, h)} has non-positive size")
+        if x < 0 or y < 0 or x + w > payload.width_px or y + h > payload.height_px:
+            raise ValueError(f"rect {(x, y, w, h)} is outside the "
+                             f"{payload.width_px}x{payload.height_px} frame")
+        bx0, bx1, by0, by1 = blocks_for_rect((x, y, w, h))
+        regions.append((bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1))
 
-    bx0, bx1, by0, by1 = blocks_for_rect(rect)
-    region = _decode_blocks(payload, bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1, background)
-    oy, ox = y - by0 * BLOCK, x - bx0 * BLOCK
-    tile = region[oy : oy + h, ox : ox + w]
-
+    tiles = []
+    for (x, y, w, h), (bx0, by0, _, _), region in zip(
+            rects, regions, _decode_regions(payload, regions, background)):
+        oy, ox = y - by0 * BLOCK, x - bx0 * BLOCK
+        tiles.append(PixelTile((x, y, w, h), region[oy : oy + h, ox : ox + w]))
     stats = DecodeStats(
-        blocks_decoded=(bx1 - bx0 + 1) * (by1 - by0 + 1),
+        blocks_decoded=sum(nbx * nby for _, _, nbx, nby in regions),
         blocks_total=payload.blocks_per_plane,
     )
-    return PixelTile((x, y, w, h), tile), stats
+    return tiles, stats
+
+
+def decode_region_partial(payload: IntraPayload, rect: tuple[int, int, int, int],
+                          background: np.ndarray) -> tuple[PixelTile, DecodeStats]:
+    """``decode_regions_partial`` for one rect: its tile and its stats."""
+    (tile,), stats = decode_regions_partial(payload, [rect], background)
+    return tile, stats

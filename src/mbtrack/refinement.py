@@ -108,23 +108,28 @@ def _square_filter(mask: np.ndarray, r: int, erode: bool) -> np.ndarray:
     """Binary erosion (AND) or dilation (OR) of a 2-D mask by the (2r+1)
     square, r >= 1.
 
-    The square is separable: one pass over r shifted slices each way down
-    the rows, then the same pass on the transpose. Everything outside the
-    array counts as background, as in ``scipy.ndimage`` with
-    ``border_value=0``: erosion clears the r cells next to each edge, and
-    dilation reads only what is inside.
+    The square is separable: one pass over r shifted row slices each way,
+    then one over r shifted column slices, so no pass copies a transpose.
+    Everything outside the array counts as background, as in
+    ``scipy.ndimage`` with ``border_value=0``: erosion clears the r cells
+    next to each edge, and dilation reads only what is inside.
     """
     op = np.logical_and if erode else np.logical_or
-    for _ in range(2):
-        out = mask.copy()
-        for k in range(1, r + 1):
-            op(out[k:], mask[:-k], out=out[k:])
-            op(out[:-k], mask[k:], out=out[:-k])
-        if erode:
-            out[:r] = False
-            out[-r:] = False
-        mask = out.T
-    return mask
+    rows = mask.copy()
+    for k in range(1, r + 1):
+        op(rows[k:], mask[:-k], out=rows[k:])
+        op(rows[:-k], mask[k:], out=rows[:-k])
+    if erode:
+        rows[:r] = False
+        rows[-r:] = False
+    out = rows.copy()
+    for k in range(1, r + 1):
+        op(out[:, k:], rows[:, :-k], out=out[:, k:])
+        op(out[:, :-k], rows[:, k:], out=out[:, :-k])
+    if erode:
+        out[:, :r] = False
+        out[:, -r:] = False
+    return out
 
 
 def background_subtract(tile: PixelTile, background: np.ndarray,
@@ -214,30 +219,37 @@ class RefineResult:
     unanchored: bool  # left anchor was not a refined I-frame blob
 
 
-def refine_object(object_id: int, decode, background: np.ndarray,
+def refine_rect(gop_blobs: list[tuple[int, BlobFeature]],
+                anchor: tuple[int, BlobFeature, bool],
+                frame_w: int, frame_h: int) -> tuple[int, int, int, int]:
+    """The rect to decode for one object at an I-frame: its predicted blob
+    (from the GOP's blobs, else the anchor's) grown by one block."""
+    pred = predict_blob([b for _, b in gop_blobs]) if gop_blobs else anchor[1]
+    return decode_rect_for(pred, frame_w, frame_h)
+
+
+def refine_object(object_id: int, tile: PixelTile, background: np.ndarray,
                   config: RefineConfig,
                   gop_blobs: list[tuple[int, BlobFeature]],
                   anchor: tuple[int, BlobFeature, bool],
-                  iframe_index: int, frame_w: int, frame_h: int) -> RefineResult:
+                  iframe_index: int) -> RefineResult:
     """Refine one object at one I-frame.
 
-    decode: callable(rect) -> PixelTile for this I-frame's payload.
+    tile: this I-frame's pixels at ``refine_rect(gop_blobs, anchor, ...)``.
     gop_blobs: (frame, blob) pairs for the P-frames since the last anchor.
     anchor: (frame, blob, was_refined) to interpolate against.
+
+    When subtraction finds nothing, the last macroblock blob (else the
+    anchor's) is carried forward and no P-frame is rewritten.
     """
-    pred = predict_blob([b for _, b in gop_blobs]) if gop_blobs else anchor[1]
-    rect = decode_rect_for(pred, frame_w, frame_h)
-    tile = decode(rect)
     mask, blob = background_subtract(tile, background, config)
-
     refined = blob is not None
-    if not refined:
-        blob = pred
-
     anchor_frame, anchor_blob, anchor_refined = anchor
     rewrites = {}
     span = iframe_index - anchor_frame
-    if span > 1:
+    if not refined:
+        blob = gop_blobs[-1][1] if gop_blobs else anchor_blob
+    elif span > 1:
         for f, _ in gop_blobs:
             if anchor_frame < f < iframe_index:
                 rewrites[f] = interpolate_blobs(blob, anchor_blob, span, iframe_index - f)

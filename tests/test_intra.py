@@ -19,6 +19,7 @@ from mbtrack.intra import (
     blocks_for_rect,
     decode_full,
     decode_region_partial,
+    decode_regions_partial,
     encode_iframe,
 )
 
@@ -413,3 +414,131 @@ class TestPathChoice:
                               reference_decode(payload, full_rect, background)[0])
         tile, _ = decode_region_partial(payload, rect, background)
         assert np.array_equal(tile.pixels, reference_decode(payload, rect, background)[0])
+
+
+def reference_encode(image):
+    """The encoder ``encode_iframe`` replaced: int32 plane copies, int64
+    edge sums and a boolean mask over the blocks that have neighbours."""
+    h, w = image.shape[:2]
+    nby, nbx = h // BLOCK, w // BLOCK
+    modes = np.empty((3, nby, nbx), dtype=np.uint8)
+    residuals = np.empty((3, nby, nbx, BLOCK, BLOCK), dtype=np.int16)
+    for p in range(3):
+        src = image[:, :, p].astype(np.int32)
+        top_sum = np.zeros((nby, nbx), dtype=np.int64)
+        top_sum[1:] = src[BLOCK - 1 :: BLOCK][: nby - 1].reshape(nby - 1, nbx, BLOCK).sum(axis=2)
+        left_sum = np.zeros((nby, nbx), dtype=np.int64)
+        left_sum[:, 1:] = (
+            src[:, BLOCK - 1 :: BLOCK][:, : nbx - 1].reshape(nby, BLOCK, nbx - 1).sum(axis=1)
+        )
+        counts = np.zeros((nby, nbx), dtype=np.int64)
+        counts[1:] += BLOCK
+        counts[:, 1:] += BLOCK
+        pred = np.full((nby, nbx), 128, dtype=np.int64)
+        has_nb = counts > 0
+        pred[has_nb] = (top_sum[has_nb] + left_sum[has_nb] + counts[has_nb] // 2) // counts[has_nb]
+        modes[p] = np.where(has_nb, MODE_NEIGHBOR_DC, MODE_CONST)
+        blocks = src.reshape(nby, BLOCK, nbx, BLOCK).transpose(0, 2, 1, 3)
+        residuals[p] = (blocks - pred[:, :, None, None]).astype(np.int16)
+    return IntraPayload(modes, residuals, w, h)
+
+
+class TestEncoderAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(encoder_frames())
+    def test_payload_bytes_match_reference_encoder(self, frame):
+        image, payload = frame
+        want = reference_encode(image)
+        assert payload.residuals.dtype == np.int16 and payload.modes.dtype == np.uint8
+        assert payload.to_bytes() == want.to_bytes()
+
+    @pytest.mark.parametrize("height,width", [(4, 4), (4, 640), (480, 4), (480, 640)])
+    def test_extreme_frames_match_reference_encoder(self, height, width):
+        for value in (0, 255):
+            image = uniform_image(height, width, value)
+            image[::3, ::5] = 255 - value
+            assert encode_iframe(image).to_bytes() == reference_encode(image).to_bytes()
+
+
+def edge_rects(draw, width, height):
+    """1-8 rects: random ones, plus ones that touch the frame's top edge,
+    its left edge, cover the origin, overlap or repeat another."""
+    rects = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["random", "top", "left", "origin", "repeat"]))
+        x, y, w, h = random_rect(draw, width, height)
+        if kind == "top":
+            rects.append((x, 0, w, draw(st.integers(1, height))))
+        elif kind == "left":
+            rects.append((0, y, draw(st.integers(1, width)), h))
+        elif kind == "origin":
+            rects.append((0, 0, draw(st.integers(1, width)), draw(st.integers(1, height))))
+        elif kind == "repeat" and rects:
+            rects.append(draw(st.sampled_from(rects)))
+        else:
+            rects.append((x, y, w, h))
+    return rects
+
+
+class TestBatchDecode:
+    """One wave over many rects gives each rect's own decode."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coded_frames(), st.booleans(), st.data())
+    def test_batch_matches_per_rect_reference(self, case, neighbour_only, data):
+        payload, _, background = case
+        if neighbour_only:
+            # Mode 1 everywhere but the origin: every rect takes the wave.
+            payload.modes[:] = MODE_NEIGHBOR_DC
+            payload.modes[:, 0, 0] = MODE_CONST
+        rects = edge_rects(data.draw, payload.width_px, payload.height_px)
+        tiles, stats = decode_regions_partial(payload, rects, background)
+        assert [t.rect for t in tiles] == rects
+        total = 0
+        for rect, tile in zip(rects, tiles):
+            want, want_stats = reference_decode(payload, rect, background)
+            assert np.array_equal(tile.pixels, want)
+            total += want_stats.blocks_decoded
+        assert stats == DecodeStats(total, payload.blocks_per_plane)
+
+    @settings(max_examples=100, deadline=None)
+    @given(encoder_frames(), st.data())
+    def test_encoder_batches_never_reach_the_clamped_wave(self, frame, data):
+        image, payload = frame
+        height, width = image.shape[:2]
+        rects = edge_rects(data.draw, width, height)
+        # The rects' context is the coded frame itself, so every tile is exact.
+        with clamped_wave_calls(forbid=True):
+            tiles, _ = decode_regions_partial(payload, rects, image)
+        for (x, y, w, h), tile in zip(rects, tiles):
+            assert np.array_equal(tile.pixels, image[y : y + h, x : x + w])
+
+    @pytest.mark.parametrize("fault", ["clip", "mode0"])
+    def test_only_the_bad_rect_reaches_the_clamped_wave(self, fault):
+        rng = np.random.default_rng(7)
+        image = rng.integers(0, 256, (64, 96, 3), dtype=np.uint8)
+        payload = encode_iframe(image)
+        bad = (44, 36, 20, 16)  # blocks (11, 9) to (15, 12)
+        if fault == "clip":
+            payload.residuals[1, 12, 15, 3, 3] += 300
+        else:
+            payload.modes[2, 10, 13] = MODE_CONST
+        rects = [(0, 0, 40, 24), bad, (8, 52, 40, 12), (0, 0, 40, 24), (68, 0, 28, 64)]
+        with clamped_wave_calls() as calls:
+            tiles, _ = decode_regions_partial(payload, rects, image)
+        assert [c[1:5] for c in calls] == [(11, 9, 5, 4)]
+        for rect, tile in zip(rects, tiles):
+            assert np.array_equal(tile.pixels, reference_decode(payload, rect, image)[0])
+
+    def test_empty_batch_decodes_nothing(self):
+        pay = encode_iframe(uniform_image(8, 8, 9))
+        assert decode_regions_partial(pay, [], uniform_image(8, 8, 9)) == ([], DecodeStats(0, 4))
+
+    def test_any_bad_rect_rejects_the_batch(self):
+        pay = encode_iframe(uniform_image(16, 16, 77))
+        bg = uniform_image(16, 16, 77)
+        with pytest.raises(ValueError):
+            decode_regions_partial(pay, [(0, 0, 4, 4), (12, 0, 8, 4)], bg)
+        pay.modes[0, 0, 0] = MODE_NEIGHBOR_DC  # bypasses the constructor's check
+        with pytest.raises(IntraFormatError):
+            decode_regions_partial(pay, [(4, 4, 4, 4), (0, 0, 4, 4)], bg)

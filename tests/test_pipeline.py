@@ -182,6 +182,48 @@ class TestEmissionContract:
                 assert r.h % 16 == 0 and r.w % 16 == 0
 
 
+def crossing_scene():
+    """Two 40x80 checkers that cross mid-frame, with light feature noise."""
+    blue = {"type": "checker", "colors": [[30, 30, 200], [20, 20, 150]], "tile": 8}
+    a = SceneObject(id=1, w=40, h=80, fill=CHECKER,
+                    path=[Waypoint(0, 60, 120), Waypoint(159, 258, 120)])
+    b = SceneObject(id=2, w=40, h=80, fill=blue,
+                    path=[Waypoint(0, 258, 120), Waypoint(159, 60, 120)])
+    return SceneScript(width=320, height=240, frame_count=160, gop_len=8, objects=[a, b],
+                       noise=NoiseSpec(p_isolated=0.02, p_cluster=0.005, rng_seed=201))
+
+
+class TestOneDecodePerIFrame:
+    def spy_run(self, monkeypatch, config):
+        from mbtrack import pipeline
+
+        calls = []
+        real = pipeline.decode_region_partial
+
+        def spy(payload, rects, background):
+            calls.append((payload, list(rects)))  # holds payloads: ids stay unique
+            return real(payload, rects, background)
+
+        monkeypatch.setattr(pipeline, "decode_region_partial", spy)
+        data, _ = synthesize(crossing_scene())
+        return run_tracker(data, config), calls
+
+    def test_partial_decode_is_one_batch_per_iframe(self, monkeypatch):
+        result, calls = self.spy_run(monkeypatch, TrackerConfig())
+        iframes = len(range(0, 160, 8))
+        assert 0 < len(calls) <= iframes
+        assert len({id(payload) for payload, _ in calls}) == len(calls)
+        assert max(len(rects) for _, rects in calls) >= 2
+        # One rect per unit, and one record per unit at each I-frame.
+        assert sum(len(rects) for _, rects in calls) == sum(
+            1 for r in result.records if r.frame_index % 8 == 0)
+
+    def test_full_decode_is_one_full_frame_per_iframe(self, monkeypatch):
+        _, calls = self.spy_run(monkeypatch, TrackerConfig(full_decode=True))
+        assert len(calls) == len(range(0, 160, 8))
+        assert all(rects == [(0, 0, 320, 240)] for _, rects in calls)
+
+
 class TestFullDecodeMode:
     def test_trajectories_identical_and_ratio_is_one(self):
         data, _ = synthesize(single_object_scene())

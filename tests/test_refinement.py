@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from mbtrack import refinement
 from mbtrack.intra import PixelTile
 from mbtrack.refinement import (
     BlobFeature,
@@ -209,6 +210,33 @@ class TestSubtractionAgainstReference:
         assert mask.dtype == bool and mask.shape == want_mask.shape
         assert np.array_equal(mask, want_mask)
         assert blob == want_blob
+
+
+def reference_square_filter(mask, r, erode):
+    """The ``_square_filter`` it replaced: the second pass runs on the
+    transpose, so each of its copies is a real transpose."""
+    op = np.logical_and if erode else np.logical_or
+    for _ in range(2):
+        out = mask.copy()
+        for k in range(1, r + 1):
+            op(out[k:], mask[:-k], out=out[k:])
+            op(out[:-k], mask[k:], out=out[:-k])
+        if erode:
+            out[:r] = False
+            out[-r:] = False
+        mask = out.T
+    return mask
+
+
+class TestSquareFilterAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 4),
+           st.sampled_from([0.1, 0.5, 0.9]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_transposing_reference(self, h, w, r, density, erode, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        got = refinement._square_filter(mask, r, erode)
+        assert got.shape == mask.shape and got.dtype == bool
+        assert np.array_equal(got, reference_square_filter(mask, r, erode))
 
 
 class TestInterpolation:
