@@ -43,7 +43,7 @@ from .refinement import (
     interpolate_blobs,
     predict_blob,
 )
-from .scene import GroundTruthRecord, SceneScript, encode_p_frame, synthesize
+from .scene import GroundTruthRecord, SceneScript, encode_p_frame, synthesize, synthesize_to
 from .stream import (
     BackgroundChunk,
     FrameFeatures,

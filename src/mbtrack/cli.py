@@ -24,19 +24,19 @@ from .pipeline import (
     write_records_jsonl,
 )
 from .refinement import RefineConfig
-from .scene import load_ground_truth, load_scene_script, synthesize, write_ground_truth
+from .scene import load_ground_truth, load_scene_script, synthesize_to, write_ground_truth
 
 
 def _cmd_synth(args) -> int:
     script = load_scene_script(args.script)
     if args.seed is not None:
         script.noise.rng_seed = args.seed
-    data, truth = synthesize(script)
     with open(args.out, "wb") as f:
-        f.write(data)
+        truth = synthesize_to(script, f)  # frame by frame: the stream is never held whole
+        size = f.tell()
     if args.gt:
         write_ground_truth(truth, args.gt)
-    print(f"wrote {len(data)} bytes to {args.out}"
+    print(f"wrote {size} bytes to {args.out}"
           + (f", {len(truth)} truth records to {args.gt}" if args.gt else ""))
     return 0
 

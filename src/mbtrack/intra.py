@@ -106,6 +106,10 @@ class IntraPayload:
 
     modes:     (3, H/4, W/4) uint8, plane order R, G, B
     residuals: (3, H/4, W/4, 4, 4) int16
+
+    A payload that ``encode_iframe`` made or ``from_bytes`` parsed keeps
+    its blocks in the wire layout, and ``modes`` and ``residuals`` are
+    views of them, so ``wire`` serializes it without a copy.
     """
 
     def __init__(self, modes, residuals, width_px: int, height_px: int):
@@ -127,6 +131,17 @@ class IntraPayload:
         self.residuals = residuals
         self.width_px = width_px
         self.height_px = height_px
+        self._blocks = None  # the wire layout that modes and residuals view, if any
+
+    @classmethod
+    def _viewing(cls, blocks: np.ndarray, width_px: int, height_px: int) -> "IntraPayload":
+        """A payload whose arrays view ``blocks``, its (3n,) wire layout."""
+        nbx, nby = width_px // BLOCK, height_px // BLOCK
+        payload = cls(blocks["mode"].reshape(3, nby, nbx),
+                      blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK),
+                      width_px, height_px)
+        payload._blocks = blocks
+        return payload
 
     @property
     def blocks_per_plane(self) -> int:
@@ -146,12 +161,19 @@ class IntraPayload:
     def byte_size(width_px: int, height_px: int) -> int:
         return 3 * (width_px // BLOCK) * (height_px // BLOCK) * _BLOCK_DTYPE.itemsize
 
+    def wire(self) -> np.ndarray:
+        """The serialized payload as a flat uint8 array: a view of the
+        payload's wire layout when it has one, else a new array."""
+        blocks = self._blocks
+        if blocks is None:
+            n = self.blocks_per_plane
+            blocks = np.empty(3 * n, dtype=_BLOCK_DTYPE)
+            blocks["mode"] = self.modes.reshape(3 * n)
+            blocks["residuals"] = self.residuals.reshape(3 * n, 16)
+        return blocks.view(np.uint8)
+
     def to_bytes(self) -> bytes:
-        n = self.blocks_per_plane
-        out = np.empty(3 * n, dtype=_BLOCK_DTYPE)
-        out["mode"] = self.modes.reshape(3 * n)
-        out["residuals"] = self.residuals.reshape(3 * n, 16)
-        return out.tobytes()
+        return self.wire().tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, width_px: int, height_px: int) -> "IntraPayload":
@@ -170,10 +192,8 @@ class IntraPayload:
             raise IntraFormatError(
                 f"intra payload is {len(data)} bytes, expected {expected}"
             )
-        arr = np.frombuffer(data, dtype=_BLOCK_DTYPE, count=3 * n)
-        modes = arr["mode"].reshape(3, nby, nbx)
-        residuals = arr["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
-        return cls(modes, residuals, width_px, height_px)
+        return cls._viewing(np.frombuffer(data, dtype=_BLOCK_DTYPE, count=3 * n),
+                            width_px, height_px)
 
 
 def _check_image(image) -> np.ndarray:
@@ -224,12 +244,20 @@ def encode_iframe(image) -> IntraPayload:
     pred[:, 1:, 0] = (top[:, :, 0] + BLOCK // 2) >> 2
     pred[:, 1:, 1:] = (top[:, :, 1:] + left[:, 1:] + BLOCK) >> 3
 
-    modes = np.full((3, nby, nbx), MODE_NEIGHBOR_DC, dtype=np.uint8)
+    # Modes and residuals are written straight into the wire layout, one
+    # pixel offset (r, s) of every block at a time: 16 strided subtracts,
+    # which numpy runs far faster than one whose innermost axes are a
+    # block's 4x4 pixels.
+    wire = np.empty(3 * nby * nbx, dtype=_BLOCK_DTYPE)
+    modes = wire["mode"].reshape(3, nby, nbx)
+    modes[:] = MODE_NEIGHBOR_DC
     modes[:, 0, 0] = MODE_CONST
-    residuals = np.empty((3, nby, nbx, BLOCK, BLOCK), dtype=np.int16)
-    blocks = planes.reshape(3, nby, BLOCK, nbx, BLOCK).transpose(0, 1, 3, 2, 4)
-    np.subtract(blocks, pred[:, :, :, None, None], out=residuals)
-    return IntraPayload(modes, residuals, w, h)
+    residuals = wire["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
+    blocks = planes.reshape(3, nby, BLOCK, nbx, BLOCK)
+    for r in range(BLOCK):
+        for s in range(BLOCK):
+            np.subtract(blocks[:, :, r, :, s], pred, out=residuals[..., r, s])
+    return IntraPayload._viewing(wire, w, h)
 
 
 def _start_predictors(core: np.ndarray, payload: IntraPayload, bx0: int, by0: int,

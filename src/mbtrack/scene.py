@@ -2,10 +2,19 @@
 
 A scene script is a small JSON document describing a canvas, a
 background, rigid rectangular objects moving along waypoint paths, and
-an optional feature-noise model. ``synthesize`` renders every frame,
+an optional feature-noise model. ``synthesize_to`` renders every frame,
 encodes I-frames with the intra codec and P-frames as macroblock
 features (skip / coefficient-mask decisions against the previous frame),
-and returns the serialized stream plus per-frame ground truth.
+writes each frame to a binary sink as soon as it is encoded, and returns
+per-frame ground truth. ``synthesize`` collects the same stream into
+bytes.
+
+Synthesis work scales with what changes in a frame, as an encoder's
+does: a frame is painted by restoring the background under the objects
+of the frame before last and painting the objects from cached patches,
+and a P-frame's coefficient masks are computed only for the macroblocks
+whose bytes changed. Written to a file, the stream costs a few frames of
+memory, however long the scene.
 
 Script shape::
 
@@ -23,6 +32,7 @@ Script shape::
     }
 
 Background may also be {"type": "tiles", "colors": [c0, c1], "tile": 16}.
+A fill may also be {"type": "solid", "color": c}.
 Waypoints may carry "h"/"w" to resize the object over time; position and
 size interpolate linearly between waypoints. An object is visible from
 its first through its last waypoint frame (a single-waypoint object is
@@ -36,8 +46,10 @@ vectors are zero; motion shows up as coefficient activity.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -49,10 +61,12 @@ from .stream import (
     MacroblockGrid,
     StreamHeader,
     FLAG_HAS_BACKGROUND,
-    stream_to_bytes,
+    write_stream,
 )
 
 DEADZONE = 2
+FILL_TYPES = ("solid", "checker")
+BACKGROUND_TYPES = ("flat", "tiles")
 MIN_OBJECT_AREA_PX = 3 * MB * MB  # objects must span at least 3 macroblocks
 
 
@@ -203,6 +217,8 @@ class SceneScript:
             raise ValueError("frame_count must be positive")
         if not (0 < self.fps <= 255):
             raise ValueError("fps out of range")
+        if self.background.get("type") not in BACKGROUND_TYPES:
+            raise ValueError(f"unknown background type {self.background.get('type')!r}")
         for p in (self.noise.p_isolated, self.noise.p_cluster):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("noise probabilities must be in [0, 1]")
@@ -211,6 +227,8 @@ class SceneScript:
             if o.id in seen:
                 raise ValueError(f"duplicate object id {o.id}")
             seen.add(o.id)
+            if o.fill.get("type") not in FILL_TYPES:
+                raise ValueError(f"object {o.id} has unknown fill type {o.fill.get('type')!r}")
             if not o.path:
                 raise ValueError(f"object {o.id} has an empty path")
             frames = [wp.frame for wp in o.path]
@@ -251,7 +269,20 @@ class SceneScript:
 
     def render_frame(self, frame: int, background: np.ndarray | None = None) -> np.ndarray:
         img = (background if background is not None else self.render_background()).copy()
-        for o in self.objects:  # list order is z-order; later objects on top
+        self._paint_objects(img, frame, {})
+        return img
+
+    def _paint_objects(self, img: np.ndarray, frame: int,
+                       patches: dict) -> list[tuple[slice, slice]]:
+        """Paint the objects visible at ``frame`` onto ``img``, in z-order.
+
+        Each object is copied from its fill patch, which ``patches`` keeps
+        per object for the object's current size, so a fill is built once
+        per object and size, not once per frame. Returns the regions
+        painted.
+        """
+        painted = []
+        for k, o in enumerate(self.objects):  # list order is z-order; later objects on top
             state = o.state_at(frame, self.frame_count)
             if state is None:
                 continue
@@ -262,21 +293,25 @@ class SceneScript:
             hi = int(round(h))
             x0 = max(0, min(x0, self.width - wi))
             y0 = max(0, min(y0, self.height - hi))
-            _paint_fill(img, x0, y0, wi, hi, o.fill)
-        return img
+            size, patch = patches.get(k, (None, None))
+            if size != (hi, wi):
+                patch = _fill_patch(o.fill, hi, wi)
+                patches[k] = ((hi, wi), patch)
+            region = (slice(y0, y0 + hi), slice(x0, x0 + wi))
+            img[region] = patch
+            painted.append(region)
+        return painted
 
 
-def _paint_fill(img: np.ndarray, x0: int, y0: int, w: int, h: int, fill: dict) -> None:
+def _fill_patch(fill: dict, h: int, w: int) -> np.ndarray:
+    """An (h, w, 3) uint8 image of a fill, anchored to the object's own corner."""
     if fill["type"] == "solid":
-        img[y0 : y0 + h, x0 : x0 + w] = np.asarray(fill["color"], dtype=np.uint8)
-    elif fill["type"] == "checker":
+        return np.broadcast_to(np.asarray(fill["color"], dtype=np.uint8), (h, w, 3))
+    if fill["type"] == "checker":
         t = int(fill.get("tile", 8))
-        # Anchored to the object's own corner; broadcast, no index grids.
         pattern = (np.arange(h)[:, None] // t + np.arange(w) // t) % 2
-        c = np.asarray(fill["colors"], dtype=np.uint8)
-        img[y0 : y0 + h, x0 : x0 + w] = c[pattern]
-    else:
-        raise ValueError(f"unknown fill type {fill['type']!r}")
+        return np.asarray(fill["colors"], dtype=np.uint8)[pattern]
+    raise ValueError(f"unknown fill type {fill['type']!r}")
 
 
 def load_scene_script(path) -> SceneScript:
@@ -293,28 +328,46 @@ def encode_p_frame(current: np.ndarray, previous: np.ndarray,
     raster order) is set when some pixel of that subblock moved by more
     than the deadzone in some channel. Sub-deadzone change therefore
     yields a coded macroblock with an empty mask.
+
+    The frames are compared 8 bytes at a time, as uint64 words: one
+    macroblock row of 16 RGB pixels is 6 words. Only the macroblocks
+    that changed are then gathered and their subblock differences
+    computed, so the cost beyond the comparison scales with the changed
+    area.
     """
     if current.shape != previous.shape:
         raise ValueError("frame shapes differ")
+    if current.dtype != np.uint8 or previous.dtype != np.uint8:
+        raise ValueError("frames must be uint8")
     h, w = current.shape[:2]
     rows, cols = h // MB, w // MB
+    current = np.ascontiguousarray(current)
+    previous = np.ascontiguousarray(previous)
 
-    # Per-pixel change, as the largest absolute difference over the channels.
-    diff = np.maximum(current, previous) - np.minimum(current, previous)  # no wrap in uint8
-    diff = np.maximum(np.maximum(diff[..., 0], diff[..., 1]), diff[..., 2])
-    # Per 4x4 subblock: the maximum over strided slices, rows then columns.
-    rows4 = np.maximum(np.maximum(diff[0::4], diff[1::4]), np.maximum(diff[2::4], diff[3::4]))
-    sub_max = np.maximum(np.maximum(rows4[:, 0::4], rows4[:, 1::4]),
-                         np.maximum(rows4[:, 2::4], rows4[:, 3::4]))
-    sub_grid = sub_max.reshape(rows, 4, cols, 4).transpose(0, 2, 1, 3).reshape(rows, cols, 16)
-    mb_changed = sub_grid.any(axis=2)
+    # One macroblock row of 16 RGB pixels is 48 bytes: 6 uint64 words.
+    ne = (current.reshape(h, w * 3).view(np.uint64)
+          != previous.reshape(h, w * 3).view(np.uint64))
+    # Reduce over each macroblock's 16 rows, then over its 6 words, read
+    # as 3 uint16: numpy reduces short strided axes far slower than this.
+    words = ne.reshape(rows, MB, cols * 6).any(axis=1).view(np.uint16).reshape(rows, cols, 3)
+    changed = (words[..., 0] | words[..., 1] | words[..., 2]) != 0
 
-    sub_bits = sub_grid > deadzone
-    weights = (1 << np.arange(16, dtype=np.uint32))
-    mask = (sub_bits.astype(np.uint32) * weights).sum(axis=2).astype(np.uint16)
+    mask = np.zeros((rows, cols), dtype=np.uint16)
+    my, mx = np.nonzero(changed)
+    if my.size:
+        # (k, 4, 4, 48): the changed macroblocks' subblock rows, pixel rows, bytes.
+        cur = current.reshape(rows, 4, 4, cols, MB * 3)[my, :, :, mx]
+        prev = previous.reshape(rows, 4, 4, cols, MB * 3)[my, :, :, mx]
+        diff = np.maximum(cur, prev) - np.minimum(cur, prev)  # no wrap in uint8
+        diff = np.maximum(np.maximum(diff[:, :, 0], diff[:, :, 1]),
+                          np.maximum(diff[:, :, 2], diff[:, :, 3]))
+        # A subblock's 4 pixels are 12 bytes of a row: 3 uint32 words of bools.
+        moved = (diff > deadzone).view(np.uint32).reshape(-1, 16, 3)
+        sub = (moved[..., 0] | moved[..., 1] | moved[..., 2]) != 0  # (k, 16), raster order
+        mask[my, mx] = np.packbits(sub, axis=1, bitorder="little").view("<u2")[:, 0]
 
     return MacroblockGrid(
-        skip=~mb_changed,
+        skip=~changed,
         coeff_mask=mask,
         mv_qpel=np.zeros((rows, cols, 2), dtype=np.int16),
     )
@@ -371,11 +424,52 @@ def _occluded_flags(states: dict[int, tuple[float, float, float, float]]) -> dic
     return out
 
 
-def synthesize(script: SceneScript) -> tuple[bytes, list[GroundTruthRecord]]:
-    """Render and encode a scene. Returns (stream bytes, ground truth).
+def _truth_at(script: SceneScript, idx: int) -> list[GroundTruthRecord]:
+    states = {}
+    for o in script.objects:
+        st = o.state_at(idx, script.frame_count)
+        if st is not None:
+            states[o.id] = st
+    occ = _occluded_flags(states)
+    return [GroundTruthRecord(idx, oid, *states[oid], occ[oid]) for oid in sorted(states)]
 
-    Deterministic: the same script (same noise seed) yields
-    byte-identical streams.
+
+def _encode_frames(script: SceneScript, background: np.ndarray,
+                   truth: list[GroundTruthRecord]) -> Iterator[FrameFeatures]:
+    """Each frame's features, encoded as it is asked for; each frame's
+    ground truth is appended to ``truth`` before the frame is yielded.
+
+    Frames are painted into two canvases in turn. Before frame i is
+    painted into canvas i % 2, the background is restored under the
+    objects painted there for frame i - 2, so a canvas is never copied
+    whole, and canvas (i - 1) % 2 still holds the previous frame for the
+    P-frame encoder.
+    """
+    noise = _NoiseState(script.noise, script.height // MB, script.width // MB)
+    canvases = [background.copy(), background.copy()]
+    painted: list[list[tuple[slice, slice]]] = [[], []]
+    patches: dict = {}
+    for idx in range(script.frame_count):
+        img = canvases[idx % 2]
+        for region in painted[idx % 2]:
+            img[region] = background[region]
+        painted[idx % 2] = script._paint_objects(img, idx, patches)
+        truth.extend(_truth_at(script, idx))
+        if idx % script.gop_len == 0:
+            yield FrameFeatures(idx, "I", intra_payload=encode_iframe(img))
+        else:
+            grid = encode_p_frame(img, canvases[(idx - 1) % 2])
+            noise.apply(grid)
+            yield FrameFeatures(idx, "P", mb_grid=grid)
+
+
+def synthesize_to(script: SceneScript, sink: BinaryIO) -> list[GroundTruthRecord]:
+    """Render and encode a scene into ``sink``, a binary file object,
+    writing each frame as soon as it is encoded. Returns the ground truth.
+
+    The stream is never held whole: the writer's memory is a few frames,
+    however long the scene. Deterministic: the same script (same noise
+    seed) yields byte-identical streams.
     """
     script.validate()
     header = StreamHeader(
@@ -384,33 +478,18 @@ def synthesize(script: SceneScript) -> tuple[bytes, list[GroundTruthRecord]]:
         flags=FLAG_HAS_BACKGROUND,
     )
     background = script.render_background()
-    noise = _NoiseState(script.noise, header.mb_rows, header.mb_cols)
-
-    frames: list[FrameFeatures] = []
     truth: list[GroundTruthRecord] = []
-    prev = None
-    for idx in range(script.frame_count):
-        img = script.render_frame(idx, background)
-        if idx % script.gop_len == 0:
-            frames.append(FrameFeatures(idx, "I", intra_payload=encode_iframe(img)))
-        else:
-            grid = encode_p_frame(img, prev)
-            noise.apply(grid)
-            frames.append(FrameFeatures(idx, "P", mb_grid=grid))
-        prev = img
+    write_stream(header, BackgroundChunk(rgb=background),
+                 _encode_frames(script, background, truth), sink)
+    return truth
 
-        states = {}
-        for o in script.objects:
-            st = o.state_at(idx, script.frame_count)
-            if st is not None:
-                states[o.id] = st
-        occ = _occluded_flags(states)
-        for oid in sorted(states):
-            cx, cy, h, w = states[oid]
-            truth.append(GroundTruthRecord(idx, oid, cx, cy, h, w, occ[oid]))
 
-    data = stream_to_bytes(header, BackgroundChunk(rgb=background), frames)
-    return data, truth
+def synthesize(script: SceneScript) -> tuple[bytes, list[GroundTruthRecord]]:
+    """Render and encode a scene. Returns (stream bytes, ground truth):
+    ``synthesize_to`` collected into bytes."""
+    buf = io.BytesIO()
+    truth = synthesize_to(script, buf)
+    return buf.getvalue(), truth
 
 
 def write_ground_truth(records: list[GroundTruthRecord], path) -> None:

@@ -46,6 +46,10 @@ _FRAME_PREFIX = struct.Struct("<cI")
 _MB_PAYLOAD = np.dtype([("coeff_mask", "<u2"), ("mv", "<i2", (2,))])
 _PAYLOAD_OFFSETS = np.arange(1, 1 + _MB_PAYLOAD.itemsize)
 _MB_CODED = b"\x00"
+# The most a reader asks of a file object at once. Above the largest
+# I-frame payload of common sizes (12.9 MB at 1920x1088), so a payload is
+# one read; a header claiming huge dimensions cannot make one huge request.
+_READ_CAP = 16 << 20
 
 
 class StreamError(Exception):
@@ -222,7 +226,10 @@ def write_stream(header: StreamHeader, background: BackgroundChunk | None,
 
     Frames are validated against the header as they are consumed: indices
     must run 0..frame_count-1 and each frame's kind must agree with the
-    GOP structure.
+    GOP structure. Each frame is written before the next is asked for, so
+    a generator of frames is streamed. The background and I-frame payloads
+    in the wire layout (see ``IntraPayload.wire``) are written as they
+    are, without a copy.
     """
     header.validate()
     if header.has_background != (background is not None):
@@ -230,7 +237,7 @@ def write_stream(header: StreamHeader, background: BackgroundChunk | None,
 
     written = 0
 
-    def put(b: bytes):
+    def put(b):  # bytes or a flat uint8 array
         nonlocal written
         sink.write(b)
         written += len(b)
@@ -243,7 +250,7 @@ def write_stream(header: StreamHeader, background: BackgroundChunk | None,
         if bg.shape != (header.height_px, header.width_px, 3) or bg.dtype != np.uint8:
             raise StreamInvariantError("background chunk does not match frame dimensions")
         put(b"B")
-        put(bg.tobytes())
+        put(bg.reshape(-1))
 
     expected = 0
     for frame in frames:
@@ -273,7 +280,7 @@ def write_stream(header: StreamHeader, background: BackgroundChunk | None,
                 raise StreamInvariantError(
                     f"frame {frame.frame_index}: intra payload size mismatch"
                 )
-            put(pl.to_bytes())
+            put(pl.wire())
         expected += 1
 
     if expected != header.frame_count:
@@ -319,10 +326,11 @@ class _Reader:
         self._pos = 0
 
     def _pull(self, n: int) -> bytes:
-        """Up to n bytes from the file object; fewer only at its end."""
+        """Up to n bytes from the file object; fewer only at its end.
+        Each read asks for at most ``_READ_CAP`` bytes."""
         parts = []
         while n > 0:
-            data = self._src.read(n)
+            data = self._src.read(min(n, _READ_CAP))
             if not data:
                 break
             parts.append(data)

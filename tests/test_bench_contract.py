@@ -41,3 +41,24 @@ def test_traced_crossing_enters_every_lanes_span(bench_modules):
     entered = set(recorder.names)
     assert set(workload.must_run) <= entered, sorted(set(workload.must_run) - entered)
     assert recorder.counts["intra.blocks"] > 0
+
+
+def test_synthesize_encodes_each_frame_through_the_names_synth_patches(bench_modules):
+    """``bench/synth.py`` takes a probe mark after each call of
+    ``mbtrack.scene:encode_iframe`` and ``encode_p_frame``: one per frame."""
+    from mbtrack import scene
+
+    spans, workloads = bench_modules
+    calls = []
+
+    def counted(kind, encode):
+        def wrapper(*a, **kw):
+            calls.append(kind)
+            return encode(*a, **kw)
+        return wrapper
+
+    script = workloads.pair_script(0, frames=20)
+    with spans.patched({"mbtrack.scene:encode_iframe": counted("I", scene.encode_iframe),
+                        "mbtrack.scene:encode_p_frame": counted("P", scene.encode_p_frame)}):
+        scene.synthesize(script)
+    assert calls == ["I" if i % script.gop_len == 0 else "P" for i in range(20)]

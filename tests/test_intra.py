@@ -84,6 +84,12 @@ class TestRoundTrip:
         assert len(data) == IntraPayload.byte_size(32, 16)
         parsed = IntraPayload.from_bytes(data, 32, 16)
         assert parsed == pay
+        # encoded and parsed payloads serialize as the buffer they view
+        assert np.shares_memory(pay.wire(), pay.residuals)
+        assert np.shares_memory(parsed.wire(), parsed.modes)
+        assert parsed.wire().tobytes() == data
+        rebuilt = IntraPayload(pay.modes.copy(), pay.residuals.copy(), 32, 16)
+        assert rebuilt.to_bytes() == data
         # the parsed arrays are unaligned views of the packed blocks
         assert np.array_equal(decode_full(parsed), img)
         tile, _ = decode_region_partial(parsed, (5, 3, 20, 9), img)

@@ -23,6 +23,7 @@ from mbtrack.scene import (
     SceneObject,
     SceneScript,
     Waypoint,
+    load_ground_truth,
     synthesize,
 )
 
@@ -343,6 +344,20 @@ class TestCli:
         assert m["evaluation"]["per_object"]["1"]["mean_iou"] > 0.5
         ppms = sorted(overlay.glob("*.ppm"))
         assert ppms and ppms[0].read_bytes()[:2] == b"P6"
+
+    def test_synth_writes_the_synthesized_stream(self, tmp_path, capsys):
+        script = single_object_scene(frame_count=40)
+        script.noise = NoiseSpec(0.05, 0.2, rng_seed=4)
+        script_path = tmp_path / "scene.json"
+        script_path.write_text(json.dumps(script.to_dict()))
+        stream, gt_path = tmp_path / "scene.mbfs", tmp_path / "gt.jsonl"
+        assert main(["synth", "--script", str(script_path), "--out", str(stream),
+                     "--gt", str(gt_path)]) == 0
+        data, truth = synthesize(script)
+        assert stream.read_bytes() == data
+        assert load_ground_truth(gt_path) == truth
+        assert capsys.readouterr().out == (
+            f"wrote {len(data)} bytes to {stream}, {len(truth)} truth records to {gt_path}\n")
 
     def test_seed_flag_changes_output(self, tmp_path):
         script = single_object_scene()

@@ -2,25 +2,38 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbtrack.intra import encode_iframe
 from mbtrack.scene import (
     GroundTruthRecord,
     NoiseSpec,
     SceneObject,
     SceneScript,
     Waypoint,
+    _NoiseState,
+    _occluded_flags,
     encode_p_frame,
     load_ground_truth,
     load_scene_script,
     synthesize,
+    synthesize_to,
     write_ground_truth,
 )
-from mbtrack.stream import MacroblockGrid, read_stream
+from mbtrack.stream import (
+    FLAG_HAS_BACKGROUND,
+    BackgroundChunk,
+    FrameFeatures,
+    MacroblockGrid,
+    StreamHeader,
+    read_stream,
+    stream_to_bytes,
+)
 
 CHECKER = {"type": "checker", "colors": [[200, 30, 30], [150, 20, 20]], "tile": 8}
 SOLID = {"type": "solid", "color": [20, 40, 200]}
@@ -72,6 +85,19 @@ class TestScriptSchema:
         obj = SceneObject(id=1, w=48, h=48, fill=SOLID, path=[Waypoint(0, 10, 60)])
         with pytest.raises(ValueError, match="canvas"):
             small_script(objects=[obj]).validate()
+
+    @pytest.mark.parametrize("fill_type", ["flat", "gradient", None])
+    def test_unknown_fill_type_rejected_at_load(self, fill_type):
+        d = small_script().to_dict()
+        d["objects"][0]["fill"] = {"type": fill_type, "color": [1, 2, 3]}
+        with pytest.raises(ValueError, match=f"object 1 has unknown fill type {fill_type!r}"):
+            SceneScript.from_dict(d)
+
+    def test_unknown_background_type_rejected_at_load(self):
+        d = small_script().to_dict()
+        d["background"] = {"type": "solid", "color": [1, 2, 3]}
+        with pytest.raises(ValueError, match="unknown background type 'solid'"):
+            SceneScript.from_dict(d)
 
     def test_object_area_floor(self):
         obj = SceneObject(id=1, w=16, h=16, fill=SOLID, path=[Waypoint(0, 60, 60)])
@@ -177,20 +203,33 @@ class TestFeatureEncoding:
         cur[:16, :16] = 7
         assert not encode_p_frame(cur, prev).mv_qpel.any()
 
+    def test_frames_must_be_uint8(self):
+        prev, cur = self.frame_pair()
+        with pytest.raises(ValueError, match="uint8"):
+            encode_p_frame(cur.astype(np.int16), prev.astype(np.int16))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1),
-           st.sampled_from([0.001, 0.05, 1.0]), st.sampled_from([1, 3, 255]))
-    def test_matches_the_reshape_reference(self, rows, cols, seed, p_change, amplitude):
+           st.sampled_from([0.001, 0.05, 1.0]), st.sampled_from([1, 3, 255]),
+           st.sampled_from(["contiguous", "padded", "fortran"]))
+    def test_matches_the_reshape_reference(self, rows, cols, seed, p_change, amplitude, layout):
         rng = np.random.default_rng(seed)
         prev = rng.integers(0, 256, (rows * 16, cols * 16, 3), dtype=np.uint8)
         step = rng.integers(-amplitude, amplitude + 1, prev.shape)
         changed = rng.random(prev.shape) < p_change
         cur = np.clip(prev + np.where(changed, step, 0), 0, 255).astype(np.uint8)
-        assert encode_p_frame(cur, prev) == reference_encode_p_frame(cur, prev)
+        want = reference_encode_p_frame(cur, prev)
+        if layout == "padded":  # row views into wider frames
+            cur = np.pad(cur, ((0, 0), (16, 0), (0, 0)))[:, 16:]
+            prev = np.pad(prev, ((0, 0), (0, 16), (0, 0)))[:, :-16]
+        elif layout == "fortran":
+            cur, prev = np.asfortranarray(cur), np.asfortranarray(prev)
+        assert encode_p_frame(cur, prev) == want
 
 
 def reference_encode_p_frame(current, previous, deadzone=2):
-    """Feature encoding by int16 difference and reshaped reductions."""
+    """Feature encoding by int16 difference and reshaped reductions, over
+    the whole frame."""
     h, w = current.shape[:2]
     rows, cols = h // 16, w // 16
     diff = np.abs(current.astype(np.int16) - previous.astype(np.int16)).max(axis=2)
@@ -200,6 +239,142 @@ def reference_encode_p_frame(current, previous, deadzone=2):
     mask = (sub_bits.astype(np.uint32) << np.arange(16, dtype=np.uint32)).sum(axis=2)
     mask[~mb_changed] = 0
     return MacroblockGrid(~mb_changed, mask.astype(np.uint16), np.zeros((rows, cols, 2)))
+
+
+# -- the full-frame synthesizer ``synthesize_to`` replaced, kept as the reference --
+
+def reference_paint_fill(img, x0, y0, w, h, fill):
+    if fill["type"] == "solid":
+        img[y0 : y0 + h, x0 : x0 + w] = np.asarray(fill["color"], dtype=np.uint8)
+    elif fill["type"] == "checker":
+        t = int(fill.get("tile", 8))
+        pattern = (np.arange(h)[:, None] // t + np.arange(w) // t) % 2
+        img[y0 : y0 + h, x0 : x0 + w] = np.asarray(fill["colors"], dtype=np.uint8)[pattern]
+    else:
+        raise ValueError(f"unknown fill type {fill['type']!r}")
+
+
+def reference_render_frame(script, frame, background):
+    """A copy of the background with every visible object painted afresh."""
+    img = background.copy()
+    for o in script.objects:
+        state = o.state_at(frame, script.frame_count)
+        if state is None:
+            continue
+        cx, cy, h, w = state
+        wi, hi = int(round(w)), int(round(h))
+        x0 = max(0, min(int(round(cx - w / 2)), script.width - wi))
+        y0 = max(0, min(int(round(cy - h / 2)), script.height - hi))
+        reference_paint_fill(img, x0, y0, wi, hi, o.fill)
+    return img
+
+
+def reference_synthesize(script):
+    """Render every frame whole, encode it against the whole previous
+    frame, and serialize the stream once all frames are built."""
+    script.validate()
+    header = StreamHeader(width_px=script.width, height_px=script.height, fps=script.fps,
+                          gop_len=script.gop_len, frame_count=script.frame_count,
+                          flags=FLAG_HAS_BACKGROUND)
+    background = script.render_background()
+    noise = _NoiseState(script.noise, header.mb_rows, header.mb_cols)
+    frames, truth, prev = [], [], None
+    for idx in range(script.frame_count):
+        img = reference_render_frame(script, idx, background)
+        if idx % script.gop_len == 0:
+            frames.append(FrameFeatures(idx, "I", intra_payload=encode_iframe(img)))
+        else:
+            grid = reference_encode_p_frame(img, prev)
+            noise.apply(grid)
+            frames.append(FrameFeatures(idx, "P", mb_grid=grid))
+        prev = img
+        states = {o.id: o.state_at(idx, script.frame_count) for o in script.objects}
+        states = {oid: st for oid, st in states.items() if st is not None}
+        occ = _occluded_flags(states)
+        for oid in sorted(states):
+            truth.append(GroundTruthRecord(idx, oid, *states[oid], occ[oid]))
+    return stream_to_bytes(header, BackgroundChunk(rgb=background), frames), truth
+
+
+FILLS = [SOLID, CHECKER, {"type": "checker", "colors": [[0, 0, 0], [255, 255, 255]], "tile": 3}]
+BACKGROUNDS = [
+    {"type": "flat", "color": [128, 128, 128]},
+    {"type": "tiles", "tile": 16, "colors": [[10, 10, 10], [30, 30, 30]]},
+    {"type": "tiles", "tile": 5, "colors": [[90, 20, 10], [10, 20, 90]]},
+]
+
+
+@st.composite
+def scene_scripts(draw):
+    """Small scenes of 0-4 objects that overlap, enter late, leave early
+    and resize at their waypoints."""
+    width, height = 16 * draw(st.integers(4, 8)), 16 * draw(st.integers(3, 6))
+    frame_count = draw(st.integers(1, 20))
+    objects = []
+    for oid in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, min(3, frame_count)))
+        frames = sorted(draw(st.sets(st.integers(0, frame_count - 1), min_size=n, max_size=n)))
+        w, h = draw(st.integers(28, 48)), draw(st.integers(28, 48))
+        path = []
+        for f in frames:
+            size = draw(st.none() | st.tuples(st.integers(28, 48), st.integers(28, 48)))
+            ww, hh = size or (w, h)
+            cx = draw(st.floats(ww / 2, width - ww / 2))
+            cy = draw(st.floats(hh / 2, height - hh / 2))
+            path.append(Waypoint(f, cx, cy, h=size and hh, w=size and ww))
+        objects.append(SceneObject(id=oid + 1, w=w, h=h, fill=draw(st.sampled_from(FILLS)),
+                                   path=path))
+    noise = draw(st.sampled_from([NoiseSpec(), NoiseSpec(0.05, 0.3, rng_seed=5)]))
+    return SceneScript(width=width, height=height, frame_count=frame_count,
+                       gop_len=draw(st.integers(2, 10)),
+                       background=draw(st.sampled_from(BACKGROUNDS)),
+                       objects=objects, noise=noise)
+
+
+class TestSynthesisAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(scene_scripts())
+    def test_stream_and_truth_match_the_full_frame_reference(self, script):
+        assert synthesize(script) == reference_synthesize(script)
+
+    @settings(max_examples=40, deadline=None)
+    @given(scene_scripts(), st.integers(0, 19))
+    def test_render_frame_matches_the_reference(self, script, frame):
+        background = script.render_background()
+        want = reference_render_frame(script, frame, background)
+        assert np.array_equal(script.render_frame(frame, background), want)
+        assert np.array_equal(script.render_frame(frame), want)
+
+
+class TestStreamingWriter:
+    def test_file_sink_gets_the_synthesized_bytes(self, tmp_path):
+        script = small_script(noise=NoiseSpec(0.05, 0.2, rng_seed=3))
+        path = tmp_path / "scene.mbfs"
+        with open(path, "wb") as f:
+            truth = synthesize_to(script, f)
+        assert (path.read_bytes(), truth) == synthesize(script)
+
+    def test_writer_memory_does_not_grow_with_stream_length(self, tmp_path):
+        def traced(gops):
+            frames = 8 * gops
+            script = small_script(frame_count=frames, objects=[moving_object(last=frames - 1)],
+                                  noise=NoiseSpec(0.05, 0.2, rng_seed=3))
+            path = tmp_path / f"{gops}.mbfs"
+            with open(path, "wb") as f:
+                tracemalloc.start()
+                try:
+                    truth = synthesize_to(script, f)
+                    kept, peak = tracemalloc.get_traced_memory()  # kept: the ground truth
+                finally:
+                    tracemalloc.stop()
+            assert len(truth) == frames
+            return path.stat().st_size, kept, peak
+
+        _, kept_short, peak_short = traced(4)
+        size_long, kept_long, peak_long = traced(16)
+        # Only the returned ground truth may grow; the stream is not held.
+        assert peak_long - peak_short <= (kept_long - kept_short) + 64 * 1024
+        assert peak_long < size_long / 4
 
 
 class TestSynthesis:

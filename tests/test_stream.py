@@ -1,21 +1,26 @@
 """Binary stream container: round-trips, validation, failure modes."""
 
+import functools
 import io
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mbtrack.intra import IntraFormatError, IntraPayload, encode_iframe
+from mbtrack.pipeline import run_tracker
 from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize
 from mbtrack.stream import (
+    _HEADER,
+    _READ_CAP,
     FLAG_HAS_BACKGROUND,
     MAGIC,
     BackgroundChunk,
     FrameFeatures,
     MacroblockGrid,
+    StreamError,
     StreamFormatError,
     StreamHeader,
     StreamInvariantError,
@@ -284,6 +289,90 @@ class TestStreaming:
             got = list(it)
         assert got == frames
         assert got[0].intra_payload == frames[0].intra_payload
+
+
+class SpyFile(io.BytesIO):
+    """A file object that records the size of every read asked of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.asked = []
+
+    def read(self, n=-1):
+        self.asked.append(n)
+        return super().read(n)
+
+
+class TestHugeDimensions:
+    @pytest.mark.parametrize("flags, body", [
+        (0, b"I\x00\x00\x00\x00" + bytes(100)),
+        (FLAG_HAS_BACKGROUND, b"B" + bytes(100)),
+    ], ids=["iframe", "background"])
+    def test_a_header_claiming_huge_frames_fails_fast(self, flags, body):
+        data = _HEADER.pack(MAGIC, 1, 65520, 65520, 25, 8, 10, flags) + body
+        spy = SpyFile(data)
+        for source in (data, spy):
+            with pytest.raises(StreamTruncatedError):
+                _, _, frames = read_stream(source)
+                list(frames)
+        assert max(spy.asked) <= _READ_CAP
+
+    def test_a_payload_above_the_cap_is_read_in_capped_pieces(self, monkeypatch):
+        header, bg, frames = make_stream(frame_count=3, gop_len=2, seed=4)
+        data = stream_to_bytes(header, bg, frames)
+        monkeypatch.setattr("mbtrack.stream._READ_CAP", 100)
+        spy = SpyFile(data)
+        _, _, it = read_stream(spy)
+        assert list(it) == frames
+        assert max(spy.asked) == 100
+
+
+RED = {"type": "checker", "colors": [[200, 30, 30], [150, 20, 20]], "tile": 8}
+BLUE = {"type": "checker", "colors": [[30, 30, 200], [20, 20, 150]], "tile": 8}
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_stream():
+    """A 24-frame, 320x240 stream of two crossing checkers, and the offsets
+    of its structural bytes: header, background tag, frame prefixes and
+    P-frame flag bytes."""
+    a = SceneObject(id=1, w=48, h=48, fill=RED, path=[Waypoint(0, 30, 40), Waypoint(23, 290, 40)])
+    b = SceneObject(id=2, w=48, h=48, fill=BLUE, path=[Waypoint(0, 290, 200), Waypoint(23, 30, 200)])
+    data, _ = synthesize(SceneScript(width=320, height=240, frame_count=24, gop_len=8,
+                                     objects=[a, b]))
+    structural = list(range(HEADER_SIZE + 1))
+    at = HEADER_SIZE + 1 + 320 * 240 * 3
+    _, _, frames = read_stream(data)
+    for frame in frames:
+        structural += range(at, at + 5)
+        at += 5
+        if frame.kind == "I":
+            at += IntraPayload.byte_size(320, 240)
+        else:
+            structural += [at + off for off in flag_offsets(frame.mb_grid)]
+            at += len(_serialize_pframe(frame.mb_grid))
+    assert at == len(data)
+    return data, tuple(structural)
+
+
+class TestWholeStreamFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_only_stream_errors_escape_the_tracker(self, data):
+        clean, structural = fuzz_stream()
+        offsets = st.sampled_from(structural) | st.integers(0, len(clean) - 1)
+        flips = data.draw(st.lists(st.tuples(offsets, st.integers(0, 7)), max_size=4))
+        cut = data.draw(st.none() | offsets)
+        assume(flips or cut is not None)
+        buf = bytearray(clean)
+        for at, bit in flips:
+            buf[at] ^= 1 << bit
+        buf = bytes(buf[:cut])
+        for source in (buf, io.BytesIO(buf)):
+            try:
+                run_tracker(source)
+            except StreamError:
+                pass
 
 
 # -- the record-by-record P-frame codec, kept as the reference -----------------
