@@ -35,7 +35,7 @@ from .occlusion import (
     hue_histogram,
     match_identities,
 )
-from .pipeline import TrackerConfig, TrackRecord, evaluate, run_tracker
+from .pipeline import Tracker, TrackerConfig, TrackRecord, evaluate, run_tracker
 from .refinement import (
     BlobFeature,
     RefineConfig,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .filtering import PsmfConfig
@@ -27,7 +28,7 @@ from .refinement import RefineConfig
 from .scene import load_ground_truth, load_scene_script, synthesize_to, write_ground_truth
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args, _parser) -> int:
     script = load_scene_script(args.script)
     if args.seed is not None:
         script.noise.rng_seed = args.seed
@@ -41,7 +42,10 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_track(args) -> int:
+def _cmd_track(args, parser) -> int:
+    if args.overlay and not os.path.isfile(args.input):
+        # A pipe or other one-pass input is spent once tracking has read it.
+        parser.error("--overlay re-reads the stream, so --input must be a regular file")
     config = TrackerConfig(
         psmf=PsmfConfig(
             psi=args.psi,
@@ -102,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--events", help="event JSONL path")
     pt.add_argument("--gt", help="ground-truth JSONL to evaluate against")
     pt.add_argument("--metrics", help="metrics JSON path")
-    pt.add_argument("--overlay", help="directory for annotated PPM frames")
+    pt.add_argument("--overlay", help="directory for annotated PPM frames"
+                                      " (--input must be a regular file)")
     pt.add_argument("--psi", type=int, default=8,
                     help="observation window in P-frames (default 8)")
     pt.add_argument("--omega", type=float, default=None,
@@ -124,8 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return args.func(args, parser)
 
 
 if __name__ == "__main__":

@@ -5,10 +5,15 @@ and advance the entity state machine. Per I-frame: partially decode a
 predicted region per tracked object, re-measure its blob against the
 reference background, rewrite the GOP's P-frame blobs by interpolation,
 refresh appearance priors, and resolve any pending post-occlusion
-identities. Output is GOP-delayed: records for a frame are released
-only once its GOP's terminating I-frame has been processed (everything
-left flushes at end of stream). ``live=True`` trades the rewrites for
-immediate per-frame emission.
+identities.
+
+``Tracker`` runs one pass: ``feed(frame)`` returns the records the frame
+released, ``finish()`` the rest. ``live`` is only a flush policy over
+the same processing. By default output is GOP-delayed: records for a
+frame are released only once its GOP's terminating I-frame has been
+processed. ``live=True`` releases every P-frame's records at once, so
+later rewrites and identity re-keying no longer reach them.
+``run_tracker`` collects a whole stream's releases.
 """
 
 from __future__ import annotations
@@ -93,170 +98,187 @@ class TrackResult:
     header: object
 
 
-# Per P-frame: cluster, filter, step (EntityTracker.step) and emit (record
-# bookkeeping for the step's events and this frame's records).
+# Per P-frame: cluster, filter, step (EntityTracker.step) and emit (following
+# the step's units and recording this frame's blobs).
 STAGES = ("parse", "cluster", "filter", "step", "emit", "partial_decode", "subtract",
           "interpolate", "occlusion")
 
+_STATE = {Label.CANDIDATE: "Candidate", Label.REAL: "Real"}
 
-class _Run:
-    """State for one tracking pass."""
 
-    def __init__(self, config: TrackerConfig, on_emit=None):
-        self.cfg = config
-        self.tracker = EntityTracker(config.psmf)
+@dataclass
+class _Unit:
+    """Pipeline state of one id the entity tracker follows.
+
+    It lives exactly as long as the id does: ``Tracker`` rebuilds its units
+    after every step from the tracker's ids, so a merged, dropped or retired
+    id loses its unit with no event handled, and a new id gets one anchored
+    at its current region.
+    """
+
+    anchor: tuple[int, BlobFeature, bool]  # (frame, blob, refined) to interpolate from
+    blobs: list[tuple[int, BlobFeature]] = field(default_factory=list)  # this GOP's
+    records: dict[int, TrackRecord] = field(default_factory=dict)  # unreleased, by frame
+    held: list[TrackRecord] = field(default_factory=list)  # a candidate's, until it classifies
+
+
+class Tracker:
+    """One tracking pass over an MBFS stream, fed one frame at a time.
+
+    ``feed(frame)`` processes a frame and returns the records it released,
+    sorted by (frame, id); ``finish()`` returns the rest at end of stream.
+    ``background`` is the stream's ``BackgroundChunk``, or None to take the
+    first I-frame as the reference. ``events`` grows as frames are fed.
+    """
+
+    def __init__(self, header, background, config: TrackerConfig | None = None):
+        self.header = header
+        self.background = background.rgb if background is not None else None
+        self.cfg = config or TrackerConfig()
+        self.tracker = EntityTracker(self.cfg.psmf)
+        self.units: dict[int, _Unit] = {}
         self.events: list[TrackEvent] = []
-        self.records: list[TrackRecord] = []
-        self.pending: list[TrackRecord] = []
-        self.candidate_buf: dict[int, list[TrackRecord]] = defaultdict(list)
-        self.unit_frame_rec: dict[int, dict[int, TrackRecord]] = defaultdict(dict)
-        self.gop_blobs: dict[int, list[tuple[int, BlobFeature]]] = defaultdict(list)
-        self.anchors: dict[int, tuple[int, BlobFeature, bool]] = {}
+        self.pending: list[TrackRecord] = []  # committed, not yet released
         self.timers = {s: 0.0 for s in STAGES}
         self.decoded_blocks = 0
         self.total_blocks = 0
-        self.on_emit = on_emit
+        self.last_index = 0
 
-    # -- record plumbing ---------------------------------------------------
+    def feed(self, frame) -> list[TrackRecord]:
+        """Process the next frame; return the records it released."""
+        i = self.last_index = frame.frame_index
+        if frame.kind == "I":
+            if self.background is None:
+                # No reference shipped: the first I-frame is the reference.
+                t0 = time.perf_counter()
+                self.background = decode_full(frame.intra_payload)
+                self.timers["partial_decode"] += time.perf_counter() - t0
+            self._iframe(frame)
+        else:
+            self._pframe(frame)
+        # The flush policy. GOP mode releases at each I-frame everything
+        # before it, once refinement has rewritten its GOP; live mode
+        # releases at each P-frame everything up to it and rewrites nothing
+        # already released.
+        if self.cfg.live == (frame.kind == "P"):
+            return self._release(i + 1 if self.cfg.live else i)
+        return []
 
-    def _register(self, rec: TrackRecord) -> None:
-        self.unit_frame_rec[rec.object_id][rec.frame_index] = rec
+    def finish(self) -> list[TrackRecord]:
+        """End of stream: log what stays unresolved; return every record left."""
+        last = self.last_index
+        for oid in sorted(self.tracker.occlusions):
+            if self.tracker.occlusions[oid].confirmed_split:
+                self.events.append(TrackEvent(last, "identity_unresolved",
+                                              {"occlusion_id": oid}))
+        for uid, state, _, _ in self._tracked():
+            if state == "Candidate":
+                self.events.append(TrackEvent(last, "candidate_dropped_eos",
+                                              {"object_id": uid}))
+        return self._release(None)
 
-    def _drop_unit(self, uid: int) -> None:
-        self.candidate_buf.pop(uid, None)
-        self.unit_frame_rec.pop(uid, None)
-        self.gop_blobs.pop(uid, None)
-        self.anchors.pop(uid, None)
+    # -- units and records ---------------------------------------------------
 
-    def _flush(self, upto_frame: int | None, emitted_after: int) -> None:
-        """Release pending records with frame < upto_frame (None = all)."""
+    def _tracked(self):
+        """(id, record state, entity or None, region) of every id the tracker
+        follows: its entities, then its occlusions that have not split."""
+        tr = self.tracker
+        for eid in sorted(tr.entities):
+            e = tr.entities[eid]
+            yield eid, _STATE[e.label], e, e.region
+        for oid in sorted(tr.occlusions):
+            o = tr.occlusions[oid]
+            if not o.confirmed_split:  # fragments are real objects now; they emit
+                yield oid, "Occluded", None, o.region
+
+    def _commit(self, unit: _Unit, rec: TrackRecord) -> None:
+        self.pending.append(rec)
+        unit.records[rec.frame_index] = rec
+
+    def _release(self, upto_frame: int | None) -> list[TrackRecord]:
+        """Pending records with frame < upto_frame (None = all), sorted."""
         if upto_frame is None:
-            batch = self.pending
-            keep = []
+            batch, self.pending = self.pending, []
         else:
             batch = [r for r in self.pending if r.frame_index < upto_frame]
-            keep = [r for r in self.pending if r.frame_index >= upto_frame]
-        if not batch:
-            self.pending = keep
-            return
+            self.pending = [r for r in self.pending if r.frame_index >= upto_frame]
         batch.sort(key=lambda r: (r.frame_index, r.object_id))
-        self.records.extend(batch)
-        self.pending = keep
         for r in batch:
-            frames = self.unit_frame_rec.get(r.object_id)
-            if frames is not None:
-                frames.pop(r.frame_index, None)
-        if self.on_emit is not None:
-            self.on_emit(emitted_after, list(batch))
+            unit = self.units.get(r.object_id)
+            if unit is not None:
+                unit.records.pop(r.frame_index, None)
+        return batch
 
     # -- P-frame -------------------------------------------------------------
 
-    def process_pframe(self, frame) -> None:
+    def _pframe(self, frame) -> None:
         timers = self.timers
+        i = frame.frame_index
         t0 = time.perf_counter()
         groups = cluster_blocks(frame)
         t1 = time.perf_counter()
         active = spatial_filter(groups, enabled=self.cfg.psmf.enable_spatial_filter)
         t2 = time.perf_counter()
-        step_events = self.tracker.step(active, frame.frame_index)
+        step_events = self.tracker.step(active, i)
         t3 = time.perf_counter()
         self.events.extend(step_events)
-        self._apply_step_events(step_events, frame.frame_index)
-        self._emit_frame_records(frame.frame_index)
+        for ev in step_events:
+            if ev.kind == "classified" and ev.data["label"] == Label.REAL.value:
+                unit = self.units[ev.data["object_id"]]
+                if not ev.data["is_fragment"]:
+                    for rec in unit.held:
+                        self._commit(unit, rec)
+                # else the occlusion's records already cover these frames
+                unit.held = []
+            elif ev.kind == "disocclusion":
+                # Each fragment starts afresh: the occlusion's records covered its past.
+                for fid in ev.data["fragment_ids"]:
+                    blob = BlobFeature.from_grid_region(self.tracker.entities[fid].region)
+                    self.units[fid] = _Unit((i, blob, False))
+        self._observe(i)
         t4 = time.perf_counter()
         timers["cluster"] += t1 - t0
         timers["filter"] += t2 - t1
         timers["step"] += t3 - t2
         timers["emit"] += t4 - t3
-        if self.cfg.live:
-            self._flush(frame.frame_index + 1, frame.frame_index)
 
-    def _apply_step_events(self, step_events: list[TrackEvent], frame_index: int) -> None:
-        tr = self.tracker
-        for ev in step_events:
-            if ev.kind == "seed":
-                eid = ev.data["object_id"]
-                e = tr.entities[eid]
-                self.anchors[eid] = (frame_index, BlobFeature.from_grid_region(e.region), False)
-            elif ev.kind == "classified":
-                eid = ev.data["object_id"]
-                if ev.data["label"] == Label.REAL.value:
-                    buffered = self.candidate_buf.pop(eid, [])
-                    if ev.data.get("is_fragment"):
-                        # The occlusion entity covered these frames already.
-                        for r in buffered:
-                            self.unit_frame_rec[eid].pop(r.frame_index, None)
-                    else:
-                        self.pending.extend(buffered)
-                else:
-                    self._drop_unit(eid)
-            elif ev.kind in ("merged", "occluded_single", "stale_retired"):
-                uid = ev.data.get("object_id", ev.data.get("fragment_id"))
-                self._drop_unit(uid)
-            elif ev.kind == "reunion":
-                for fid in ev.data["fragment_ids"]:
-                    self._drop_unit(fid)
-            elif ev.kind == "occlusion_begin":
-                oid = ev.data["occlusion_id"]
-                o = tr.occlusions[oid]
-                self.anchors[oid] = (frame_index, BlobFeature.from_grid_region(o.region), False)
-            elif ev.kind == "occlusion_merge":
-                self._drop_unit(ev.data["absorbed"])
-            elif ev.kind == "disocclusion":
-                for fid in ev.data["fragment_ids"]:
-                    f = tr.entities[fid]
-                    self.candidate_buf.pop(fid, None)  # covered by occlusion records
-                    self.unit_frame_rec[fid].clear()
-                    self.anchors[fid] = (
-                        frame_index, BlobFeature.from_grid_region(f.region), False,
-                    )
-                    self.gop_blobs[fid] = []
-
-    def _emit_frame_records(self, frame_index: int) -> None:
-        tr = self.tracker
-        for eid in sorted(tr.entities):
-            e = tr.entities[eid]
-            blob = BlobFeature.from_grid_region(e.region)
-            self.gop_blobs[eid].append((frame_index, blob))
-            if e.label is Label.CANDIDATE:
-                rec = TrackRecord.from_blob(frame_index, eid, blob, "Candidate")
-                self.candidate_buf[eid].append(rec)
-                self._register(rec)
-            elif e.label is Label.REAL:
-                rec = TrackRecord.from_blob(frame_index, eid, blob, "Real")
-                self.pending.append(rec)
-                self._register(rec)
-        for oid in sorted(tr.occlusions):
-            o = tr.occlusions[oid]
-            if o.confirmed_split:
-                continue  # fragments are real objects now; they emit
-            blob = BlobFeature.from_grid_region(o.region)
-            self.gop_blobs[oid].append((frame_index, blob))
-            rec = TrackRecord.from_blob(frame_index, oid, blob, "Occluded")
-            self.pending.append(rec)
-            self._register(rec)
+    def _observe(self, i: int) -> None:
+        """Give the units to the tracker's ids as they stand after the step at
+        P-frame i, and record each one's macroblock blob there."""
+        units = {}
+        for uid, state, _, region in self._tracked():
+            blob = BlobFeature.from_grid_region(region)
+            unit = units[uid] = self.units.get(uid) or _Unit((i, blob, False))
+            unit.blobs.append((i, blob))
+            rec = TrackRecord.from_blob(i, uid, blob, state)
+            if state == "Candidate":
+                unit.held.append(rec)
+            else:
+                self._commit(unit, rec)
+        self.units = units
 
     # -- I-frame ---------------------------------------------------------------
 
-    def process_iframe(self, frame, background: np.ndarray, frame_w: int,
-                       frame_h: int) -> None:
+    def _iframe(self, frame) -> None:
         payload = frame.intra_payload
         i = frame.frame_index
+        frame_w, frame_h = self.header.width_px, self.header.height_px
         self.total_blocks += payload.blocks_per_plane
 
         # Every unit's rect is known before any refinement runs, so one
         # batch decodes them all; full decode is a batch of one full frame.
-        plans = [p for p in map(self._plan_unit, self._refinable_units()) if p is not None]
-        rects = [refine_rect(blobs, anchor, frame_w, frame_h) for *_, blobs, anchor in plans]
+        plans = [(uid, state, e, self.units[uid])
+                 for uid, state, e, _ in self._tracked() if state != "Candidate"]
+        rects = [refine_rect(u.blobs, u.anchor, frame_w, frame_h) for *_, u in plans]
         t0 = time.perf_counter()
         if self.cfg.full_decode:
             (full,), stats = decode_region_partial(
-                payload, [(0, 0, frame_w, frame_h)], background)
+                payload, [(0, 0, frame_w, frame_h)], self.background)
             tiles = [PixelTile((x, y, w, h), full.pixels[y : y + h, x : x + w])
                      for x, y, w, h in rects]
             self.decoded_blocks += stats.blocks_decoded
         elif rects:
-            tiles, stats = decode_region_partial(payload, rects, background)
+            tiles, stats = decode_region_partial(payload, rects, self.background)
             self.decoded_blocks += stats.blocks_decoded
         else:
             tiles = []
@@ -264,46 +286,17 @@ class _Run:
 
         posterior_hues: dict[int, object] = {}
         for plan, tile in zip(plans, tiles):
-            self._refine_unit(*plan, tile, background, i, posterior_hues)
+            self._refine_unit(*plan, tile, i, posterior_hues)
 
         t0 = time.perf_counter()
         self._resolve_pending_identities(posterior_hues, i)
         self.timers["occlusion"] += time.perf_counter() - t0
 
-        if not self.cfg.live:
-            self._flush(i, i)
-
-    def _refinable_units(self):
-        tr = self.tracker
-        units = []
-        for eid in sorted(tr.entities):
-            e = tr.entities[eid]
-            if e.label is Label.REAL:
-                units.append((eid, "Real", e))
-        for oid in sorted(tr.occlusions):
-            o = tr.occlusions[oid]
-            if not o.confirmed_split:
-                units.append((oid, "Occluded", None))
-        return units
-
-    def _plan_unit(self, unit):
-        """(uid, state, entity, GOP blobs, anchor) for one refinable unit,
-        or None when the unit has neither blobs nor an anchor."""
-        uid = unit[0]
-        blobs = self.gop_blobs.get(uid, [])
-        anchor = self.anchors.get(uid)
-        if anchor is None:
-            if not blobs:
-                return None
-            anchor = (blobs[0][0], blobs[0][1], False)
-        if not blobs:
-            blobs = [(anchor[0], anchor[1])]
-        return (*unit, blobs, anchor)
-
-    def _refine_unit(self, uid, state, entity, blobs, anchor, tile, background,
-                     i, posterior_hues) -> None:
+    def _refine_unit(self, uid, state, entity, unit: _Unit, tile, i,
+                     posterior_hues) -> None:
         t0 = time.perf_counter()
-        result = refine_object(uid, tile, background, self.cfg.refine, blobs, anchor, i)
+        result = refine_object(uid, tile, self.background, self.cfg.refine,
+                               unit.blobs, unit.anchor, i)
         self.timers["subtract"] += time.perf_counter() - t0
 
         if not result.refined:
@@ -312,19 +305,18 @@ class _Run:
         else:
             if result.unanchored and result.rewrites:
                 self.events.append(TrackEvent(i, "unanchored_interpolation",
-                                              {"object_id": uid, "anchor_frame": anchor[0]}))
+                                              {"object_id": uid,
+                                               "anchor_frame": unit.anchor[0]}))
             t0 = time.perf_counter()
-            frames_map = self.unit_frame_rec.get(uid, {})
             for f, blob in result.rewrites.items():
-                rec = frames_map.get(f)
+                rec = unit.records.get(f)
                 if rec is not None:
                     rec.set_blob(blob)
                     rec.refined = True
             self.timers["interpolate"] += time.perf_counter() - t0
 
-        rec = TrackRecord.from_blob(i, uid, result.blob, state, refined=result.refined)
-        self.pending.append(rec)
-        self._register(rec)
+        self._commit(unit, TrackRecord.from_blob(i, uid, result.blob, state,
+                                                 refined=result.refined))
 
         t0 = time.perf_counter()
         if entity is not None and result.refined:
@@ -335,8 +327,8 @@ class _Run:
         # Hue exists for identity priors, so it counts as occlusion work.
         self.timers["occlusion"] += time.perf_counter() - t0
 
-        self.anchors[uid] = (i, result.blob, result.refined)
-        self.gop_blobs[uid] = []
+        unit.anchor = (i, result.blob, result.refined)
+        unit.blobs = []
 
     def _resolve_pending_identities(self, posterior_hues: dict, i: int) -> None:
         tr = self.tracker
@@ -363,14 +355,11 @@ class _Run:
                 self.events.append(TrackEvent(i, "identity_by_exclusion",
                                               {"fragment_id": fid, "object_id": mid}))
 
+            # The fragment's unit carries on under the member's id.
             for fid, mid in sorted(assignment.items()):
-                frames_map = self.unit_frame_rec.pop(fid, {})
-                for rec in frames_map.values():
+                unit = self.units[mid] = self.units.pop(fid)
+                for rec in unit.records.values():
                     rec.object_id = mid
-                self.unit_frame_rec[mid].update(frames_map)
-                if fid in self.anchors:
-                    self.anchors[mid] = self.anchors.pop(fid)
-                self.gop_blobs[mid] = self.gop_blobs.pop(fid, [])
 
             self.events.append(TrackEvent(i, "identity_assigned", {
                 "occlusion_id": oid,
@@ -386,20 +375,6 @@ class _Run:
                 if member is not None and fid in posterior_hues:
                     member.prior_hue = posterior_hues[fid]
 
-    # -- end of stream -----------------------------------------------------
-
-    def finish(self, last_frame_index: int) -> None:
-        for oid in sorted(self.tracker.occlusions):
-            o = self.tracker.occlusions[oid]
-            if o.confirmed_split:
-                self.events.append(TrackEvent(last_frame_index, "identity_unresolved",
-                                              {"occlusion_id": oid}))
-        for eid in sorted(self.candidate_buf):
-            self.events.append(TrackEvent(last_frame_index, "candidate_dropped_eos",
-                                          {"object_id": eid}))
-        self.candidate_buf.clear()
-        self._flush(None, last_frame_index)
-
 
 def run_tracker(source, config: TrackerConfig | None = None,
                 on_emit=None) -> TrackResult:
@@ -409,41 +384,32 @@ def run_tracker(source, config: TrackerConfig | None = None,
     is streamed frame by frame, never read whole, so apart from the records
     and events it returns, memory does not grow with the length of the
     stream. Returns records, events, and run metrics. ``on_emit(after_frame,
-    batch)`` observes each release of buffered records.
+    batch)`` observes each release of buffered records as it happens, so
+    a ``StreamError`` raised later leaves every earlier batch with the
+    caller.
     """
-    config = config or TrackerConfig()
+    records: list[TrackRecord] = []
+
+    def collect(after_frame: int, batch: list[TrackRecord]) -> None:
+        if batch:
+            records.extend(batch)
+            if on_emit is not None:
+                on_emit(after_frame, batch)
+
     with open_source(source) as source:
         t_start = time.perf_counter()
-        run = _Run(config, on_emit=on_emit)
-
-        t0 = time.perf_counter()
-        header, background_chunk, frames = read_stream(source)
-        run.timers["parse"] += time.perf_counter() - t0
-
-        background = background_chunk.rgb if background_chunk is not None else None
-        last_index = 0
-
+        header, background, frames = read_stream(source)
+        parse_s = time.perf_counter() - t_start
+        tracker = Tracker(header, background, config)
+        tracker.timers["parse"] += parse_s
         while True:
             t0 = time.perf_counter()
-            try:
-                frame = next(frames)
-            except StopIteration:
-                run.timers["parse"] += time.perf_counter() - t0
+            frame = next(frames, None)
+            tracker.timers["parse"] += time.perf_counter() - t0
+            if frame is None:
                 break
-            run.timers["parse"] += time.perf_counter() - t0
-            last_index = frame.frame_index
-
-            if frame.kind == "I":
-                if background is None:
-                    # No reference shipped: the first I-frame is the reference.
-                    t0 = time.perf_counter()
-                    background = decode_full(frame.intra_payload)
-                    run.timers["partial_decode"] += time.perf_counter() - t0
-                run.process_iframe(frame, background, header.width_px, header.height_px)
-            else:
-                run.process_pframe(frame)
-
-    run.finish(last_index)
+            collect(frame.frame_index, tracker.feed(frame))
+    collect(tracker.last_index, tracker.finish())
     total = time.perf_counter() - t_start
 
     metrics = {
@@ -451,12 +417,12 @@ def run_tracker(source, config: TrackerConfig | None = None,
         "total_seconds": total,
         "frames_per_second": header.frame_count / total if total > 0 else float("inf"),
         "blocks_decoded_ratio": (
-            run.decoded_blocks / run.total_blocks if run.total_blocks else 0.0
+            tracker.decoded_blocks / tracker.total_blocks if tracker.total_blocks else 0.0
         ),
-        "stage_seconds": dict(run.timers),
+        "stage_seconds": dict(tracker.timers),
         "evaluation": None,
     }
-    return TrackResult(records=run.records, events=run.events, metrics=metrics,
+    return TrackResult(records=records, events=tracker.events, metrics=metrics,
                        header=header)
 
 

@@ -62,3 +62,49 @@ def test_synthesize_encodes_each_frame_through_the_names_synth_patches(bench_mod
                         "mbtrack.scene:encode_p_frame": counted("P", scene.encode_p_frame)}):
         scene.synthesize(script)
     assert calls == ["I" if i % script.gop_len == 0 else "P" for i in range(20)]
+
+
+def test_gop_clock_cuts_after_each_gop_release(bench_modules, monkeypatch):
+    """``GopClock`` marks when the tracker asks for the frame after an
+    I-frame. Its segments are per-GOP costs only if the I-frame's release
+    of records (``on_emit``) comes before that mark."""
+    from mbtrack import pipeline
+
+    spans, workloads = bench_modules
+    log = []
+
+    def logged_probe_mark():
+        log.append(("mark", None))
+        return 0.0, 1.0, 0.0
+
+    monkeypatch.setattr(spans, "probe_mark", logged_probe_mark)
+    read_stream = pipeline.read_stream
+
+    def logged_read_stream(source):
+        header, background, frames = read_stream(source)
+
+        def logged():
+            for frame in frames:
+                log.append((frame.kind, frame.frame_index))
+                yield frame
+        return header, background, logged()
+
+    monkeypatch.setattr(pipeline, "read_stream", logged_read_stream)
+    data, _ = synthesize(crossing_scene())
+    clock = spans.GopClock()  # wraps the logged reader
+    with clock.install():
+        clock.run(lambda: run_tracker(data, workloads.WORKLOADS["lanes-noisy"].config(),
+                                      on_emit=lambda after, _: log.append(("release", after))))
+
+    iframes = [i for kind, i in log if kind == "I"]
+    marks = [k for k, (kind, _) in enumerate(log) if kind == "mark"]
+    assert len(clock.marks) == len(marks) == len(iframes) + 2
+    assert marks[0] == 0 and marks[-1] == len(log) - 1
+    released_at_iframes = 0
+    for i in iframes:
+        start = log.index(("I", i))
+        cut = next(k for k in marks if k > start)
+        releases = [k for k, entry in enumerate(log) if entry == ("release", i)]
+        assert all(start < k < cut for k in releases), i
+        released_at_iframes += len(releases)
+    assert released_at_iframes >= 10

@@ -1,14 +1,23 @@
 """End-to-end tracking runs, emission contract, evaluation, CLI round trips."""
 
+import colorsys
+import importlib.util
 import io
 import json
+import os
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbtrack.cli import main
+from mbtrack.filtering import PsmfConfig
 from mbtrack.pipeline import (
+    Tracker,
     TrackerConfig,
     evaluate,
     load_records_jsonl,
@@ -26,6 +35,9 @@ from mbtrack.scene import (
     load_ground_truth,
     synthesize,
 )
+from mbtrack.stream import StreamError, read_stream
+
+from reference_pipeline import reference_run
 
 CHECKER = {"type": "checker", "colors": [[200, 30, 30], [150, 20, 20]], "tile": 8}
 
@@ -237,6 +249,96 @@ class TestFullDecodeMode:
         assert partial.metrics["blocks_decoded_ratio"] < 0.5
 
 
+def checker(hue):
+    """Two-tone 8 px checker of one hue."""
+    tones = [colorsys.hsv_to_rgb(hue, 0.85, v) for v in (0.8, 0.6)]
+    return {"type": "checker", "tile": 8,
+            "colors": [[round(255 * c) for c in rgb] for rgb in tones]}
+
+
+@st.composite
+def crossing_scenes(draw):
+    """2-4 objects crossing a 240x128 canvas in both directions, each
+    appearing and vanishing at its own frame, over feature noise."""
+    n = draw(st.integers(2, 4))
+    frames = draw(st.integers(48, 96))
+    objs = []
+    for k in range(n):
+        w, h = draw(st.sampled_from([32, 40, 48])), draw(st.sampled_from([32, 40, 48]))
+        y = draw(st.integers(32, 96))
+        x0, x1 = (32, 208) if k % 2 == 0 else (208, 32)
+        first, last = draw(st.integers(0, 12)), draw(st.integers(frames * 2 // 3, frames - 1))
+        objs.append(SceneObject(id=k + 1, w=w, h=h, fill=checker(k / n),
+                                path=[Waypoint(first, x0, y), Waypoint(last, x1, y)]))
+    noise = NoiseSpec(p_isolated=draw(st.sampled_from([0.01, 0.02, 0.05])),
+                      p_cluster=draw(st.sampled_from([0.005, 0.05, 0.3])),
+                      rng_seed=draw(st.integers(0, 2**16)))
+    return SceneScript(width=240, height=128, frame_count=frames, gop_len=8,
+                       objects=objs, noise=noise)
+
+
+def as_dicts(items):
+    return [x.to_json_dict() for x in items]
+
+
+def lanes_scene(frames):
+    """The benchmark's lanes-noisy scene (``bench/workloads.py``) at any length."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    return workloads.lanes_script(workloads.NOISE_SEED, frames)
+
+
+class TestTracker:
+    @settings(max_examples=40, deadline=None)
+    @given(crossing_scenes(), st.booleans(), st.booleans(), st.sampled_from([None, 2]))
+    def test_matches_the_reference_run(self, script, live, full_decode, stale_limit):
+        data, _ = synthesize(script)
+        config = TrackerConfig(psmf=PsmfConfig(stale_limit=stale_limit),
+                               live=live, full_decode=full_decode)
+        got_batches, want_batches = [], []
+        got = run_tracker(data, config, on_emit=lambda after, batch: got_batches.append(
+            (after, as_dicts(batch))))
+        records, events = reference_run(data, config, on_emit=lambda after, batch: (
+            want_batches.append((after, as_dicts(batch)))))
+        assert as_dicts(got.records) == as_dicts(records)
+        assert as_dicts(got.events) == as_dicts(events)
+        assert got_batches == want_batches
+
+    @pytest.mark.parametrize("script", [crossing_scene, lambda: lanes_scene(800)],
+                             ids=["crossing", "lanes-800"])
+    def test_units_live_exactly_as_long_as_tracker_ids(self, script):
+        data, _ = synthesize(script())
+        header, background, frames = read_stream(data)
+        tracker = Tracker(header, background)
+        tr = tracker.tracker
+        for frame in frames:
+            tracker.feed(frame)
+            live = set(tr.entities) | {oid for oid, o in tr.occlusions.items()
+                                       if not o.confirmed_split}
+            assert set(tracker.units) == live, frame.frame_index
+        tracker.finish()
+        assert set(tracker.units) == live
+        assert tracker.events and not tracker.pending
+
+    @pytest.mark.parametrize("live", [False, True], ids=["gop", "live"])
+    def test_stream_error_leaves_every_released_batch_with_the_caller(self, live):
+        data, _ = synthesize(crossing_scene())
+        buf = io.BytesIO(data)
+        _, _, frames = read_stream(buf)
+        ends = [buf.tell() for _ in frames]  # the reader stops at each frame's end
+        late = 150  # a P-frame in the second-to-last GOP
+        config = TrackerConfig(live=live)
+        full, cut = [], []
+        run_tracker(data, config, on_emit=lambda a, b: full.append((a, as_dicts(b))))
+        with pytest.raises(StreamError):
+            run_tracker(data[: (ends[late - 1] + ends[late]) // 2], config,
+                        on_emit=lambda a, b: cut.append((a, as_dicts(b))))
+        assert len(cut) >= 10
+        assert cut == [(a, b) for a, b in full if a < late]
+
+
 def gt(frame, oid, cx, cy, h=10.0, w=10.0, occluded=False):
     return GroundTruthRecord(frame, oid, cx, cy, h, w, occluded)
 
@@ -385,3 +487,19 @@ class TestCli:
         assert states[5] == "Real" and states[3] == "Candidate"
         # live mode refines the I-frame in hand but never rewrites the past
         assert all(r.frame_index % 8 == 0 for r in records if r.refined)
+
+    def test_overlay_needs_a_regular_input_file(self, tmp_path):
+        stream = tmp_path / "scene.mbfs"
+        stream.write_bytes(synthesize(single_object_scene(frame_count=16))[0])
+        out = tmp_path / "traj.jsonl"
+        read_end, write_end = os.pipe()
+        os.close(write_end)  # the pipe is at end of file: a regression fails, never hangs
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["track", "--input", f"/dev/fd/{read_end}", "--out", str(out),
+                      "--overlay", str(tmp_path / "overlay")])
+        finally:
+            os.close(read_end)
+        assert exit_info.value.code == 2
+        assert not out.exists()
+        assert not (tmp_path / "overlay").exists()
