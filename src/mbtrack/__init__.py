@@ -13,6 +13,7 @@ from .filtering import (
     Entity,
     EntityTracker,
     Label,
+    OcclusionGroup,
     PsmfConfig,
     classify_entity,
     cluster_blocks,
@@ -31,7 +32,6 @@ from .intra import (
 )
 from .occlusion import (
     HueHistogram,
-    OcclusionGroup,
     hue_histogram,
     match_identities,
 )

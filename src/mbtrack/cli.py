@@ -46,20 +46,23 @@ def _cmd_track(args, parser) -> int:
     if args.overlay and not os.path.isfile(args.input):
         # A pipe or other one-pass input is spent once tracking has read it.
         parser.error("--overlay re-reads the stream, so --input must be a regular file")
-    config = TrackerConfig(
-        psmf=PsmfConfig(
-            psi=args.psi,
-            omega=args.omega,
-            enable_spatial_filter=not args.no_spatial_filter,
-        ),
-        refine=RefineConfig(
-            epsilon=args.epsilon,
-            min_component_area=args.min_area,
-            morph_radius=args.morph_radius,
-        ),
-        full_decode=args.full_decode,
-        live=args.live,
-    )
+    try:
+        config = TrackerConfig(
+            psmf=PsmfConfig(
+                psi=args.psi,
+                omega=args.omega,
+                enable_spatial_filter=not args.no_spatial_filter,
+            ),
+            refine=RefineConfig(
+                epsilon=args.epsilon,
+                min_component_area=args.min_area,
+                morph_radius=args.morph_radius,
+            ),
+            full_decode=args.full_decode,
+            live=args.live,
+        )
+    except ValueError as exc:  # a parameter out of range: a usage error
+        parser.error(str(exc))
     result = run_tracker(args.input, config)
 
     write_records_jsonl(result.records, args.out)
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--overlay", help="directory for annotated PPM frames"
                                       " (--input must be a regular file)")
     pt.add_argument("--psi", type=int, default=8,
-                    help="observation window in P-frames (default 8)")
+                    help="observation window in P-frames, at least 2 (default 8)")
     pt.add_argument("--omega", type=float, default=None,
                     help="promotion threshold (default psi*ln 2)")
     pt.add_argument("--epsilon", type=int, default=25,

@@ -19,6 +19,11 @@ strictly below ``omega`` and retired as background otherwise.
 A frame without support freezes the region in place (a virtual copy), so
 a briefly undetected object keeps its footprint. I-frames never reach
 this module; the observation clock only ticks on P-frames.
+
+Real entities whose blobs collide are frozen into one ``OcclusionGroup``
+and tracked as its region. When that region splits, each piece is
+observed as a fragment; once two or more are promoted, the pipeline
+recovers their identities by hue (``occlusion``) at the next I-frame.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 from scipy import ndimage
 
 if TYPE_CHECKING:
-    from .occlusion import HueHistogram, OcclusionGroup
+    from .occlusion import HueHistogram
     from .stream import FrameFeatures
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
@@ -41,7 +46,7 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 GridCell = tuple[int, int]  # (mx, my) macroblock coordinates
 
 
-def _canon(alias: dict, key: tuple) -> tuple:
+def _canon(alias: dict[int, int], key: int) -> int:
     while key in alias:
         key = alias[key]
     return key
@@ -68,12 +73,16 @@ class PsmfConfig:
     # consecutive unsupported P-frames; None keeps paper behavior (never)
 
     def __post_init__(self):
-        if self.psi < 1:
-            raise ValueError("psi must be at least 1")
+        # The seed frame carries no evidence term, so a window needs a
+        # second frame to decide anything.
+        if self.psi < 2:
+            raise ValueError("psi must be at least 2")
         if self.omega is None:
             self.omega = default_omega(self.psi)
-        if self.omega <= 0:
+        if not self.omega > 0:  # also rejects NaN
             raise ValueError("omega must be positive")
+        if self.stale_limit is not None and self.stale_limit < 0:
+            raise ValueError("stale_limit must be at least 0")
 
 
 def _connected(members: frozenset) -> bool:
@@ -188,10 +197,8 @@ class Entity:
     label: Label = Label.CANDIDATE
     train: list[TrainRecord] = field(default_factory=list)
     neglog_sum: float = 0.0
-    detections: int = 1  # observed frames with support; the seed counts
     observed: int = 1  # 1-based observation ordinal
     virtual_streak: int = 0
-    merged_into: int | None = None
     fragment_of: int | None = None  # occlusion id while splitting
     pending_identity: bool = False  # real fragment awaiting hue matching
     prior_hue: "HueHistogram | None" = None
@@ -244,6 +251,22 @@ class TrackEvent:
         return out
 
 
+@dataclass
+class OcclusionGroup:
+    """Two or more objects tracked as one region while their blobs overlap.
+
+    Once the region splits, its fragments are the live entities whose
+    ``fragment_of`` is its id (``EntityTracker.fragments``).
+    """
+
+    id: int
+    member_object_ids: list[int] = field(default_factory=list)
+    # member id -> last refined appearance before contact (None if never taken)
+    prior_hues: dict[int, "HueHistogram | None"] = field(default_factory=dict)
+    region: frozenset = frozenset()
+    confirmed_split: bool = False
+
+
 class EntityTracker:
     """Per-P-frame entity state machine over filtered block groups.
 
@@ -252,21 +275,26 @@ class EntityTracker:
     events it produced. Identity resolution after a confirmed disocclusion
     is driven externally (it needs decoded pixels) via
     ``resolve_identities``.
+
+    Entity and occlusion ids come from one counter, so a tracked unit is
+    keyed by its id alone, whichever kind it is.
     """
 
     def __init__(self, config: PsmfConfig | None = None):
         self.config = config or PsmfConfig()
         self.entities: dict[int, Entity] = {}  # candidates, reals, fragments
         self.frozen: dict[int, Entity] = {}  # occluded members, by id
-        self.occlusions: dict[int, "OcclusionGroup"] = {}
+        self.occlusions: dict[int, OcclusionGroup] = {}
         self._next_id = 1
-
-    # -- id plumbing ------------------------------------------------------
 
     def _new_id(self) -> int:
         i = self._next_id
         self._next_id += 1
         return i
+
+    def fragments(self, oid: int) -> list[Entity]:
+        """The live fragments of occlusion ``oid``, in id order."""
+        return [e for _, e in sorted(self.entities.items()) if e.fragment_of == oid]
 
     # -- one P-frame ------------------------------------------------------
 
@@ -275,19 +303,18 @@ class EntityTracker:
         # Units merged away mid-frame are re-pointed here, so a group that
         # overlaps only the absorbed unit's old region still reaches the
         # absorber instead of seeding a duplicate.
-        alias: dict[tuple, tuple] = {}
+        alias: dict[int, int] = {}
 
         # Region snapshot of every trackable unit. Occlusions with live
         # fragments are represented by the fragments; a confirmed split
         # has handed tracking to the (now real) fragments entirely.
-        unit_region: dict[tuple, frozenset] = {}
-        for e in self.entities.values():
-            unit_region[("e", e.id)] = e.region
+        unit_region: dict[int, frozenset] = {e.id: e.region for e in self.entities.values()}
+        split = {e.fragment_of for e in self.entities.values()}
         for o in self.occlusions.values():
-            if not o.fragment_ids and not o.confirmed_split:
-                unit_region[("o", o.id)] = o.region
+            if o.id not in split and not o.confirmed_split:
+                unit_region[o.id] = o.region
 
-        assignments: dict[tuple, list[BlockGroup]] = defaultdict(list)
+        assignments: dict[int, list[BlockGroup]] = defaultdict(list)
         seeds: list[BlockGroup] = []
 
         for g in active_groups:
@@ -306,8 +333,9 @@ class EntityTracker:
                 )
                 assignments[target].append(g)
 
-        # Seed new candidates from unclaimed groups.
-        seeded_now = set()
+        # Seed new candidates from unclaimed groups, then advance every
+        # entity that was there before.
+        advancing = sorted(self.entities)
         for g in seeds:
             e = Entity(
                 id=self._new_id(),
@@ -316,27 +344,20 @@ class EntityTracker:
                 train=[TrainRecord(g.members, g.members, virtual=False)],
             )
             self.entities[e.id] = e
-            seeded_now.add(e.id)
             events.append(TrackEvent(frame_index, "seed", {"object_id": e.id}))
-
-        # Advance every surviving entity (skip ones seeded this frame).
-        for eid in sorted(self.entities):
-            e = self.entities.get(eid)
-            if e is None or eid in seeded_now:
-                continue
-            gs = assignments.get(("e", eid), [])
-            self._advance(e, gs, frame_index, events)
+        for eid in advancing:
+            self._advance(self.entities[eid], assignments.get(eid, []), frame_index, events)
 
         # Advance occlusion entities that track directly, then reconcile
         # fragment-based occlusions.
-        for oid in sorted(self.occlusions):
-            o = self.occlusions.get(oid)
-            if o is None or o.confirmed_split:
+        for oid, o in sorted(self.occlusions.items()):
+            if o.confirmed_split:
                 continue
-            if o.fragment_ids:
-                self._reconcile_fragments(o, frame_index, events)
+            frags = self.fragments(oid)
+            if frags:
+                self._reconcile_fragments(o, frags, frame_index, events)
             else:
-                gs = assignments.get(("o", oid), [])
+                gs = assignments.get(oid, [])
                 if len(gs) >= 2:
                     self._begin_split(o, gs, frame_index, events)
                 else:
@@ -347,137 +368,96 @@ class EntityTracker:
 
     # -- collision handling ------------------------------------------------
 
-    def _entity_hits(self, hits):
-        return [self.entities[k[1]] for k in hits if k[0] == "e"]
-
     def _resolve_collision(self, g, hits, frame_index, alias, unit_region,
-                           assignments, events) -> tuple:
+                           assignments, events) -> int:
         """Decide who owns a group that overlaps several units."""
         # Reunion first: one group covering >= 2 candidate fragments of the
         # same occlusion means the split was transient.
         frags = defaultdict(list)
-        for e in self._entity_hits(hits):
-            if e.fragment_of is not None and e.label is Label.CANDIDATE:
+        for k in hits:
+            e = self.entities.get(k)
+            if e is not None and e.fragment_of is not None and e.label is Label.CANDIDATE:
                 frags[e.fragment_of].append(e)
         for oid, fs in sorted(frags.items()):
             if len(fs) >= 2:
                 o = self.occlusions[oid]
-                union = frozenset().union(*(f.region for f in fs))
+                o.region = frozenset().union(*(f.region for f in fs))
                 for f in fs:
-                    self._drop_fragment(o, f, alias, ("o", oid))
-                o.region = union
-                unit_region[("o", oid)] = union
+                    del self.entities[f.id]
+                    alias[f.id] = oid
+                unit_region[oid] = o.region
                 events.append(TrackEvent(frame_index, "reunion",
                                          {"occlusion_id": oid,
                                           "fragment_ids": [f.id for f in fs]}))
                 hits = sorted({_canon(alias, k) for k in hits})
 
-        occs = [k for k in hits if k[0] == "o"]
-        ents = self._entity_hits([k for k in hits if k[0] == "e"])
+        occs = [k for k in hits if k in self.occlusions]
+        ents = [self.entities[k] for k in hits if k not in self.occlusions]
         reals = [e for e in ents if e.label is Label.REAL]
         cands = [e for e in ents if e.label is Label.CANDIDATE]
 
         if occs:
             # Everything feeding an existing occlusion joins it; extra
             # occlusions merge into the lowest-id one.
-            oid = occs[0][1]
-            o = self.occlusions[oid]
-            for other_key in occs[1:]:
-                other = self.occlusions.pop(other_key[1])
+            o = self.occlusions[occs[0]]
+            for other_id in occs[1:]:
+                other = self.occlusions.pop(other_id)
                 o.member_object_ids.extend(other.member_object_ids)
                 o.prior_hues.update(other.prior_hues)
-                alias[other_key] = ("o", oid)
-                self._merge_assignments(assignments, other_key, ("o", oid))
+                alias[other_id] = o.id
+                self._merge_assignments(assignments, other_id, o.id)
                 events.append(TrackEvent(frame_index, "occlusion_merge",
-                                         {"occlusion_id": oid, "absorbed": other_key[1]}))
+                                         {"occlusion_id": o.id, "absorbed": other_id}))
             for r in reals:
-                self._freeze_into_occlusion(o, r, alias, assignments, frame_index, events)
-            for c in cands:
-                self._absorb_candidate(c, oid, alias, assignments, ("o", oid),
-                                       frame_index, events)
-            return ("o", oid)
-
-        if len(reals) >= 2:
-            o = self._create_occlusion(reals, frame_index, alias, assignments, events)
-            for c in cands:
-                self._absorb_candidate(c, o.id, alias, assignments, ("o", o.id),
-                                       frame_index, events)
-            return ("o", o.id)
-
-        if len(reals) == 1:
-            r = reals[0]
-            for c in cands:
-                self._absorb_candidate(c, r.id, alias, assignments, ("e", r.id),
-                                       frame_index, events)
-            return ("e", r.id)
-
-        # All candidates: merge into the oldest (lowest seed frame, then id).
-        winner = min(cands, key=lambda e: (e.seed_frame, e.id))
+                self._freeze(o, r, alias, assignments, frame_index, events)
+                events.append(TrackEvent(frame_index, "occlusion_extend",
+                                         {"occlusion_id": o.id, "object_id": r.id}))
+            owner = o.id
+        elif len(reals) >= 2:
+            o = OcclusionGroup(self._new_id(),
+                               region=frozenset().union(*(r.region for r in reals)))
+            for r in reals:
+                self._freeze(o, r, alias, assignments, frame_index, events)
+            self.occlusions[o.id] = o
+            events.append(TrackEvent(frame_index, "occlusion_begin",
+                                     {"occlusion_id": o.id,
+                                      "member_object_ids": list(o.member_object_ids)}))
+            owner = o.id
+        elif reals:
+            owner = reals[0].id
+        else:
+            # All candidates: merge into the oldest (lowest seed frame, then id).
+            owner = min(cands, key=lambda e: (e.seed_frame, e.id)).id
         for c in cands:
-            if c is not winner:
-                self._absorb_candidate(c, winner.id, alias, assignments,
-                                       ("e", winner.id), frame_index, events)
-        return ("e", winner.id)
+            if c.id != owner:
+                self._absorb_candidate(c, owner, alias, assignments, frame_index, events)
+        return owner
 
     @staticmethod
-    def _merge_assignments(assignments, src_key, dst_key):
-        if src_key in assignments:
-            assignments[dst_key].extend(assignments.pop(src_key))
+    def _merge_assignments(assignments, src, dst):
+        if src in assignments:
+            assignments[dst].extend(assignments.pop(src))
 
-    def _absorb_candidate(self, c: Entity, into_id: int, alias, assignments,
-                          dst_key, frame_index, events):
-        c.merged_into = into_id
+    def _absorb_candidate(self, c: Entity, into: int, alias, assignments,
+                          frame_index, events):
         del self.entities[c.id]
-        alias[("e", c.id)] = dst_key
-        self._merge_assignments(assignments, ("e", c.id), dst_key)
-        if c.fragment_of is not None and c.fragment_of in self.occlusions:
-            o = self.occlusions[c.fragment_of]
-            if c.id in o.fragment_ids:
-                o.fragment_ids.remove(c.id)
-        events.append(TrackEvent(frame_index, "merged",
-                                 {"object_id": c.id, "into": into_id}))
+        alias[c.id] = into
+        self._merge_assignments(assignments, c.id, into)
+        events.append(TrackEvent(frame_index, "merged", {"object_id": c.id, "into": into}))
 
-    def _freeze_into_occlusion(self, o, r: Entity, alias, assignments,
-                               frame_index, events):
-        from .occlusion import snapshot_prior  # local import to avoid a cycle
-
+    def _freeze(self, o: OcclusionGroup, r: Entity, alias, assignments,
+                frame_index, events):
+        """Move real entity ``r`` into occlusion ``o``, keeping its last
+        refined appearance as its identity prior."""
         o.member_object_ids.append(r.id)
-        snapshot_prior(o, r, frame_index, events)
+        o.prior_hues[r.id] = r.prior_hue
+        if r.prior_hue is None:
+            events.append(TrackEvent(frame_index, "prior_capture_failed",
+                                     {"occlusion_id": o.id, "object_id": r.id}))
         r.label = Label.OCCLUDED
-        self.frozen[r.id] = r
-        del self.entities[r.id]
-        alias[("e", r.id)] = ("o", o.id)
-        self._merge_assignments(assignments, ("e", r.id), ("o", o.id))
-        events.append(TrackEvent(frame_index, "occlusion_extend",
-                                 {"occlusion_id": o.id, "object_id": r.id}))
-
-    def _create_occlusion(self, reals, frame_index, alias, assignments, events):
-        from .occlusion import OcclusionGroup, snapshot_prior
-
-        oid = self._new_id()
-        o = OcclusionGroup(id=oid, member_object_ids=[], prior_hues={},
-                           region=frozenset().union(*(r.region for r in reals)),
-                           start_frame=frame_index)
-        for r in reals:
-            o.member_object_ids.append(r.id)
-            snapshot_prior(o, r, frame_index, events)
-            r.label = Label.OCCLUDED
-            self.frozen[r.id] = r
-            del self.entities[r.id]
-            alias[("e", r.id)] = ("o", oid)
-            self._merge_assignments(assignments, ("e", r.id), ("o", oid))
-        self.occlusions[oid] = o
-        events.append(TrackEvent(frame_index, "occlusion_begin",
-                                 {"occlusion_id": oid,
-                                  "member_object_ids": list(o.member_object_ids)}))
-        return o
-
-    def _drop_fragment(self, o, f: Entity, alias=None, dst_key=None):
-        if f.id in o.fragment_ids:
-            o.fragment_ids.remove(f.id)
-        self.entities.pop(f.id, None)
-        if alias is not None and dst_key is not None:
-            alias[("e", f.id)] = dst_key
+        self.frozen[r.id] = self.entities.pop(r.id)
+        alias[r.id] = o.id
+        self._merge_assignments(assignments, r.id, o.id)
 
     # -- per-entity advance -------------------------------------------------
 
@@ -489,8 +469,6 @@ class EntityTracker:
 
         if e.label is Label.CANDIDATE:
             e.observed += 1
-            if supported:
-                e.detections += 1
             e.train.append(TrainRecord(union, e.region, virtual=not supported))
             e.neglog_sum += occurrence_term(e, e.observed)
             if e.observed == self.config.psi:
@@ -499,10 +477,6 @@ class EntityTracker:
             limit = self.config.stale_limit
             if limit is not None and e.virtual_streak > limit:
                 del self.entities[e.id]
-                if e.fragment_of is not None and e.fragment_of in self.occlusions:
-                    o = self.occlusions[e.fragment_of]
-                    if e.id in o.fragment_ids:
-                        o.fragment_ids.remove(e.id)
                 events.append(TrackEvent(frame_index, "stale_retired",
                                          {"object_id": e.id}))
 
@@ -517,79 +491,49 @@ class EntityTracker:
         }))
         if label is Label.BACKGROUND:
             del self.entities[e.id]
-            if e.fragment_of is not None and e.fragment_of in self.occlusions:
-                o = self.occlusions[e.fragment_of]
-                if e.id in o.fragment_ids:
-                    o.fragment_ids.remove(e.id)
 
     # -- occlusion split lifecycle -----------------------------------------
 
-    def _begin_split(self, o, gs: list[BlockGroup], frame_index: int, events):
-        frag_ids = []
-        for g in gs:
-            f = Entity(
-                id=self._new_id(),
-                seed_frame=frame_index,
-                region=g.members,
-                train=[TrainRecord(g.members, g.members, virtual=False)],
-                fragment_of=o.id,
-            )
-            self.entities[f.id] = f
-            frag_ids.append(f.id)
-        o.fragment_ids = frag_ids
+    def _begin_split(self, o: OcclusionGroup, gs: list[BlockGroup], frame_index: int,
+                     events):
+        frags = [Entity(id=self._new_id(), seed_frame=frame_index, region=g.members,
+                        train=[TrainRecord(g.members, g.members, virtual=False)],
+                        fragment_of=o.id)
+                 for g in gs]
+        self.entities.update((f.id, f) for f in frags)
         o.region = frozenset().union(*(g.members for g in gs))
         events.append(TrackEvent(frame_index, "region_split",
-                                 {"occlusion_id": o.id, "fragment_ids": frag_ids}))
+                                 {"occlusion_id": o.id, "fragment_ids": [f.id for f in frags]}))
 
-    def _reconcile_fragments(self, o, frame_index: int, events):
-        live = [self.entities[fid] for fid in o.fragment_ids if fid in self.entities]
-        o.fragment_ids = [f.id for f in live]
-
-        real_frags = [f for f in live if f.label is Label.REAL]
-        candidates = [f for f in live if f.label is Label.CANDIDATE]
-
-        if candidates and not real_frags:
-            if len(live) >= 2:
-                o.region = frozenset().union(*(f.region for f in live))
-                return
-            # The split collapsed during observation.
-            if len(live) == 1:
-                self._dissolve_single_fragment(o, live[0], frame_index, events)
-            else:
-                o.fragment_ids = []
-                events.append(TrackEvent(frame_index, "split_rejected",
-                                         {"occlusion_id": o.id}))
-            return
-
-        # Fragments have classified (they share a seed frame, so together).
-        if len(real_frags) >= 2:
+    def _reconcile_fragments(self, o: OcclusionGroup, frags: list[Entity],
+                             frame_index: int, events):
+        """Follow a split through its fragments, never an empty list. They
+        were seeded together, so they classify together: while they are
+        observed the occlusion's region is their union; two or more
+        promoted confirm the split; a lone one continues the occlusion."""
+        reals = [f for f in frags if f.label is Label.REAL]
+        if not reals and len(frags) >= 2:  # still under observation
+            o.region = frozenset().union(*(f.region for f in frags))
+        elif len(reals) >= 2:
             o.confirmed_split = True
-            for f in real_frags:
+            for f in reals:
                 f.pending_identity = True
-            o.region = frozenset().union(*(f.region for f in real_frags))
+            o.region = frozenset().union(*(f.region for f in reals))
             events.append(TrackEvent(frame_index, "disocclusion", {
                 "occlusion_id": o.id,
-                "fragment_ids": [f.id for f in real_frags],
+                "fragment_ids": [f.id for f in reals],
             }))
-        elif len(real_frags) == 1:
-            self._dissolve_single_fragment(o, real_frags[0], frame_index, events)
         else:
-            o.fragment_ids = []
-            events.append(TrackEvent(frame_index, "split_rejected",
-                                     {"occlusion_id": o.id}))
-
-    def _dissolve_single_fragment(self, o, f: Entity, frame_index: int, events):
-        """One surviving fragment: the occlusion continues as that region."""
-        o.region = f.region
-        o.fragment_ids = []
-        self.entities.pop(f.id, None)
-        events.append(TrackEvent(frame_index, "occluded_single",
-                                 {"occlusion_id": o.id, "fragment_id": f.id}))
+            f = (reals or frags)[0]
+            o.region = f.region
+            del self.entities[f.id]
+            events.append(TrackEvent(frame_index, "occluded_single",
+                                     {"occlusion_id": o.id, "fragment_id": f.id}))
 
     # -- identity resolution (called by the pipeline at I-frames) ----------
 
-    def resolve_identities(self, o, assignment: dict[int, int], frame_index: int,
-                           events) -> None:
+    def resolve_identities(self, o: OcclusionGroup, assignment: dict[int, int],
+                           frame_index: int, events) -> None:
         """Apply a fragment->member id mapping after a confirmed disocclusion.
 
         Matched members resume as real objects carrying the fragment's
@@ -597,6 +541,7 @@ class EntityTracker:
         objects; unmatched members are dropped with a ``member_missing``
         event, never to emit again.
         """
+        frags = self.fragments(o.id)
         for frag_id, member_id in sorted(assignment.items()):
             frag = self.entities.pop(frag_id)
             member = self.frozen.pop(member_id)
@@ -605,19 +550,17 @@ class EntityTracker:
             member.virtual_streak = frag.virtual_streak
             member.pending_identity = False
             self.entities[member.id] = member
-        for fid in o.fragment_ids:
-            if fid in self.entities and fid not in assignment:
-                f = self.entities[fid]
+        for f in frags:
+            if f.id not in assignment:
                 f.fragment_of = None
                 f.pending_identity = False
                 events.append(TrackEvent(frame_index, "new_object_from_fragment",
-                                         {"object_id": fid, "occlusion_id": o.id}))
+                                         {"object_id": f.id, "occlusion_id": o.id}))
         for mid in o.member_object_ids:
             if mid in self.frozen:
                 del self.frozen[mid]
                 events.append(TrackEvent(frame_index, "member_missing",
                                          {"object_id": mid, "occlusion_id": o.id}))
-        o.fragment_ids = []
         del self.occlusions[o.id]
         events.append(TrackEvent(frame_index, "occlusion_closed",
                                  {"occlusion_id": o.id}))

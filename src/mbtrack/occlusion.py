@@ -1,11 +1,12 @@
-"""Occlusion bookkeeping and hue-based identity recovery.
+"""Hue histograms and the identity matching that recovers ids after an
+occlusion.
 
-When the regions of two or more confirmed objects collide they are
-tracked as a single occlusion group. Each member's appearance is
-snapshotted just before contact as a 64-bin hue histogram. When the
-group later splits into fragments that independently re-confirm as
-objects, posterior histograms of the fragments are matched to the
-priors by smallest Euclidean distance and the original ids resume.
+While two or more confirmed objects overlap, the entity tracker
+(``filtering.EntityTracker``) follows them as one occlusion group and
+keeps each member's last 64-bin hue histogram as its prior. When the
+group has split into fragments that re-confirm as objects, this module
+histograms each fragment and matches the posteriors to the priors by
+smallest Euclidean distance, so the original ids resume.
 
 Hue is the standard hexagonal-projection angle in [0, 360): gray pixels
 (max channel == min channel) carry no hue and are excluded. Histograms
@@ -14,13 +15,12 @@ are normalized to sum to 1 over the counted pixels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
-    from .filtering import Entity
     from .intra import PixelTile
 
 HUE_BINS = 64
@@ -113,27 +113,3 @@ def match_identities(priors: dict[int, HueHistogram],
         used_members.add(member_id)
         chosen.append((dist, frag_id, member_id))
     return assignment, chosen
-
-
-@dataclass
-class OcclusionGroup:
-    """Two or more objects tracked as one region while their blobs overlap."""
-
-    id: int
-    member_object_ids: list[int]
-    prior_hues: dict[int, HueHistogram | None]
-    region: frozenset = frozenset()
-    start_frame: int = 0
-    fragment_ids: list[int] = field(default_factory=list)
-    confirmed_split: bool = False
-
-
-def snapshot_prior(o: OcclusionGroup, entity: "Entity", frame_index: int,
-                   events: list) -> None:
-    """Record a member's last refined appearance as its identity prior."""
-    from .filtering import TrackEvent
-
-    o.prior_hues[entity.id] = entity.prior_hue
-    if entity.prior_hue is None:
-        events.append(TrackEvent(frame_index, "prior_capture_failed",
-                                 {"occlusion_id": o.id, "object_id": entity.id}))

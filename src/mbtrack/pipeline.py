@@ -336,7 +336,7 @@ class Tracker:
             o = tr.occlusions[oid]
             if not o.confirmed_split:
                 continue
-            live_frags = [fid for fid in o.fragment_ids if fid in tr.entities]
+            live_frags = [f.id for f in tr.fragments(oid)]
             posteriors = {fid: posterior_hues[fid] for fid in live_frags
                           if fid in posterior_hues}
             priors = {mid: h for mid, h in o.prior_hues.items()

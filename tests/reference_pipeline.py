@@ -5,29 +5,28 @@ that ``Tracker`` and ``run_tracker`` are checked against.
 frame -> record maps, GOP blobs, anchors and the pending list), kept in
 sync by a dispatch over the events of each step, and released records
 through an ``on_emit`` callback of its own. ``reference_run`` is the run
-loop that drove it.
+loop that drove it. It drives the reference ``EntityTracker`` of
+``reference_filtering``, so the new ``Tracker`` and ``EntityTracker`` are
+checked together against the old pair.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import defaultdict
 
 import numpy as np
 
-from mbtrack.filtering import (
-    EntityTracker,
-    Label,
-    TrackEvent,
-    cluster_blocks,
-    spatial_filter,
-)
+from mbtrack.filtering import Label, TrackEvent, cluster_blocks, spatial_filter
 from mbtrack.intra import PixelTile, decode_full
 from mbtrack.intra import decode_regions_partial as decode_region_partial
 from mbtrack.occlusion import hue_histogram, match_identities
 from mbtrack.pipeline import STAGES, TrackerConfig, TrackRecord
 from mbtrack.refinement import BlobFeature, refine_object, refine_rect
 from mbtrack.stream import open_source, read_stream
+
+from reference_filtering import EntityTracker
 
 
 class _Run:
@@ -91,7 +90,11 @@ class _Run:
         t2 = time.perf_counter()
         step_events = self.tracker.step(active, frame.frame_index)
         t3 = time.perf_counter()
-        self.events.extend(step_events)
+        # Payloads as emitted: the reference tracker's region_split event
+        # shares its list with the occlusion's fragment_ids, which the next
+        # step edits in place.
+        self.events.extend(TrackEvent(e.frame_index, e.kind, copy.deepcopy(e.data))
+                           for e in step_events)
         self._apply_step_events(step_events, frame.frame_index)
         self._emit_frame_records(frame.frame_index)
         t4 = time.perf_counter()

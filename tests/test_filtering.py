@@ -22,7 +22,10 @@ from mbtrack.filtering import (
     occurrence_term,
     spatial_filter,
 )
+from mbtrack.occlusion import HUE_BINS, HueHistogram
 from mbtrack.stream import FrameFeatures, MacroblockGrid
+
+import reference_filtering
 
 LN2 = math.log(2.0)
 
@@ -189,10 +192,15 @@ class TestClassification:
         assert classify_entity(e, cfg) is Label.REAL
 
     def test_config_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            PsmfConfig(psi=0)
-        with pytest.raises(ValueError):
-            PsmfConfig(omega=0.0)
+        for kwargs in (
+            {"psi": 0},
+            {"psi": 1},  # the seed alone: no evidence term to decide on
+            {"omega": 0.0},
+            {"omega": math.nan},  # no sum is below NaN: nothing would promote
+            {"stale_limit": -1},  # would retire every real entity at once
+        ):
+            with pytest.raises(ValueError):
+                PsmfConfig(**kwargs)
 
 
 class TestSucceedingRegion:
@@ -305,3 +313,258 @@ class TestEntityTracker:
         assert "disocclusion" in kinds
         for fid in frag_ids:
             assert tr.entities[fid].pending_identity
+
+    def test_real_joining_an_occlusion_extends_it(self):
+        tr = EntityTracker(PsmfConfig(psi=2))
+        a, b, c = row_cells(0, 3), row_cells(9, 12), row_cells(20, 23)
+        for f in (1, 2):
+            tr.step([group(a, f), group(b, f), group(c, f)], f)
+        tr.step([group(row_cells(0, 12), 3), group(c, 3)], 3)
+        (oid,) = tr.occlusions
+        events = tr.step([group(row_cells(0, 23), 4)], 4)
+        extends = [e.data for e in events if e.kind == "occlusion_extend"]
+        assert extends == [{"occlusion_id": oid, "object_id": 3}]
+        assert tr.occlusions[oid].member_object_ids == [1, 2, 3]
+        assert sorted(tr.frozen) == [1, 2, 3] and tr.entities == {}
+
+    def test_colliding_occlusions_merge_into_the_lower_id(self):
+        tr = EntityTracker(PsmfConfig(psi=2))
+        rows = [row_cells(0, 3), row_cells(5, 8), row_cells(20, 23), row_cells(25, 28)]
+        for f in (1, 2):
+            tr.step([group(r, f) for r in rows], f)
+        tr.step([group(row_cells(0, 8), 3), group(row_cells(20, 28), 3)], 3)
+        assert sorted(tr.occlusions) == [5, 6]
+        events = tr.step([group(row_cells(0, 28), 4)], 4)
+        merges = [e.data for e in events if e.kind == "occlusion_merge"]
+        assert merges == [{"occlusion_id": 5, "absorbed": 6}]
+        assert list(tr.occlusions) == [5]
+        assert tr.occlusions[5].member_object_ids == [1, 2, 3, 4]
+        assert tr.occlusions[5].region == frozenset(row_cells(0, 28))
+
+    def test_one_group_over_candidate_fragments_is_a_reunion(self):
+        tr = EntityTracker(PsmfConfig(psi=4))
+        a, b = row_cells(0, 3), row_cells(9, 12)
+        for f in range(1, 5):
+            tr.step([group(a, f), group(b, f)], f)
+        tr.step([group(row_cells(0, 12), 5)], 5)
+        events = tr.step([group(a, 6), group(b, 6)], 6)
+        assert [e.data["fragment_ids"] for e in events if e.kind == "region_split"] == [[4, 5]]
+        events = tr.step([group(row_cells(0, 12), 7)], 7)
+        reunions = [e.data for e in events if e.kind == "reunion"]
+        assert reunions == [{"occlusion_id": 3, "fragment_ids": [4, 5]}]
+        assert tr.entities == {}
+        assert tr.occlusions[3].region == frozenset(row_cells(0, 12))
+
+    def test_region_split_payload_keeps_every_fragment(self):
+        # The event lists the fragments the split made, whatever the next
+        # steps do with them (here a reunion removes both).
+        tr = EntityTracker(PsmfConfig(psi=4))
+        a, b = row_cells(0, 3), row_cells(9, 12)
+        for f in range(1, 5):
+            tr.step([group(a, f), group(b, f)], f)
+        tr.step([group(row_cells(0, 12), 5)], 5)
+        (split,) = [e for e in tr.step([group(a, 6), group(b, 6)], 6)
+                    if e.kind == "region_split"]
+        tr.step([group(row_cells(0, 12), 7)], 7)
+        assert split.data["fragment_ids"] == [4, 5]
+
+    def test_split_leaving_one_fragment_continues_the_occlusion(self):
+        tr = EntityTracker(PsmfConfig(psi=4))
+        a, b = row_cells(0, 3), row_cells(9, 12)
+        for f in range(1, 5):
+            tr.step([group(a, f), group(b, f)], f)
+        tr.step([group(row_cells(0, 12), 5)], 5)
+        tr.step([group(a, 6), group(b, 6)], 6)
+        seen = []
+        for f in (7, 8, 9):  # fragment 5's blob is gone: it classifies background
+            seen += tr.step([group(a, f)], f)
+        single = [e.data for e in seen if e.kind == "occluded_single"]
+        assert single == [{"occlusion_id": 3, "fragment_id": 4}]
+        assert tr.entities == {}
+        assert tr.occlusions[3].region == frozenset(a)
+        assert not tr.occlusions[3].confirmed_split
+
+    def test_real_retires_after_stale_limit_unsupported_frames(self):
+        tr = EntityTracker(PsmfConfig(psi=2, stale_limit=1))
+        for f in (1, 2):
+            tr.step([group(row_cells(0, 3), f)], f)
+        assert tr.step([], 3) == [] and 1 in tr.entities
+        events = tr.step([], 4)
+        assert [(e.kind, e.data) for e in events] == [("stale_retired", {"object_id": 1})]
+        assert tr.entities == {}
+
+    def test_unmatched_fragment_becomes_a_new_object(self):
+        tr, o, frags = disoccluded(members=2, fragments=3)
+        events = []
+        tr.resolve_identities(o, {frags[0]: 1, frags[1]: 2}, 8, events)
+        assert [(e.kind, e.data) for e in events] == [
+            ("new_object_from_fragment", {"object_id": frags[2], "occlusion_id": o.id}),
+            ("occlusion_closed", {"occlusion_id": o.id}),
+        ]
+        assert sorted(tr.entities) == [1, 2, frags[2]]
+        assert tr.entities[1].region == frozenset(row_cells(0, 3))
+        new = tr.entities[frags[2]]
+        assert new.fragment_of is None and not new.pending_identity
+        assert tr.occlusions == {} and tr.frozen == {}
+
+    def test_unmatched_member_goes_missing(self):
+        tr, o, frags = disoccluded(members=3, fragments=2)
+        events = []
+        tr.resolve_identities(o, {frags[0]: 2, frags[1]: 3}, 8, events)
+        assert [(e.kind, e.data) for e in events] == [
+            ("member_missing", {"object_id": 1, "occlusion_id": o.id}),
+            ("occlusion_closed", {"occlusion_id": o.id}),
+        ]
+        assert sorted(tr.entities) == [2, 3]
+        assert tr.entities[2].region == frozenset(row_cells(0, 3))
+        assert all(e.label is Label.REAL and e.fragment_of is None
+                   for e in tr.entities.values())
+        assert tr.occlusions == {} and tr.frozen == {}
+
+
+def disoccluded(members, fragments):
+    """A tracker whose ``members`` real objects collided into one occlusion
+    that split into ``fragments`` blobs, which confirmed as real (psi 2).
+    Returns the tracker, the occlusion and the fragment ids."""
+    tr = EntityTracker(PsmfConfig(psi=2))
+    blobs = [row_cells(6 * k, 6 * k + 3) for k in range(max(members, fragments))]
+    for f in (1, 2):
+        tr.step([group(b, f) for b in blobs[:members]], f)
+    tr.step([group(row_cells(0, 6 * len(blobs) - 3), 3)], 3)
+    (o,) = tr.occlusions.values()
+    events = []
+    for f in (4, 5):
+        events += tr.step([group(b, f) for b in blobs[:fragments]], f)
+    (disocclusion,) = [e for e in events if e.kind == "disocclusion"]
+    assert o.confirmed_split
+    return tr, o, disocclusion.data["fragment_ids"]
+
+
+# -- the tracker against the reference ------------------------------------------
+
+# Every kind an EntityTracker emits: from ``step``, and from
+# ``resolve_identities``, which the pipeline calls at I-frames.
+TRACKER_KINDS = {
+    "seed", "merged", "classified", "stale_retired", "reunion", "occlusion_begin",
+    "occlusion_extend", "occlusion_merge", "prior_capture_failed", "region_split",
+    "disocclusion", "occluded_single", "new_object_from_fragment", "member_missing",
+    "occlusion_closed",
+}
+
+SWEEP_SEEDS = 100
+
+HUE = HueHistogram(np.full(HUE_BINS, 1.0 / HUE_BINS), 1)
+
+
+def random_traffic(seed, rows=12, cols=24):
+    """A random tracking problem: (config, gop, P-frame groups by frame, rng).
+
+    2-5 rects move across a small macroblock grid, bouncing off its edges,
+    so they cross and part again. Each appears and vanishes at its own
+    frame and drops out at random; noise cells, alone or in pairs, can
+    bridge two rects. psi is 2-4 and stale_limit None, 0, 1 or 2. Frames
+    that are a multiple of ``gop`` are I-frames and carry no groups; the
+    rng is left for the driver's I-frame decisions.
+    """
+    rng = np.random.default_rng(seed)
+    config = PsmfConfig(psi=int(rng.integers(2, 5)),
+                        stale_limit=[None, 0, 1, 2][rng.integers(4)])
+    gop = int(rng.choice([4, 8]))
+    frames = int(rng.integers(24, 64))
+    drop = rng.choice([0.0, 0.1, 0.3])
+    noise = rng.choice([0.0, 0.5, 2.0])  # mean noise cells per frame
+    objects = []
+    for _ in range(rng.integers(2, 6)):
+        w, h = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        objects.append({
+            "pos": [int(rng.integers(0, cols - w + 1)), int(rng.integers(0, rows - h + 1))],
+            "vel": [int(rng.choice([-1, 1])), int(rng.choice([-1, 0, 0, 1]))],
+            "size": (w, h),
+            "life": (int(rng.integers(0, frames // 3)),
+                     int(rng.integers(frames // 2, frames + 8))),
+        })
+    groups_by_frame = {}
+    for f in range(1, frames):
+        coded = {}
+        for ob in objects:
+            (w, h), (x, y) = ob["size"], ob["pos"]
+            if ob["life"][0] <= f < ob["life"][1] and rng.random() >= drop:
+                coded.update({(x + dx, y + dy): 1 for dx in range(w) for dy in range(h)})
+            for axis, extent in ((0, cols - w), (1, rows - h)):
+                step = ob["pos"][axis] + ob["vel"][axis]
+                if not 0 <= step <= extent:
+                    ob["vel"][axis] *= -1
+                ob["pos"][axis] += ob["vel"][axis]
+        for _ in range(rng.poisson(noise)):
+            x, y = int(rng.integers(0, cols - 1)), int(rng.integers(0, rows))
+            coded[(x, y)] = int(rng.integers(0, 2))
+            if rng.random() < 0.5:
+                coded[(x + 1, y)] = 1
+        if f % gop:
+            frame = make_pframe(coded, rows=rows, cols=cols, frame_index=f)
+            groups_by_frame[f] = spatial_filter(cluster_blocks(frame))
+    return config, gop, groups_by_frame, rng
+
+
+def tracker_state(tr):
+    """(entities, frozen members, occlusions) as comparable values."""
+    units = lambda d: {i: (e.label, e.region, e.fragment_of) for i, e in d.items()}
+    return (units(tr.entities), units(tr.frozen),
+            {i: (o.region, o.member_object_ids, o.confirmed_split)
+             for i, o in tr.occlusions.items()})
+
+
+def run_against_reference(seed):
+    """Drive the tracker and the reference through ``random_traffic(seed)``
+    side by side, asserting equal events and state after every step and
+    every emulated I-frame; return the event kinds seen.
+
+    At an I-frame each split occlusion is resolved as the pipeline would,
+    with fragments paired to a random subset of its frozen members, and
+    real entities take a hue prior at random (the rest keep theirs, or
+    none, so some later freeze finds no prior).
+    """
+    config, gop, groups_by_frame, rng = random_traffic(seed)
+    new, ref = EntityTracker(config), reference_filtering.EntityTracker(config)
+    kinds = set()
+    for f in range(1, max(groups_by_frame) + 1):
+        if f % gop:
+            got, want = new.step(groups_by_frame[f], f), ref.step(groups_by_frame[f], f)
+        else:
+            got, want = [], []
+            for oid in [oid for oid, o in sorted(new.occlusions.items()) if o.confirmed_split]:
+                o = new.occlusions[oid]
+                members = [m for m in o.member_object_ids if m in new.frozen]
+                rng.shuffle(members)
+                frags = [fr.id for fr in new.fragments(oid)]
+                pairs = int(rng.integers(0, min(len(frags), len(members)) + 1))
+                assignment = dict(zip(frags, members[:pairs]))
+                new.resolve_identities(o, assignment, f, got)
+                ref.resolve_identities(ref.occlusions[oid], assignment, f, want)
+            for eid, e in sorted(new.entities.items()):
+                if e.label is Label.REAL and rng.random() < 0.7:
+                    e.prior_hue = ref.entities[eid].prior_hue = HUE
+        # Compared as emitted: the reference's region_split payload is the
+        # occlusion's own list, which later steps edit.
+        assert [e.to_json_dict() for e in got] == [e.to_json_dict() for e in want], f
+        assert tracker_state(new) == tracker_state(ref), f
+        for oid, o in ref.occlusions.items():
+            live = [fid for fid in o.fragment_ids if fid in ref.entities]
+            assert [fr.id for fr in new.fragments(oid)] == live, (f, oid)
+            # Only a confirmed split's list keeps ids of fragments frozen since.
+            assert o.confirmed_split or live == o.fragment_ids, (f, oid)
+        kinds.update(e.kind for e in got)
+    return kinds
+
+
+class TestTrackerAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_events_and_state_match_the_reference(self, seed):
+        run_against_reference(seed)
+
+    def test_fixed_seeds_reach_every_kind(self):
+        kinds = set()
+        for seed in range(SWEEP_SEEDS):
+            kinds |= run_against_reference(seed)
+        assert kinds == TRACKER_KINDS

@@ -503,3 +503,20 @@ class TestCli:
         assert exit_info.value.code == 2
         assert not out.exists()
         assert not (tmp_path / "overlay").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--psi", "0"], "psi must be at least 2"),
+        (["--psi", "1"], "psi must be at least 2"),
+        (["--omega", "nan"], "omega must be positive"),
+        (["--epsilon", "-1"], "refinement parameters must be non-negative"),
+    ])
+    def test_bad_parameter_is_a_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "traj.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["track", "--input", str(tmp_path / "never-read.mbfs"),
+                  "--out", str(out)] + flags)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {message}"
+        assert "Traceback" not in err
+        assert not out.exists()
