@@ -17,8 +17,6 @@ from .filtering import (
     PsmfConfig,
     classify_entity,
     cluster_blocks,
-    compute_succeeding_region,
-    occurrence_term,
     spatial_filter,
 )
 from .intra import (

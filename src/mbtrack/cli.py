@@ -28,8 +28,11 @@ from .refinement import RefineConfig
 from .scene import load_ground_truth, load_scene_script, synthesize_to, write_ground_truth
 
 
-def _cmd_synth(args, _parser) -> int:
-    script = load_scene_script(args.script)
+def _cmd_synth(args, parser) -> int:
+    try:
+        script = load_scene_script(args.script)
+    except ValueError as exc:  # a malformed script, JSON syntax included: a usage error
+        parser.error(f"{args.script}: {exc}")
     if args.seed is not None:
         script.noise.rng_seed = args.seed
     with open(args.out, "wb") as f:

@@ -86,21 +86,13 @@ class PsmfConfig:
 
 
 def _connected(members: frozenset) -> bool:
-    if not members:
+    cells = np.array(list(members))
+    cells -= cells.min(axis=0)
+    if cells.max() >= len(cells):  # n connected cells span at most n rows and columns
         return False
-    seen = set()
-    stack = [next(iter(members))]
-    while stack:
-        mx, my = stack.pop()
-        if (mx, my) in seen:
-            continue
-        seen.add((mx, my))
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nb = (mx + dx, my + dy)
-                if nb in members and nb not in seen:
-                    stack.append(nb)
-    return len(seen) == len(members)
+    mask = np.zeros(cells.max(axis=0) + 1, dtype=bool)
+    mask[tuple(cells.T)] = True
+    return ndimage.label(mask, structure=_EIGHT_CONNECTED)[1] == 1
 
 
 @dataclass(frozen=True)
@@ -110,15 +102,12 @@ class BlockGroup:
     frame_index: int
     members: frozenset  # of (mx, my)
     has_nonzero_coeff: bool
-    virtual: bool = False
 
     def __post_init__(self):
         if not self.members:
             raise ValueError("a block group cannot be empty")
         if not _connected(self.members):
             raise ValueError("block group members must be 8-connected")
-        if self.virtual and self.has_nonzero_coeff:
-            raise ValueError("a virtual group carries no coefficient claim")
 
     @classmethod
     def _labelled(cls, frame_index: int, members: frozenset,
@@ -127,7 +116,7 @@ class BlockGroup:
         construction, so the validation in ``__post_init__`` is skipped."""
         group = object.__new__(cls)
         group.__dict__.update(frame_index=frame_index, members=members,
-                              has_nonzero_coeff=has_nonzero_coeff, virtual=False)
+                              has_nonzero_coeff=has_nonzero_coeff)
         return group
 
     def __len__(self) -> int:
@@ -179,59 +168,24 @@ def spatial_filter(groups: list[BlockGroup], *, enabled: bool = True) -> list[Bl
 
 
 @dataclass
-class TrainRecord:
-    """One observed P-frame in an entity's evidence train."""
-
-    group: frozenset  # union of supporting groups' members (may be empty)
-    region: frozenset  # region after this frame (frozen copy when unsupported)
-    virtual: bool
-
-
-@dataclass
 class Entity:
-    """A tracked unit: candidate under evaluation, or a confirmed object."""
+    """A tracked unit: candidate under evaluation, or a confirmed object.
+
+    A candidate's evidence is the running sum ``neglog_sum``: each observed
+    P-frame adds one term, read from the region before that frame and the
+    two counts below, so no other history is kept.
+    """
 
     id: int
-    seed_frame: int
     region: frozenset
     label: Label = Label.CANDIDATE
-    train: list[TrainRecord] = field(default_factory=list)
     neglog_sum: float = 0.0
     observed: int = 1  # 1-based observation ordinal
-    virtual_streak: int = 0
+    supported: int = 1  # observed frames with support; the seed counts
+    virtual_streak: int = 0  # consecutive unsupported P-frames
     fragment_of: int | None = None  # occlusion id while splitting
     pending_identity: bool = False  # real fragment awaiting hue matching
     prior_hue: "HueHistogram | None" = None
-
-
-def compute_succeeding_region(entity: Entity, active_groups: list[BlockGroup]) -> frozenset:
-    """Union of members of every group sharing at least one cell with the entity."""
-    out = set()
-    for g in active_groups:
-        if g.members & entity.region:
-            out |= g.members
-    return frozenset(out)
-
-
-def occurrence_term(entity: Entity, i: int) -> float:
-    """Negative-log evidence contributed by the entity's i-th observed frame.
-
-    i is 1-based. The seed frame contributes nothing. Supported frames use
-    the overlap fraction against the previous region; unsupported frames
-    use the detection rate so far.
-    """
-    if not (1 <= i <= len(entity.train)):
-        raise ValueError(f"ordinal {i} outside the recorded train")
-    if i == 1:
-        return 0.0
-    rec = entity.train[i - 1]
-    prev_region = entity.train[i - 2].region
-    if rec.group:
-        p = len(rec.group & prev_region) / len(prev_region)
-    else:
-        o = sum(1 for r in entity.train[:i] if r.group)
-        p = o / i
-    return -math.log(p)
 
 
 def classify_entity(entity: Entity, config: PsmfConfig) -> Label:
@@ -255,16 +209,20 @@ class TrackEvent:
 class OcclusionGroup:
     """Two or more objects tracked as one region while their blobs overlap.
 
+    Its members are the keys of ``prior_hues``, in the order they joined.
     Once the region splits, its fragments are the live entities whose
     ``fragment_of`` is its id (``EntityTracker.fragments``).
     """
 
     id: int
-    member_object_ids: list[int] = field(default_factory=list)
     # member id -> last refined appearance before contact (None if never taken)
     prior_hues: dict[int, "HueHistogram | None"] = field(default_factory=dict)
     region: frozenset = frozenset()
     confirmed_split: bool = False
+
+    @property
+    def member_object_ids(self) -> list[int]:
+        return list(self.prior_hues)
 
 
 class EntityTracker:
@@ -337,12 +295,7 @@ class EntityTracker:
         # entity that was there before.
         advancing = sorted(self.entities)
         for g in seeds:
-            e = Entity(
-                id=self._new_id(),
-                seed_frame=frame_index,
-                region=g.members,
-                train=[TrainRecord(g.members, g.members, virtual=False)],
-            )
+            e = Entity(id=self._new_id(), region=g.members)
             self.entities[e.id] = e
             events.append(TrackEvent(frame_index, "seed", {"object_id": e.id}))
         for eid in advancing:
@@ -361,8 +314,7 @@ class EntityTracker:
                 if len(gs) >= 2:
                     self._begin_split(o, gs, frame_index, events)
                 else:
-                    region = frozenset().union(*(g.members for g in gs)) if gs else frozenset()
-                    o.region = region if region else o.region
+                    o.region = frozenset().union(*(g.members for g in gs)) or o.region
 
         return events
 
@@ -402,7 +354,6 @@ class EntityTracker:
             o = self.occlusions[occs[0]]
             for other_id in occs[1:]:
                 other = self.occlusions.pop(other_id)
-                o.member_object_ids.extend(other.member_object_ids)
                 o.prior_hues.update(other.prior_hues)
                 alias[other_id] = o.id
                 self._merge_assignments(assignments, other_id, o.id)
@@ -421,13 +372,15 @@ class EntityTracker:
             self.occlusions[o.id] = o
             events.append(TrackEvent(frame_index, "occlusion_begin",
                                      {"occlusion_id": o.id,
-                                      "member_object_ids": list(o.member_object_ids)}))
+                                      "member_object_ids": o.member_object_ids}))
             owner = o.id
         elif reals:
             owner = reals[0].id
         else:
-            # All candidates: merge into the oldest (lowest seed frame, then id).
-            owner = min(cands, key=lambda e: (e.seed_frame, e.id)).id
+            # All candidates: merge into the oldest. Ids come from one
+            # counter and only seeds and fragments are candidates, so the
+            # lowest id is the one seeded first.
+            owner = min(c.id for c in cands)
         for c in cands:
             if c.id != owner:
                 self._absorb_candidate(c, owner, alias, assignments, frame_index, events)
@@ -449,7 +402,6 @@ class EntityTracker:
                 frame_index, events):
         """Move real entity ``r`` into occlusion ``o``, keeping its last
         refined appearance as its identity prior."""
-        o.member_object_ids.append(r.id)
         o.prior_hues[r.id] = r.prior_hue
         if r.prior_hue is None:
             events.append(TrackEvent(frame_index, "prior_capture_failed",
@@ -462,15 +414,18 @@ class EntityTracker:
     # -- per-entity advance -------------------------------------------------
 
     def _advance(self, e: Entity, gs: list[BlockGroup], frame_index: int, events):
-        union = frozenset().union(*(g.members for g in gs)) if gs else frozenset()
-        supported = bool(union)
-        e.region = union if supported else e.region
-        e.virtual_streak = 0 if supported else e.virtual_streak + 1
+        union = frozenset().union(*(g.members for g in gs))
+        prev = e.region
+        e.region = union or prev
+        e.virtual_streak = 0 if union else e.virtual_streak + 1
 
         if e.label is Label.CANDIDATE:
             e.observed += 1
-            e.train.append(TrainRecord(union, e.region, virtual=not supported))
-            e.neglog_sum += occurrence_term(e, e.observed)
+            if union:  # overlap with the previous region
+                e.supported += 1
+                e.neglog_sum += -math.log(len(union & prev) / len(prev))
+            else:  # detection rate so far
+                e.neglog_sum += -math.log(e.supported / e.observed)
             if e.observed == self.config.psi:
                 self._classify(e, frame_index, events)
         elif e.label is Label.REAL:
@@ -496,9 +451,7 @@ class EntityTracker:
 
     def _begin_split(self, o: OcclusionGroup, gs: list[BlockGroup], frame_index: int,
                      events):
-        frags = [Entity(id=self._new_id(), seed_frame=frame_index, region=g.members,
-                        train=[TrainRecord(g.members, g.members, virtual=False)],
-                        fragment_of=o.id)
+        frags = [Entity(id=self._new_id(), region=g.members, fragment_of=o.id)
                  for g in gs]
         self.entities.update((f.id, f) for f in frags)
         o.region = frozenset().union(*(g.members for g in gs))

@@ -140,6 +140,12 @@ class SceneObject:
         return None
 
 
+def _need(d, key: str, where: str):
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"{where} has no {key!r}")
+    return d[key]
+
+
 @dataclass
 class NoiseSpec:
     p_isolated: float = 0.0
@@ -162,22 +168,27 @@ class SceneScript:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneScript":
+        size = {k: int(_need(d, k, "scene script")) for k in ("width", "height", "frame_count")}
         objects = []
-        for od in d.get("objects", []):
-            path = [Waypoint(frame=int(wp["frame"]), cx=float(wp["cx"]), cy=float(wp["cy"]),
-                             h=float(wp["h"]) if "h" in wp else None,
-                             w=float(wp["w"]) if "w" in wp else None)
-                    for wp in od["path"]]
-            objects.append(SceneObject(id=int(od["id"]), w=float(od["w"]), h=float(od["h"]),
-                                       fill=od["fill"], path=path))
+        for n, od in enumerate(d.get("objects", [])):
+            oid = int(_need(od, "id", f"object #{n}"))
+            where = f"object {oid}"
+            path = []
+            for k, wp in enumerate(_need(od, "path", where)):
+                at = f"{where} waypoint {k}"
+                path.append(Waypoint(frame=int(_need(wp, "frame", at)),
+                                     cx=float(_need(wp, "cx", at)), cy=float(_need(wp, "cy", at)),
+                                     h=float(wp["h"]) if "h" in wp else None,
+                                     w=float(wp["w"]) if "w" in wp else None))
+            objects.append(SceneObject(id=oid, w=float(_need(od, "w", where)),
+                                       h=float(_need(od, "h", where)),
+                                       fill=_need(od, "fill", where), path=path))
         nd = d.get("noise", {})
         noise = NoiseSpec(p_isolated=float(nd.get("p_isolated", 0.0)),
                           p_cluster=float(nd.get("p_cluster", 0.0)),
                           rng_seed=int(nd.get("rng_seed", 0)))
         script = cls(
-            width=int(d["width"]), height=int(d["height"]),
-            frame_count=int(d["frame_count"]),
-            fps=int(d.get("fps", 30)), gop_len=int(d.get("gop_len", 8)),
+            **size, fps=int(d.get("fps", 30)), gop_len=int(d.get("gop_len", 8)),
             background=d.get("background", {"type": "flat", "color": [128, 128, 128]}),
             objects=objects, noise=noise,
         )

@@ -10,10 +10,16 @@ are copied unchanged, except that the imports the copies made inside
 functions (of names now defined in this module) are dropped. Its
 ``region_split`` payload is the occlusion's own list, which later steps
 edit in place, so compare its events as they are emitted.
+
+Its evidence is the train of the same era: ``TrainRecord`` and
+``occurrence_term`` are copied unchanged from the ``mbtrack.filtering``
+that kept a record per observed frame and rescanned it for each term,
+before the tracker kept the sum running.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -21,11 +27,39 @@ from mbtrack.filtering import (
     BlockGroup,
     Label,
     TrackEvent,
-    TrainRecord,
     classify_entity,
-    occurrence_term,
 )
 from mbtrack.occlusion import HueHistogram
+
+
+@dataclass
+class TrainRecord:
+    """One observed P-frame in an entity's evidence train."""
+
+    group: frozenset  # union of supporting groups' members (may be empty)
+    region: frozenset  # region after this frame (frozen copy when unsupported)
+    virtual: bool
+
+
+def occurrence_term(entity: Entity, i: int) -> float:
+    """Negative-log evidence contributed by the entity's i-th observed frame.
+
+    i is 1-based. The seed frame contributes nothing. Supported frames use
+    the overlap fraction against the previous region; unsupported frames
+    use the detection rate so far.
+    """
+    if not (1 <= i <= len(entity.train)):
+        raise ValueError(f"ordinal {i} outside the recorded train")
+    if i == 1:
+        return 0.0
+    rec = entity.train[i - 1]
+    prev_region = entity.train[i - 2].region
+    if rec.group:
+        p = len(rec.group & prev_region) / len(prev_region)
+    else:
+        o = sum(1 for r in entity.train[:i] if r.group)
+        p = o / i
+    return -math.log(p)
 
 
 def _canon(alias: dict, key: tuple) -> tuple:

@@ -488,6 +488,41 @@ class TestCli:
         # live mode refines the I-frame in hand but never rewrites the past
         assert all(r.frame_index % 8 == 0 for r in records if r.refined)
 
+    def test_no_spatial_filter_flag_reaches_the_tracker(self, tmp_path):
+        # Isolated noise marks are single coded blocks without coefficients:
+        # the spatial filter drops every one, so only without it do they seed.
+        script = SceneScript(width=160, height=96, frame_count=24, gop_len=8,
+                             noise=NoiseSpec(p_isolated=0.05, rng_seed=3))
+        stream = tmp_path / "noise.mbfs"
+        stream.write_bytes(synthesize(script)[0])
+        seeds = {}
+        for flags in ([], ["--no-spatial-filter"]):
+            events = tmp_path / "events.jsonl"
+            assert main(["track", "--input", str(stream), "--out", str(tmp_path / "t.jsonl"),
+                         "--events", str(events)] + flags) == 0
+            seeds[bool(flags)] = sum(json.loads(line)["event"] == "seed"
+                                     for line in events.read_text().splitlines())
+        assert seeds[False] == 0 and seeds[True] > 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("width"), "scene script has no 'width'"),
+        (lambda d: d.update(width=60), "canvas 60x160 must be positive multiples of 16"),
+        (lambda d: d["objects"][0]["path"][1].pop("cy"), "object 1 waypoint 1 has no 'cy'"),
+    ], ids=["no-width", "60px-canvas", "waypoint-without-cy"])
+    def test_bad_scene_script_is_a_usage_error(self, tmp_path, capsys, edit, message):
+        d = single_object_scene(frame_count=16).to_dict()
+        edit(d)
+        script_path = tmp_path / "scene.json"
+        script_path.write_text(json.dumps(d))
+        out = tmp_path / "scene.mbfs"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "--script", str(script_path), "--out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {script_path}: {message}"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_overlay_needs_a_regular_input_file(self, tmp_path):
         stream = tmp_path / "scene.mbfs"
         stream.write_bytes(synthesize(single_object_scene(frame_count=16))[0])
