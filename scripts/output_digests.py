@@ -1,0 +1,116 @@
+"""Digest the tracker's outputs over a fixed matrix of runs, for refactors
+that must not change them.
+
+For each run it prints the sha256 of the records JSONL, the events JSONL
+and the sequence of ``on_emit`` batches, as one JSON object keyed by run
+name; the benchmark workloads also get the sha256 of ``evaluate``'s JSON.
+Every run is made in GOP and in live mode. Run it once per tree and
+compare the two outputs:
+
+    PYTHONPATH=<tree>/src python3 scripts/output_digests.py > digests.json
+
+The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
+and ``tests/test_pipeline.py`` of the checkout this script sits in, so
+both trees are fed the same streams; only ``mbtrack`` comes from
+PYTHONPATH.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
+
+from mbtrack.filtering import PsmfConfig  # noqa: E402
+from mbtrack.pipeline import TrackerConfig, evaluate, run_tracker  # noqa: E402
+from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize  # noqa: E402
+from test_acceptance import GRAY_BG, RED, crossing_script, noise_script  # noqa: E402
+from test_pipeline import crossing_scene  # noqa: E402
+from workloads import NOISE_SEED, WORKLOADS, lanes_script, pair_script  # noqa: E402
+
+
+def criterion_4_script() -> SceneScript:
+    """The scene ``test_criterion_4_single_object_scene`` builds in its body."""
+    obj = SceneObject(id=1, w=48, h=96, fill=RED, path=[
+        Waypoint(0, 40, 120), Waypoint(100, 240, 120),
+        Waypoint(200, 40, 120), Waypoint(239, 118, 120),
+    ])
+    return SceneScript(width=320, height=240, frame_count=240, gop_len=8,
+                       background=GRAY_BG, objects=[obj])
+
+
+def runs():
+    """(name, script thunk, config, evaluated) for every run but the mode."""
+    for w in WORKLOADS.values():
+        for full in (False, True):
+            yield (f"{w.name}/{'full' if full else 'partial'}", w.script,
+                   TrackerConfig(full_decode=full), True)
+    for seed in (0, 23, 7, 11, 42, 99):
+        yield f"lanes-{seed}", lambda seed=seed: lanes_script(seed), TrackerConfig(), False
+    yield "crossing-scene", crossing_scene, TrackerConfig(), False
+    yield "criterion-4", criterion_4_script, TrackerConfig(), False
+    for seed in (101, 102, 103, 104, 105):
+        for objects in (False, True):
+            yield (f"criterion-5-{seed}-{'objects' if objects else 'empty'}",
+                   lambda seed=seed, objects=objects: noise_script(seed, objects),
+                   TrackerConfig(), False)
+    for seed in (201, 202, 203, 204, 205):
+        yield (f"criterion-6-{seed}", lambda seed=seed: crossing_script(seed),
+               TrackerConfig(), False)
+    for full in (False, True):
+        yield (f"criterion-8/{'full' if full else 'partial'}", lambda: pair_script(0),
+               TrackerConfig(full_decode=full), False)
+    for stale in (0, 2):
+        config = TrackerConfig(psmf=PsmfConfig(stale_limit=stale))
+        yield f"crossing-scene/stale-{stale}", crossing_scene, config, False
+        yield (f"lanes-{NOISE_SEED}/stale-{stale}", lambda: lanes_script(NOISE_SEED),
+               config, False)
+    yield (f"lanes-{NOISE_SEED}-800", lambda: lanes_script(NOISE_SEED, 800),
+           TrackerConfig(), False)
+
+
+def sha(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def as_json(x) -> str:
+    return json.dumps(x, sort_keys=True)
+
+
+def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool) -> dict:
+    batches = []
+    result = run_tracker(data, config, on_emit=lambda after, batch: batches.append(
+        as_json([after, [r.to_json_dict() for r in batch]])))
+    out = {
+        "records": sha(as_json(r.to_json_dict()) for r in result.records),
+        "events": sha(as_json(e.to_json_dict()) for e in result.events),
+        "batches": sha(batches),
+    }
+    if evaluated:
+        out["evaluate"] = sha([as_json(evaluate(result.records, truth,
+                                                result.header.gop_len))])
+    return out
+
+
+def main() -> int:
+    out = {}
+    for name, script, config, evaluated in runs():
+        data, truth = synthesize(script())
+        for live in (False, True):
+            out[f"{name}/{'live' if live else 'gop'}"] = digest(
+                data, truth, replace(config, live=live), evaluated)
+        print(f"{name}: done", file=sys.stderr)
+    print(json.dumps(out, indent=1, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,8 @@ from .scene import load_ground_truth, load_scene_script, synthesize_to, write_gr
 def _cmd_synth(args, parser) -> int:
     try:
         script = load_scene_script(args.script)
+    except OSError as exc:  # a missing or unreadable script: a usage error
+        parser.error(f"{args.script}: {exc.strerror}")
     except ValueError as exc:  # a malformed script, JSON syntax included: a usage error
         parser.error(f"{args.script}: {exc}")
     if args.seed is not None:
@@ -66,14 +68,20 @@ def _cmd_track(args, parser) -> int:
         )
     except ValueError as exc:  # a parameter out of range: a usage error
         parser.error(str(exc))
-    result = run_tracker(args.input, config)
+    # Every input is opened before any output is written.
+    try:
+        truth = load_ground_truth(args.gt) if args.gt else None
+        source = open(args.input, "rb")
+    except OSError as exc:
+        parser.error(f"{exc.filename}: {exc.strerror}")
+    with source:
+        result = run_tracker(source, config)
 
     write_records_jsonl(result.records, args.out)
     if args.events:
         write_events_jsonl(result.events, args.events)
 
-    if args.gt:
-        truth = load_ground_truth(args.gt)
+    if truth is not None:
         result.metrics["evaluation"] = evaluate(
             result.records, truth, result.header.gop_len)
     if args.metrics:

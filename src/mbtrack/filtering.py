@@ -184,8 +184,7 @@ class Entity:
     supported: int = 1  # observed frames with support; the seed counts
     virtual_streak: int = 0  # consecutive unsupported P-frames
     fragment_of: int | None = None  # occlusion id while splitting
-    pending_identity: bool = False  # real fragment awaiting hue matching
-    prior_hue: "HueHistogram | None" = None
+    prior_hue: "HueHistogram | None" = None  # from the last I-frame that refined it
 
 
 def classify_entity(entity: Entity, config: PsmfConfig) -> Label:
@@ -469,8 +468,6 @@ class EntityTracker:
             o.region = frozenset().union(*(f.region for f in frags))
         elif len(reals) >= 2:
             o.confirmed_split = True
-            for f in reals:
-                f.pending_identity = True
             o.region = frozenset().union(*(f.region for f in reals))
             events.append(TrackEvent(frame_index, "disocclusion", {
                 "occlusion_id": o.id,
@@ -490,9 +487,9 @@ class EntityTracker:
         """Apply a fragment->member id mapping after a confirmed disocclusion.
 
         Matched members resume as real objects carrying the fragment's
-        region; unmatched fragments keep their provisional ids as new
-        objects; unmatched members are dropped with a ``member_missing``
-        event, never to emit again.
+        region, and its hue when it has one; unmatched fragments keep their
+        provisional ids as new objects; unmatched members are dropped with a
+        ``member_missing`` event, never to emit again.
         """
         frags = self.fragments(o.id)
         for frag_id, member_id in sorted(assignment.items()):
@@ -501,12 +498,12 @@ class EntityTracker:
             member.label = Label.REAL
             member.region = frag.region
             member.virtual_streak = frag.virtual_streak
-            member.pending_identity = False
+            if frag.prior_hue is not None:
+                member.prior_hue = frag.prior_hue
             self.entities[member.id] = member
         for f in frags:
             if f.id not in assignment:
                 f.fragment_of = None
-                f.pending_identity = False
                 events.append(TrackEvent(frame_index, "new_object_from_fragment",
                                          {"object_id": f.id, "occlusion_id": o.id}))
         for mid in o.member_object_ids:

@@ -429,8 +429,6 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
 
     Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image.
     """
-    if bx0 == 0 and by0 == 0 and np.any(payload.modes[:, 0, 0] != MODE_CONST):
-        raise IntraFormatError("block (0, 0): mode 1 with no causal neighbors")
     h, w = nby * BLOCK, nbx * BLOCK
     x0, y0 = bx0 * BLOCK, by0 * BLOCK
     row = nbx + 1
@@ -444,7 +442,7 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
         work[:, 1:, 0, :, -1] = background[y0 : y0 + h, x0 - 1].T.reshape(3, nby, BLOCK)
     else:
         count[:, 1] -= BLOCK
-    # count is 0 only at block (0, 0), whose mode was checked to be 0 above.
+    # count is 0 only at block (0, 0), whose mode ``_decode_regions`` checked.
     count = np.maximum(count, 1).reshape(-1)
     work_flat = work.reshape(3, -1, BLOCK, BLOCK)
 

@@ -84,6 +84,18 @@ def hue_histogram(tile: "PixelTile", mask: np.ndarray) -> HueHistogram:
     return HueHistogram(bins / n, n)
 
 
+def greedy_pairs(scored):
+    """One-to-one greedy pairing: from ``(distance, a, b, ...)`` tuples in
+    ascending order, keep each whose ``a`` and ``b`` are both still free."""
+    kept, used_a, used_b = [], set(), set()
+    for t in scored:
+        if t[1] not in used_a and t[2] not in used_b:
+            kept.append(t)
+            used_a.add(t[1])
+            used_b.add(t[2])
+    return kept
+
+
 def match_identities(priors: dict[int, HueHistogram],
                      posteriors: dict[int, HueHistogram]
                      ) -> tuple[dict[int, int], list[tuple[float, int, int]]]:
@@ -92,24 +104,15 @@ def match_identities(priors: dict[int, HueHistogram],
     priors:     member object id -> pre-occlusion histogram
     posteriors: fragment id      -> post-split histogram
 
-    Pairs are taken in ascending Euclidean distance; ties break on lower
-    fragment id, then lower member id. Returns (fragment_id -> member_id,
-    chosen (distance, fragment_id, member_id) triples). Fragments or
-    members left over simply stay unmatched; the caller decides what
-    those mean.
+    ``greedy_pairs`` takes the pairs in ascending Euclidean distance; ties
+    break on lower fragment id, then lower member id. Returns (fragment_id
+    -> member_id, chosen (distance, fragment_id, member_id) triples).
+    Fragments or members left over simply stay unmatched; the caller
+    decides what those mean.
     """
-    pairs = sorted(
+    chosen = greedy_pairs(sorted(
         (post.distance(prior), frag_id, member_id)
         for frag_id, post in posteriors.items()
         for member_id, prior in priors.items()
-    )
-    assignment: dict[int, int] = {}
-    used_members: set[int] = set()
-    chosen = []
-    for dist, frag_id, member_id in pairs:
-        if frag_id in assignment or member_id in used_members:
-            continue
-        assignment[frag_id] = member_id
-        used_members.add(member_id)
-        chosen.append((dist, frag_id, member_id))
-    return assignment, chosen
+    ))
+    return {f: m for _, f, m in chosen}, chosen

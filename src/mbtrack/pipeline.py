@@ -37,7 +37,7 @@ from .intra import PixelTile, decode_full
 # The batch decoder under the one-rect name: the benchmark's trace patches
 # ``mbtrack.pipeline:decode_region_partial`` and reads ``out[1].blocks_decoded``.
 from .intra import decode_regions_partial as decode_region_partial
-from .occlusion import hue_histogram, match_identities
+from .occlusion import greedy_pairs, hue_histogram, match_identities
 from .refinement import BlobFeature, RefineConfig, refine_object, refine_rect
 from .scene import GroundTruthRecord
 from .stream import open_source, read_stream
@@ -270,86 +270,78 @@ class Tracker:
         plans = [(uid, state, e, self.units[uid])
                  for uid, state, e, _ in self._tracked() if state != "Candidate"]
         rects = [refine_rect(u.blobs, u.anchor, frame_w, frame_h) for *_, u in plans]
+        batch = [(0, 0, frame_w, frame_h)] if self.cfg.full_decode else rects
         t0 = time.perf_counter()
+        tiles = []
+        if batch:
+            tiles, stats = decode_region_partial(payload, batch, self.background)
+            self.decoded_blocks += stats.blocks_decoded
         if self.cfg.full_decode:
-            (full,), stats = decode_region_partial(
-                payload, [(0, 0, frame_w, frame_h)], self.background)
-            tiles = [PixelTile((x, y, w, h), full.pixels[y : y + h, x : x + w])
+            tiles = [PixelTile((x, y, w, h), tiles[0].pixels[y : y + h, x : x + w])
                      for x, y, w, h in rects]
-            self.decoded_blocks += stats.blocks_decoded
-        elif rects:
-            tiles, stats = decode_region_partial(payload, rects, self.background)
-            self.decoded_blocks += stats.blocks_decoded
-        else:
-            tiles = []
         self.timers["partial_decode"] += time.perf_counter() - t0
 
-        posterior_hues: dict[int, object] = {}
         for plan, tile in zip(plans, tiles):
-            self._refine_unit(*plan, tile, i, posterior_hues)
+            self._refine_unit(*plan, tile, i)
 
         t0 = time.perf_counter()
-        self._resolve_pending_identities(posterior_hues, i)
+        self._resolve_pending_identities(i)
         self.timers["occlusion"] += time.perf_counter() - t0
 
-    def _refine_unit(self, uid, state, entity, unit: _Unit, tile, i,
-                     posterior_hues) -> None:
+    def _refine_unit(self, uid, state, entity, unit: _Unit, tile, i) -> None:
         t0 = time.perf_counter()
-        result = refine_object(uid, tile, self.background, self.cfg.refine,
+        result = refine_object(tile, self.background, self.cfg.refine,
                                unit.blobs, unit.anchor, i)
         self.timers["subtract"] += time.perf_counter() - t0
 
         if not result.refined:
             # Nothing survived subtraction; this GOP keeps macroblock geometry.
             self.events.append(TrackEvent(i, "subtraction_empty", {"object_id": uid}))
-        else:
-            if result.unanchored and result.rewrites:
-                self.events.append(TrackEvent(i, "unanchored_interpolation",
-                                              {"object_id": uid,
-                                               "anchor_frame": unit.anchor[0]}))
-            t0 = time.perf_counter()
-            for f, blob in result.rewrites.items():
-                rec = unit.records.get(f)
-                if rec is not None:
-                    rec.set_blob(blob)
-                    rec.refined = True
-            self.timers["interpolate"] += time.perf_counter() - t0
+        elif result.rewrites and not unit.anchor[2]:  # the anchor was not refined
+            self.events.append(TrackEvent(i, "unanchored_interpolation",
+                                          {"object_id": uid, "anchor_frame": unit.anchor[0]}))
+        t0 = time.perf_counter()
+        for f, blob in result.rewrites.items():  # none unless refined
+            rec = unit.records.get(f)
+            if rec is not None:
+                rec.set_blob(blob)
+                rec.refined = True
+        self.timers["interpolate"] += time.perf_counter() - t0
 
         self._commit(unit, TrackRecord.from_blob(i, uid, result.blob, state,
                                                  refined=result.refined))
 
         t0 = time.perf_counter()
         if entity is not None and result.refined:
-            hue = hue_histogram(result.tile, result.mask)
-            entity.prior_hue = hue
-            if entity.pending_identity:
-                posterior_hues[uid] = hue
+            entity.prior_hue = hue_histogram(tile, result.mask)
         # Hue exists for identity priors, so it counts as occlusion work.
         self.timers["occlusion"] += time.perf_counter() - t0
 
         unit.anchor = (i, result.blob, result.refined)
         unit.blobs = []
 
-    def _resolve_pending_identities(self, posterior_hues: dict, i: int) -> None:
+    def _resolve_pending_identities(self, i: int) -> None:
+        """Resolve every confirmed split. A fragment's hue is its
+        ``prior_hue``, which only this I-frame's refinement can have set: a
+        fragment is a candidate, never refined, until its split is confirmed
+        at a P-frame, and every confirmed split resolves at the next I-frame.
+        An occlusion's members stay frozen until it resolves."""
         tr = self.tracker
         for oid in sorted(tr.occlusions):
             o = tr.occlusions[oid]
             if not o.confirmed_split:
                 continue
-            live_frags = [f.id for f in tr.fragments(oid)]
-            posteriors = {fid: posterior_hues[fid] for fid in live_frags
-                          if fid in posterior_hues}
-            priors = {mid: h for mid, h in o.prior_hues.items()
-                      if h is not None and mid in tr.frozen}
+            frags = tr.fragments(oid)
+            posteriors = {f.id: f.prior_hue for f in frags if f.prior_hue is not None}
+            priors = {mid: h for mid, h in o.prior_hues.items() if h is not None}
             assignment, chosen = match_identities(priors, posteriors)
 
             # Hue capture can fail on either side (prior never taken, or the
             # fragment's mask came up empty). Leftovers pair by id order;
             # that is the only deterministic choice left.
-            leftover_frags = sorted(f for f in live_frags if f not in assignment)
+            leftover_frags = [f.id for f in frags if f.id not in assignment]
             leftover_members = sorted(m for m in o.member_object_ids
-                                      if m in tr.frozen
-                                      and m not in assignment.values())
+                                      if m not in assignment.values())
             for fid, mid in zip(leftover_frags, leftover_members):
                 assignment[fid] = mid
                 self.events.append(TrackEvent(i, "identity_by_exclusion",
@@ -370,10 +362,6 @@ class Tracker:
                 ],
             }))
             tr.resolve_identities(o, assignment, i, self.events)
-            for fid, mid in assignment.items():
-                member = tr.entities.get(mid)
-                if member is not None and fid in posterior_hues:
-                    member.prior_hue = posterior_hues[fid]
 
 
 def run_tracker(source, config: TrackerConfig | None = None,
@@ -433,9 +421,10 @@ def evaluate(records: list[TrackRecord], truth: list[GroundTruthRecord],
              gop_len: int) -> dict:
     """Compare tracker output against ground truth.
 
-    Per frame, tracked records are matched to ground-truth objects
-    greedily by ascending center distance, one-to-one (ties: lower truth
-    id, then lower track id). Center error and overlap are measured over
+    Per frame, tracked records are matched to ground-truth objects one to
+    one by ``occlusion.greedy_pairs``, in ascending center distance (ties:
+    lower truth id, then lower track id; a record id that repeats in a
+    frame matches at most once). Center error and overlap are measured over
     matches; identity switches count id changes over Real-state matches
     per truth object; detection latency counts the P-frames between an
     object's first visible frame and its first Real-state match.
@@ -451,18 +440,11 @@ def evaluate(records: list[TrackRecord], truth: list[GroundTruthRecord],
     for f in sorted(by_frame_truth):
         recs = by_frame_recs.get(f, [])
         gts = by_frame_truth[f]
-        pairs = sorted(
+        for dist, gid, _, _, r in greedy_pairs(sorted(
             (float(np.hypot(r.cx - g.cx, r.cy - g.cy)), g.object_id, r.object_id, g, r)
             for g in gts
             for r in recs
-        )
-        used_g: set[int] = set()
-        used_r: set[int] = set()
-        for dist, gid, rid, g, r in pairs:
-            if gid in used_g or rid in used_r:
-                continue
-            used_g.add(gid)
-            used_r.add(rid)
+        )):
             matches[gid].append((f, r, dist))
 
     per_object = {}

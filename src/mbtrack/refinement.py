@@ -208,15 +208,13 @@ def interpolate_blobs(blob_now: BlobFeature, blob_anchor: BlobFeature,
 
 @dataclass
 class RefineResult:
-    """Outcome of refining one object at one I-frame."""
+    """What refining one object at one I-frame computed; the caller already
+    holds its id, its tile and its anchor."""
 
-    object_id: int
     blob: BlobFeature  # refined, or carried forward when subtraction found nothing
     refined: bool
-    tile: PixelTile | None
-    mask: np.ndarray | None
+    mask: np.ndarray | None  # foreground in tile coordinates, when refined
     rewrites: dict[int, BlobFeature]  # frame index -> interpolated blob
-    unanchored: bool  # left anchor was not a refined I-frame blob
 
 
 def refine_rect(gop_blobs: list[tuple[int, BlobFeature]],
@@ -228,8 +226,7 @@ def refine_rect(gop_blobs: list[tuple[int, BlobFeature]],
     return decode_rect_for(pred, frame_w, frame_h)
 
 
-def refine_object(object_id: int, tile: PixelTile, background: np.ndarray,
-                  config: RefineConfig,
+def refine_object(tile: PixelTile, background: np.ndarray, config: RefineConfig,
                   gop_blobs: list[tuple[int, BlobFeature]],
                   anchor: tuple[int, BlobFeature, bool],
                   iframe_index: int) -> RefineResult:
@@ -240,26 +237,19 @@ def refine_object(object_id: int, tile: PixelTile, background: np.ndarray,
     anchor: (frame, blob, was_refined) to interpolate against.
 
     When subtraction finds nothing, the last macroblock blob (else the
-    anchor's) is carried forward and no P-frame is rewritten.
+    anchor's) is carried forward, with no mask, and no P-frame is
+    rewritten.
     """
     mask, blob = background_subtract(tile, background, config)
-    refined = blob is not None
-    anchor_frame, anchor_blob, anchor_refined = anchor
-    rewrites = {}
+    anchor_frame, anchor_blob, _ = anchor
+    if blob is None:
+        carried = gop_blobs[-1][1] if gop_blobs else anchor_blob
+        return RefineResult(blob=carried, refined=False, mask=None, rewrites={})
     span = iframe_index - anchor_frame
-    if not refined:
-        blob = gop_blobs[-1][1] if gop_blobs else anchor_blob
-    elif span > 1:
-        for f, _ in gop_blobs:
-            if anchor_frame < f < iframe_index:
-                rewrites[f] = interpolate_blobs(blob, anchor_blob, span, iframe_index - f)
-
     return RefineResult(
-        object_id=object_id,
         blob=blob,
-        refined=refined,
-        tile=tile,
-        mask=mask if refined else None,
-        rewrites=rewrites,
-        unanchored=not anchor_refined,
+        refined=True,
+        mask=mask,
+        rewrites={f: interpolate_blobs(blob, anchor_blob, span, iframe_index - f)
+                  for f, _ in gop_blobs if anchor_frame < f < iframe_index},
     )

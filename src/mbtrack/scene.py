@@ -140,10 +140,16 @@ class SceneObject:
         return None
 
 
-def _need(d, key: str, where: str):
-    if not isinstance(d, dict) or key not in d:
+def _need(d, key: str, where: str, kind=None, default=None):
+    """``d[key]``, converted by ``kind`` when given, or ``default`` when the
+    key is absent and a default is given. A missing key, or a value ``kind``
+    rejects, is a ValueError that names the field and ``where`` it is."""
+    if not isinstance(d, dict) or key not in d and default is None:
         raise ValueError(f"{where} has no {key!r}")
-    return d[key]
+    try:
+        return d[key] if kind is None else kind(d.get(key, default))
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} has a non-numeric {key!r}: {d[key]!r}") from None
 
 
 @dataclass
@@ -168,27 +174,28 @@ class SceneScript:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneScript":
-        size = {k: int(_need(d, k, "scene script")) for k in ("width", "height", "frame_count")}
+        size = {k: _need(d, k, "scene script", int) for k in ("width", "height", "frame_count")}
         objects = []
         for n, od in enumerate(d.get("objects", [])):
-            oid = int(_need(od, "id", f"object #{n}"))
+            oid = _need(od, "id", f"object #{n}", int)
             where = f"object {oid}"
             path = []
             for k, wp in enumerate(_need(od, "path", where)):
                 at = f"{where} waypoint {k}"
-                path.append(Waypoint(frame=int(_need(wp, "frame", at)),
-                                     cx=float(_need(wp, "cx", at)), cy=float(_need(wp, "cy", at)),
-                                     h=float(wp["h"]) if "h" in wp else None,
-                                     w=float(wp["w"]) if "w" in wp else None))
-            objects.append(SceneObject(id=oid, w=float(_need(od, "w", where)),
-                                       h=float(_need(od, "h", where)),
+                path.append(Waypoint(frame=_need(wp, "frame", at, int),
+                                     cx=_need(wp, "cx", at, float), cy=_need(wp, "cy", at, float),
+                                     h=_need(wp, "h", at, float) if "h" in wp else None,
+                                     w=_need(wp, "w", at, float) if "w" in wp else None))
+            objects.append(SceneObject(id=oid, w=_need(od, "w", where, float),
+                                       h=_need(od, "h", where, float),
                                        fill=_need(od, "fill", where), path=path))
         nd = d.get("noise", {})
-        noise = NoiseSpec(p_isolated=float(nd.get("p_isolated", 0.0)),
-                          p_cluster=float(nd.get("p_cluster", 0.0)),
-                          rng_seed=int(nd.get("rng_seed", 0)))
+        noise = NoiseSpec(p_isolated=_need(nd, "p_isolated", "noise", float, 0.0),
+                          p_cluster=_need(nd, "p_cluster", "noise", float, 0.0),
+                          rng_seed=_need(nd, "rng_seed", "noise", int, 0))
         script = cls(
-            **size, fps=int(d.get("fps", 30)), gop_len=int(d.get("gop_len", 8)),
+            **size, fps=_need(d, "fps", "scene script", int, 30),
+            gop_len=_need(d, "gop_len", "scene script", int, 8),
             background=d.get("background", {"type": "flat", "color": [128, 128, 128]}),
             objects=objects, noise=noise,
         )

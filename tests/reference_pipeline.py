@@ -7,7 +7,9 @@ sync by a dispatch over the events of each step, and released records
 through an ``on_emit`` callback of its own. ``reference_run`` is the run
 loop that drove it. It drives the reference ``EntityTracker`` of
 ``reference_filtering``, so the new ``Tracker`` and ``EntityTracker`` are
-checked together against the old pair.
+checked together against the old pair. ``RefineResult`` and
+``refine_object`` are the ones ``_Run`` called, which also handed back
+the object's id, its tile and whether its anchor was refined.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import copy
 import time
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +26,66 @@ from mbtrack.intra import PixelTile, decode_full
 from mbtrack.intra import decode_regions_partial as decode_region_partial
 from mbtrack.occlusion import hue_histogram, match_identities
 from mbtrack.pipeline import STAGES, TrackerConfig, TrackRecord
-from mbtrack.refinement import BlobFeature, refine_object, refine_rect
+from mbtrack.refinement import (
+    BlobFeature,
+    RefineConfig,
+    background_subtract,
+    interpolate_blobs,
+    refine_rect,
+)
 from mbtrack.stream import open_source, read_stream
 
 from reference_filtering import EntityTracker
+
+
+@dataclass
+class RefineResult:
+    """Outcome of refining one object at one I-frame."""
+
+    object_id: int
+    blob: BlobFeature  # refined, or carried forward when subtraction found nothing
+    refined: bool
+    tile: PixelTile | None
+    mask: np.ndarray | None
+    rewrites: dict[int, BlobFeature]  # frame index -> interpolated blob
+    unanchored: bool  # left anchor was not a refined I-frame blob
+
+
+def refine_object(object_id: int, tile: PixelTile, background: np.ndarray,
+                  config: RefineConfig,
+                  gop_blobs: list[tuple[int, BlobFeature]],
+                  anchor: tuple[int, BlobFeature, bool],
+                  iframe_index: int) -> RefineResult:
+    """Refine one object at one I-frame.
+
+    tile: this I-frame's pixels at ``refine_rect(gop_blobs, anchor, ...)``.
+    gop_blobs: (frame, blob) pairs for the P-frames since the last anchor.
+    anchor: (frame, blob, was_refined) to interpolate against.
+
+    When subtraction finds nothing, the last macroblock blob (else the
+    anchor's) is carried forward and no P-frame is rewritten.
+    """
+    mask, blob = background_subtract(tile, background, config)
+    refined = blob is not None
+    anchor_frame, anchor_blob, anchor_refined = anchor
+    rewrites = {}
+    span = iframe_index - anchor_frame
+    if not refined:
+        blob = gop_blobs[-1][1] if gop_blobs else anchor_blob
+    elif span > 1:
+        for f, _ in gop_blobs:
+            if anchor_frame < f < iframe_index:
+                rewrites[f] = interpolate_blobs(blob, anchor_blob, span, iframe_index - f)
+
+    return RefineResult(
+        object_id=object_id,
+        blob=blob,
+        refined=refined,
+        tile=tile,
+        mask=mask if refined else None,
+        rewrites=rewrites,
+        unanchored=not anchor_refined,
+    )
 
 
 class _Run:

@@ -285,8 +285,10 @@ class TestEntityTracker:
         kinds = [e.kind for e in seen]
         assert kinds.count("classified") == 2
         assert "disocclusion" in kinds
-        for fid in frag_ids:
-            assert tr.entities[fid].pending_identity
+        oid = splits[0].data["occlusion_id"]
+        assert tr.occlusions[oid].confirmed_split
+        assert [f.id for f in tr.fragments(oid)] == frag_ids
+        assert all(tr.entities[fid].label is Label.REAL for fid in frag_ids)
 
     def test_real_joining_an_occlusion_extends_it(self):
         tr = EntityTracker(PsmfConfig(psi=2))
@@ -404,7 +406,7 @@ class TestEntityTracker:
         assert sorted(tr.entities) == [1, 2, frags[2]]
         assert tr.entities[1].region == frozenset(row_cells(0, 3))
         new = tr.entities[frags[2]]
-        assert new.fragment_of is None and not new.pending_identity
+        assert new.fragment_of is None
         assert tr.occlusions == {} and tr.frozen == {}
 
     def test_unmatched_member_goes_missing(self):

@@ -5,7 +5,9 @@ import importlib.util
 import io
 import json
 import os
+import random
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -256,25 +258,39 @@ def checker(hue):
             "colors": [[round(255 * c) for c in rgb] for rgb in tones]}
 
 
-@st.composite
-def crossing_scenes(draw):
+def crossing_script(between, choose):
     """2-4 objects crossing a 240x128 canvas in both directions, each
-    appearing and vanishing at its own frame, over feature noise."""
-    n = draw(st.integers(2, 4))
-    frames = draw(st.integers(48, 96))
+    appearing and vanishing at its own frame, over feature noise.
+
+    ``between(a, b)`` draws an integer in [a, b] and ``choose(options)``
+    one of the options, so a hypothesis draw and a seeded generator give
+    scenes of one shape."""
+    n = between(2, 4)
+    frames = between(48, 96)
     objs = []
     for k in range(n):
-        w, h = draw(st.sampled_from([32, 40, 48])), draw(st.sampled_from([32, 40, 48]))
-        y = draw(st.integers(32, 96))
+        w, h = choose([32, 40, 48]), choose([32, 40, 48])
+        y = between(32, 96)
         x0, x1 = (32, 208) if k % 2 == 0 else (208, 32)
-        first, last = draw(st.integers(0, 12)), draw(st.integers(frames * 2 // 3, frames - 1))
+        first, last = between(0, 12), between(frames * 2 // 3, frames - 1)
         objs.append(SceneObject(id=k + 1, w=w, h=h, fill=checker(k / n),
                                 path=[Waypoint(first, x0, y), Waypoint(last, x1, y)]))
-    noise = NoiseSpec(p_isolated=draw(st.sampled_from([0.01, 0.02, 0.05])),
-                      p_cluster=draw(st.sampled_from([0.005, 0.05, 0.3])),
-                      rng_seed=draw(st.integers(0, 2**16)))
+    noise = NoiseSpec(p_isolated=choose([0.01, 0.02, 0.05]),
+                      p_cluster=choose([0.005, 0.05, 0.3]),
+                      rng_seed=between(0, 2**16))
     return SceneScript(width=240, height=128, frame_count=frames, gop_len=8,
                        objects=objs, noise=noise)
+
+
+@st.composite
+def crossing_scenes(draw):
+    return crossing_script(lambda a, b: draw(st.integers(a, b)),
+                           lambda options: draw(st.sampled_from(options)))
+
+
+def seeded_crossing_scene(seed):
+    rng = random.Random(seed)
+    return crossing_script(rng.randint, rng.choice)
 
 
 def as_dicts(items):
@@ -290,21 +306,55 @@ def lanes_scene(frames):
     return workloads.lanes_script(workloads.NOISE_SEED, frames)
 
 
+def assert_matches_reference(data, config):
+    """Check a run's records, events and batches against ``reference_run``;
+    return its events."""
+    got_batches, want_batches = [], []
+    got = run_tracker(data, config, on_emit=lambda after, batch: got_batches.append(
+        (after, as_dicts(batch))))
+    records, events = reference_run(data, config, on_emit=lambda after, batch: (
+        want_batches.append((after, as_dicts(batch)))))
+    assert as_dicts(got.records) == as_dicts(records)
+    assert as_dicts(got.events) == as_dicts(events)
+    assert got_batches == want_batches
+    return got.events
+
+
 class TestTracker:
     @settings(max_examples=40, deadline=None)
     @given(crossing_scenes(), st.booleans(), st.booleans(), st.sampled_from([None, 2]))
     def test_matches_the_reference_run(self, script, live, full_decode, stale_limit):
         data, _ = synthesize(script)
-        config = TrackerConfig(psmf=PsmfConfig(stale_limit=stale_limit),
-                               live=live, full_decode=full_decode)
-        got_batches, want_batches = [], []
-        got = run_tracker(data, config, on_emit=lambda after, batch: got_batches.append(
-            (after, as_dicts(batch))))
-        records, events = reference_run(data, config, on_emit=lambda after, batch: (
-            want_batches.append((after, as_dicts(batch)))))
-        assert as_dicts(got.records) == as_dicts(records)
-        assert as_dicts(got.events) == as_dicts(events)
-        assert got_batches == want_batches
+        assert_matches_reference(data, TrackerConfig(psmf=PsmfConfig(stale_limit=stale_limit),
+                                                     live=live, full_decode=full_decode))
+
+    def test_seeded_crossings_match_the_reference_on_every_identity_path(self):
+        # A fixed sweep over the modes reaches each I-frame and end-of-stream
+        # event below, without relying on hypothesis to find it.
+        seen = set()
+        for seed in range(16):
+            config = TrackerConfig(psmf=PsmfConfig(stale_limit=2 if seed % 4 == 3 else None),
+                                   live=seed % 2 == 1, full_decode=seed % 3 == 0)
+            data, _ = synthesize(seeded_crossing_scene(seed))
+            seen |= {e.kind for e in assert_matches_reference(data, config)}
+        assert {"subtraction_empty", "unanchored_interpolation", "identity_by_exclusion",
+                "identity_assigned", "candidate_dropped_eos"} <= seen
+
+    @pytest.mark.parametrize("live", [False, True], ids=["gop", "live"])
+    def test_stream_ending_before_identities_resolve_matches_the_reference(self, live):
+        # The pair separates at frame 76 and the stream ends at 78, before
+        # the I-frame at 80 that would resolve their identities.
+        blue = {"type": "checker", "colors": [[30, 30, 200], [20, 20, 150]], "tile": 8}
+        a = SceneObject(id=1, w=40, h=80, fill=CHECKER,
+                        path=[Waypoint(0, 60, 120), Waypoint(78, 216, 120)])
+        b = SceneObject(id=2, w=40, h=80, fill=blue,
+                        path=[Waypoint(0, 258, 120), Waypoint(78, 102, 120)])
+        data, _ = synthesize(SceneScript(width=320, height=240, frame_count=79, gop_len=8,
+                                         objects=[a, b]))
+        events = assert_matches_reference(data, TrackerConfig(live=live))
+        assert [(e.frame_index, e.kind) for e in events
+                if e.kind in ("disocclusion", "identity_unresolved")] == [
+            (76, "disocclusion"), (78, "identity_unresolved")]
 
     @pytest.mark.parametrize("script", [crossing_scene, lambda: lanes_scene(800)],
                              ids=["crossing", "lanes-800"])
@@ -508,7 +558,10 @@ class TestCli:
         (lambda d: d.pop("width"), "scene script has no 'width'"),
         (lambda d: d.update(width=60), "canvas 60x160 must be positive multiples of 16"),
         (lambda d: d["objects"][0]["path"][1].pop("cy"), "object 1 waypoint 1 has no 'cy'"),
-    ], ids=["no-width", "60px-canvas", "waypoint-without-cy"])
+        (lambda d: d.update(width=None), "scene script has a non-numeric 'width': None"),
+        (lambda d: d["objects"][0]["path"][1].update(cx="x"),
+         "object 1 waypoint 1 has a non-numeric 'cx': 'x'"),
+    ], ids=["no-width", "60px-canvas", "waypoint-without-cy", "null-width", "text-cx"])
     def test_bad_scene_script_is_a_usage_error(self, tmp_path, capsys, edit, message):
         d = single_object_scene(frame_count=16).to_dict()
         edit(d)
@@ -522,6 +575,48 @@ class TestCli:
         assert err.splitlines()[-1] == f"mbtrack: error: {script_path}: {message}"
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["script", "input", "gt"])
+    def test_missing_path_is_a_usage_error(self, tmp_path, capsys, missing):
+        script_path = tmp_path / "scene.json"
+        script_path.write_text(json.dumps(single_object_scene(frame_count=16).to_dict()))
+        stream, gt_path = tmp_path / "scene.mbfs", tmp_path / "gt.jsonl"
+        assert main(["synth", "--script", str(script_path), "--out", str(stream),
+                     "--gt", str(gt_path)]) == 0
+        gone = tmp_path / "missing"
+        out = tmp_path / "out"
+        argv = {
+            "script": ["synth", "--script", str(gone), "--out", str(out)],
+            "input": ["track", "--input", str(gone), "--out", str(out)],
+            "gt": ["track", "--input", str(stream), "--out", str(out), "--gt", str(gone)],
+        }[missing]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {gone}: No such file or directory"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_track_reads_a_pipe(self, tmp_path):
+        data, _ = synthesize(single_object_scene(frame_count=16))
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with os.fdopen(write_end, "wb") as f:
+                f.write(data)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        out = tmp_path / "traj.jsonl"
+        try:
+            assert main(["track", "--input", f"/dev/fd/{read_end}", "--out", str(out)]) == 0
+        finally:
+            os.close(read_end)  # a writer still blocked on a full pipe fails instead
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert as_dicts(load_records_jsonl(out)) == as_dicts(run_tracker(data).records)
 
     def test_overlay_needs_a_regular_input_file(self, tmp_path):
         stream = tmp_path / "scene.mbfs"
