@@ -50,7 +50,7 @@ def runs():
         for full in (False, True):
             yield (f"{w.name}/{'full' if full else 'partial'}", w.script,
                    TrackerConfig(full_decode=full), True)
-    for seed in (0, 23, 7, 11, 42, 99):
+    for seed in (0, 23, 7, 11, 42, 99, 30, 34):
         yield f"lanes-{seed}", lambda seed=seed: lanes_script(seed), TrackerConfig(), False
     yield "crossing-scene", crossing_scene, TrackerConfig(), False
     yield "criterion-4", criterion_4_script, TrackerConfig(), False

@@ -23,7 +23,9 @@ this module; the observation clock only ticks on P-frames.
 Real entities whose blobs collide are frozen into one ``OcclusionGroup``
 and tracked as its region. When that region splits, each piece is
 observed as a fragment; once two or more are promoted, the pipeline
-recovers their identities by hue (``occlusion``) at the next I-frame.
+recovers their identities by hue (``occlusion``) at the next I-frame. A
+blob over two fragments ends the split for all of them: an occlusion is
+tracked whole or as its fragments, never both.
 """
 
 from __future__ import annotations
@@ -208,29 +210,29 @@ class TrackEvent:
 class OcclusionGroup:
     """Two or more objects tracked as one region while their blobs overlap.
 
-    Its members are the keys of ``prior_hues``, in the order they joined.
-    Once the region splits, its fragments are the live entities whose
-    ``fragment_of`` is its id (``EntityTracker.fragments``).
+    It owns its frozen members, in the order they joined; each keeps the
+    ``prior_hue`` it had on joining, its identity prior. Once the region
+    splits, its fragments are the live entities whose ``fragment_of`` is
+    its id (``EntityTracker.fragments``).
     """
 
     id: int
-    # member id -> last refined appearance before contact (None if never taken)
-    prior_hues: dict[int, "HueHistogram | None"] = field(default_factory=dict)
+    members: dict[int, Entity] = field(default_factory=dict)
     region: frozenset = frozenset()
     confirmed_split: bool = False
 
     @property
     def member_object_ids(self) -> list[int]:
-        return list(self.prior_hues)
+        return list(self.members)
 
 
 class EntityTracker:
     """Per-P-frame entity state machine over filtered block groups.
 
-    Owns candidates, real objects, frozen occluded members, and occlusion
-    groups. ``step`` consumes one P-frame's active groups and returns the
-    events it produced. Identity resolution after a confirmed disocclusion
-    is driven externally (it needs decoded pixels) via
+    Owns candidates, real objects, and occlusion groups, which own their
+    frozen members. ``step`` consumes one P-frame's active groups and
+    returns the events it produced. Identity resolution after a confirmed
+    disocclusion is driven externally (it needs decoded pixels) via
     ``resolve_identities``.
 
     Entity and occlusion ids come from one counter, so a tracked unit is
@@ -240,7 +242,6 @@ class EntityTracker:
     def __init__(self, config: PsmfConfig | None = None):
         self.config = config or PsmfConfig()
         self.entities: dict[int, Entity] = {}  # candidates, reals, fragments
-        self.frozen: dict[int, Entity] = {}  # occluded members, by id
         self.occlusions: dict[int, OcclusionGroup] = {}
         self._next_id = 1
 
@@ -323,7 +324,8 @@ class EntityTracker:
                            assignments, events) -> int:
         """Decide who owns a group that overlaps several units."""
         # Reunion first: one group covering >= 2 candidate fragments of the
-        # same occlusion means the split was transient.
+        # same occlusion means the split was transient. It ends the split
+        # for every fragment, covered or not: an occlusion is whole or split.
         frags = defaultdict(list)
         for k in hits:
             e = self.entities.get(k)
@@ -331,12 +333,11 @@ class EntityTracker:
                 frags[e.fragment_of].append(e)
         for oid, fs in sorted(frags.items()):
             if len(fs) >= 2:
-                o = self.occlusions[oid]
-                o.region = frozenset().union(*(f.region for f in fs))
+                fs = self.fragments(oid)
+                region = frozenset().union(*(f.region for f in fs))
+                self.occlusions[oid].region = unit_region[oid] = region
                 for f in fs:
-                    del self.entities[f.id]
-                    alias[f.id] = oid
-                unit_region[oid] = o.region
+                    self._fold(f.id, oid, alias, assignments)
                 events.append(TrackEvent(frame_index, "reunion",
                                          {"occlusion_id": oid,
                                           "fragment_ids": [f.id for f in fs]}))
@@ -352,10 +353,7 @@ class EntityTracker:
             # occlusions merge into the lowest-id one.
             o = self.occlusions[occs[0]]
             for other_id in occs[1:]:
-                other = self.occlusions.pop(other_id)
-                o.prior_hues.update(other.prior_hues)
-                alias[other_id] = o.id
-                self._merge_assignments(assignments, other_id, o.id)
+                o.members.update(self._fold(other_id, o.id, alias, assignments).members)
                 events.append(TrackEvent(frame_index, "occlusion_merge",
                                          {"occlusion_id": o.id, "absorbed": other_id}))
             for r in reals:
@@ -382,33 +380,30 @@ class EntityTracker:
             owner = min(c.id for c in cands)
         for c in cands:
             if c.id != owner:
-                self._absorb_candidate(c, owner, alias, assignments, frame_index, events)
+                self._fold(c.id, owner, alias, assignments)
+                events.append(TrackEvent(frame_index, "merged",
+                                         {"object_id": c.id, "into": owner}))
         return owner
 
-    @staticmethod
-    def _merge_assignments(assignments, src, dst):
-        if src in assignments:
-            assignments[dst].extend(assignments.pop(src))
-
-    def _absorb_candidate(self, c: Entity, into: int, alias, assignments,
-                          frame_index, events):
-        del self.entities[c.id]
-        alias[c.id] = into
-        self._merge_assignments(assignments, c.id, into)
-        events.append(TrackEvent(frame_index, "merged", {"object_id": c.id, "into": into}))
+    def _fold(self, key: int, into: int, alias, assignments):
+        """Unit ``key`` answers as unit ``into`` for the rest of the step: it
+        leaves the tracker, the groups it already holds move to ``into``,
+        and ``alias`` sends later groups over its old region there too.
+        Returns the unit."""
+        alias[key] = into
+        if key in assignments:
+            assignments[into].extend(assignments.pop(key))
+        return (self.entities if key in self.entities else self.occlusions).pop(key)
 
     def _freeze(self, o: OcclusionGroup, r: Entity, alias, assignments,
                 frame_index, events):
-        """Move real entity ``r`` into occlusion ``o``, keeping its last
-        refined appearance as its identity prior."""
-        o.prior_hues[r.id] = r.prior_hue
+        """Move real entity ``r`` into occlusion ``o`` as a member. Its last
+        refined appearance, ``prior_hue``, is its identity prior."""
         if r.prior_hue is None:
             events.append(TrackEvent(frame_index, "prior_capture_failed",
                                      {"occlusion_id": o.id, "object_id": r.id}))
         r.label = Label.OCCLUDED
-        self.frozen[r.id] = self.entities.pop(r.id)
-        alias[r.id] = o.id
-        self._merge_assignments(assignments, r.id, o.id)
+        o.members[r.id] = self._fold(r.id, o.id, alias, assignments)
 
     # -- per-entity advance -------------------------------------------------
 
@@ -494,7 +489,7 @@ class EntityTracker:
         frags = self.fragments(o.id)
         for frag_id, member_id in sorted(assignment.items()):
             frag = self.entities.pop(frag_id)
-            member = self.frozen.pop(member_id)
+            member = o.members.pop(member_id)
             member.label = Label.REAL
             member.region = frag.region
             member.virtual_streak = frag.virtual_streak
@@ -506,11 +501,9 @@ class EntityTracker:
                 f.fragment_of = None
                 events.append(TrackEvent(frame_index, "new_object_from_fragment",
                                          {"object_id": f.id, "occlusion_id": o.id}))
-        for mid in o.member_object_ids:
-            if mid in self.frozen:
-                del self.frozen[mid]
-                events.append(TrackEvent(frame_index, "member_missing",
-                                         {"object_id": mid, "occlusion_id": o.id}))
+        for mid in o.members:
+            events.append(TrackEvent(frame_index, "member_missing",
+                                     {"object_id": mid, "occlusion_id": o.id}))
         del self.occlusions[o.id]
         events.append(TrackEvent(frame_index, "occlusion_closed",
                                  {"occlusion_id": o.id}))

@@ -333,15 +333,15 @@ class Tracker:
                 continue
             frags = tr.fragments(oid)
             posteriors = {f.id: f.prior_hue for f in frags if f.prior_hue is not None}
-            priors = {mid: h for mid, h in o.prior_hues.items() if h is not None}
+            priors = {mid: m.prior_hue for mid, m in o.members.items()
+                      if m.prior_hue is not None}
             assignment, chosen = match_identities(priors, posteriors)
 
             # Hue capture can fail on either side (prior never taken, or the
             # fragment's mask came up empty). Leftovers pair by id order;
             # that is the only deterministic choice left.
             leftover_frags = [f.id for f in frags if f.id not in assignment]
-            leftover_members = sorted(m for m in o.member_object_ids
-                                      if m not in assignment.values())
+            leftover_members = sorted(m for m in o.members if m not in assignment.values())
             for fid, mid in zip(leftover_frags, leftover_members):
                 assignment[fid] = mid
                 self.events.append(TrackEvent(i, "identity_by_exclusion",
@@ -423,8 +423,8 @@ def evaluate(records: list[TrackRecord], truth: list[GroundTruthRecord],
 
     Per frame, tracked records are matched to ground-truth objects one to
     one by ``occlusion.greedy_pairs``, in ascending center distance (ties:
-    lower truth id, then lower track id; a record id that repeats in a
-    frame matches at most once). Center error and overlap are measured over
+    lower truth id, then lower track id, then record order; a record id
+    that repeats in a frame matches at most once). Center error and overlap are measured over
     matches; identity switches count id changes over Real-state matches
     per truth object; detection latency counts the P-frames between an
     object's first visible frame and its first Real-state match.
@@ -440,11 +440,9 @@ def evaluate(records: list[TrackRecord], truth: list[GroundTruthRecord],
     for f in sorted(by_frame_truth):
         recs = by_frame_recs.get(f, [])
         gts = by_frame_truth[f]
-        for dist, gid, _, _, r in greedy_pairs(sorted(
-            (float(np.hypot(r.cx - g.cx, r.cy - g.cy)), g.object_id, r.object_id, g, r)
-            for g in gts
-            for r in recs
-        )):
+        for dist, gid, _, r in greedy_pairs(sorted(
+            ((float(np.hypot(r.cx - g.cx, r.cy - g.cy)), g.object_id, r.object_id, r)
+             for g in gts for r in recs), key=lambda t: t[:3])):
             matches[gid].append((f, r, dist))
 
     per_object = {}

@@ -141,15 +141,47 @@ class SceneObject:
 
 
 def _need(d, key: str, where: str, kind=None, default=None):
-    """``d[key]``, converted by ``kind`` when given, or ``default`` when the
-    key is absent and a default is given. A missing key, or a value ``kind``
-    rejects, is a ValueError that names the field and ``where`` it is."""
+    """``d[key]``, converted by ``kind`` when given (``list`` only checks
+    the type), or ``default`` when the key is absent and a default is
+    given. A missing key, or a value ``kind`` rejects, is a ValueError that
+    names the field and ``where`` it is."""
     if not isinstance(d, dict) or key not in d and default is None:
         raise ValueError(f"{where} has no {key!r}")
+    value = d.get(key, default)
+    if kind is list and not isinstance(value, list):
+        raise ValueError(f"{where} has a non-list {key!r}: {value!r}")
     try:
-        return d[key] if kind is None else kind(d.get(key, default))
+        return value if kind in (None, list) else kind(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{where} has a non-numeric {key!r}: {d[key]!r}") from None
+        raise ValueError(f"{where} has a non-numeric {key!r}: {value!r}") from None
+
+
+def _is_rgb(c) -> bool:
+    return (isinstance(c, (list, tuple)) and len(c) == 3
+            and all(isinstance(v, (int, float)) and 0 <= v <= 255 for v in c))
+
+
+def _check_paint(paint, where: str, kind: str, types: tuple) -> None:
+    """Reject a background or fill the renderer cannot paint. It needs a
+    known type; one RGB ``color`` (flat, solid) or two ``colors`` (tiles,
+    checker), each channel in 0..255; and a pattern ``tile`` of at least
+    one pixel."""
+    if not isinstance(paint, dict):
+        raise ValueError(f"{where} has a non-object {kind!r}: {paint!r}")
+    if paint.get("type") not in types:
+        raise ValueError(f"{where} has unknown {kind} type {paint.get('type')!r}")
+    pattern = paint["type"] in ("tiles", "checker")
+    key = "colors" if pattern else "color"
+    if key not in paint:
+        raise ValueError(f"{where} has no {kind} {key!r}")
+    colors = paint[key] if pattern else [paint[key]]
+    if not (isinstance(colors, (list, tuple)) and len(colors) == 1 + pattern
+            and all(map(_is_rgb, colors))):
+        raise ValueError(f"{where} has a bad {kind} {key!r}: {paint[key]!r} (want "
+                         f"{'two RGB colours' if pattern else 'an RGB colour'} in 0..255)")
+    tile = paint.get("tile", 1)
+    if pattern and not (isinstance(tile, (int, float)) and 1 <= tile < float("inf")):
+        raise ValueError(f"{where} has a bad {kind} 'tile': {tile!r} (want at least 1 px)")
 
 
 @dataclass
@@ -176,11 +208,11 @@ class SceneScript:
     def from_dict(cls, d: dict) -> "SceneScript":
         size = {k: _need(d, k, "scene script", int) for k in ("width", "height", "frame_count")}
         objects = []
-        for n, od in enumerate(d.get("objects", [])):
+        for n, od in enumerate(_need(d, "objects", "scene script", list, [])):
             oid = _need(od, "id", f"object #{n}", int)
             where = f"object {oid}"
             path = []
-            for k, wp in enumerate(_need(od, "path", where)):
+            for k, wp in enumerate(_need(od, "path", where, list)):
                 at = f"{where} waypoint {k}"
                 path.append(Waypoint(frame=_need(wp, "frame", at, int),
                                      cx=_need(wp, "cx", at, float), cy=_need(wp, "cy", at, float),
@@ -235,8 +267,7 @@ class SceneScript:
             raise ValueError("frame_count must be positive")
         if not (0 < self.fps <= 255):
             raise ValueError("fps out of range")
-        if self.background.get("type") not in BACKGROUND_TYPES:
-            raise ValueError(f"unknown background type {self.background.get('type')!r}")
+        _check_paint(self.background, "scene script", "background", BACKGROUND_TYPES)
         for p in (self.noise.p_isolated, self.noise.p_cluster):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("noise probabilities must be in [0, 1]")
@@ -245,8 +276,7 @@ class SceneScript:
             if o.id in seen:
                 raise ValueError(f"duplicate object id {o.id}")
             seen.add(o.id)
-            if o.fill.get("type") not in FILL_TYPES:
-                raise ValueError(f"object {o.id} has unknown fill type {o.fill.get('type')!r}")
+            _check_paint(o.fill, f"object {o.id}", "fill", FILL_TYPES)
             if not o.path:
                 raise ValueError(f"object {o.id} has an empty path")
             frames = [wp.frame for wp in o.path]

@@ -308,25 +308,24 @@ def _truncated(what: str, frame_index: int | None) -> StreamTruncatedError:
 class _Reader:
     """Forward-only reader over bytes or a binary file object.
 
-    A file object is read in pieces, and never past the bytes a caller
-    asks for: ``window`` pulls only up to the end it is given, so nothing
-    is left over when a frame ends, and ``read`` of an I-frame payload is
-    one read from the file into a bytes object of its own, with no copy.
-    The lookahead is at most one P-frame, so memory does not grow with
-    the length of the stream.
+    Bytes are read through ``io.BytesIO``, so both take one path. The
+    source is read in pieces, and never past the bytes a caller asks for:
+    ``window`` pulls only up to the end it is given, so nothing is left
+    over when a frame ends, and ``read`` of an I-frame payload is one read
+    from the source into a bytes object of its own, with no copy. The
+    lookahead is at most one P-frame, so memory does not grow with the
+    length of the stream.
     """
 
     def __init__(self, source):
         if isinstance(source, (bytes, bytearray)):
-            self._buf = bytes(source)
-            self._src = None
-        else:
-            self._buf = b""
-            self._src = source
+            source = io.BytesIO(source)
+        self._src = source
+        self._buf = b""
         self._pos = 0
 
     def _pull(self, n: int) -> bytes:
-        """Up to n bytes from the file object; fewer only at its end.
+        """Up to n bytes from the source; fewer only at its end.
         Each read asks for at most ``_READ_CAP`` bytes."""
         parts = []
         while n > 0:
@@ -345,18 +344,16 @@ class _Reader:
             return buf[pos : pos + n]
         data = buf[pos:]
         self._buf, self._pos = b"", 0
-        if self._src is not None:
-            data += self._pull(n - len(data))  # b"" + x is x itself: no copy
+        data += self._pull(n - len(data))  # b"" + x is x itself: no copy
         if len(data) != n:
             raise _truncated(what, frame_index)
         return data
 
     def window(self, n: int) -> tuple[bytes, int]:
         """(buffer, start): the unconsumed bytes are buffer[start:], at
-        least n of them unless the source ends first, and from a file
-        object no more than n."""
+        least n of them unless the source ends first, and no more than n."""
         avail = len(self._buf) - self._pos
-        if avail < n and self._src is not None:
+        if avail < n:
             self._buf = self._buf[self._pos :] + self._pull(n - avail)
             self._pos = 0
         return self._buf, self._pos

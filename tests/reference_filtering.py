@@ -7,9 +7,10 @@ fragment and as ``fragment_ids`` on the occlusion, and ten sites kept the
 two in sync by hand. Units were keyed ``("e", id)`` / ``("o", id)``.
 ``Entity``, ``OcclusionGroup``, ``snapshot_prior`` and ``EntityTracker``
 are copied unchanged, except that the imports the copies made inside
-functions (of names now defined in this module) are dropped. Its
-``region_split`` payload is the occlusion's own list, which later steps
-edit in place, so compare its events as they are emitted.
+functions (of names now defined in this module) are dropped, and that a
+reunion ends the whole split (the one departure, commented where it
+is). Its ``region_split`` payload is the occlusion's own list, which
+later steps edit in place, so compare its events as they are emitted.
 
 Its evidence is the train of the same era: ``TrainRecord`` and
 ``occurrence_term`` are copied unchanged from the ``mbtrack.filtering``
@@ -227,9 +228,15 @@ class EntityTracker:
         for oid, fs in sorted(frags.items()):
             if len(fs) >= 2:
                 o = self.occlusions[oid]
+                # Departure from the copy: the reunion takes every live
+                # fragment, not only the ones this group covers, and each
+                # one's groups so far move to the occlusion with it. An
+                # occlusion is then whole or split, never partly reunited.
+                fs = [self.entities[fid] for fid in o.fragment_ids if fid in self.entities]
                 union = frozenset().union(*(f.region for f in fs))
                 for f in fs:
                     self._drop_fragment(o, f, alias, ("o", oid))
+                    self._merge_assignments(assignments, ("e", f.id), ("o", oid))
                 o.region = union
                 unit_region[("o", oid)] = union
                 events.append(TrackEvent(frame_index, "reunion",

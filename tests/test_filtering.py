@@ -300,8 +300,10 @@ class TestEntityTracker:
         events = tr.step([group(row_cells(0, 23), 4)], 4)
         extends = [e.data for e in events if e.kind == "occlusion_extend"]
         assert extends == [{"occlusion_id": oid, "object_id": 3}]
-        assert tr.occlusions[oid].member_object_ids == [1, 2, 3]
-        assert sorted(tr.frozen) == [1, 2, 3] and tr.entities == {}
+        members = tr.occlusions[oid].members
+        assert tr.occlusions[oid].member_object_ids == [1, 2, 3] == list(members)
+        assert all(m.label is Label.OCCLUDED for m in members.values())
+        assert tr.entities == {}
 
     def test_colliding_occlusions_merge_into_the_lower_id(self):
         tr = EntityTracker(PsmfConfig(psi=2))
@@ -360,9 +362,6 @@ class TestEntityTracker:
         assert tr.occlusions[3].region == frozenset(a)
         assert not tr.occlusions[3].confirmed_split
 
-    @pytest.mark.xfail(strict=True, raises=KeyError,
-                       reason="ROADMAP item 1: fragments of an occlusion absorbed by "
-                              "occlusion_merge still point at it")
     def test_fragments_of_an_absorbed_occlusion_can_reunite(self):
         tr = EntityTracker(PsmfConfig(psi=3))
         rows = lambda x0, x1: row_cells(x0, x1) | row_cells(x0, x1, y=1)
@@ -378,13 +377,64 @@ class TestEntityTracker:
                 if e.kind == "region_split"] == [[7, 8, 9, 10]]
         events = tr.step([group(row_cells(20, 23), 6), group(a | row_cells(4, 21), 6),
                           group({(24, 0)}, 6), group({(23, 1)}, 6)], 6)
+        # The reunion over 7 and 8 ends the split of 6 for all four
+        # fragments, so the merge absorbs a whole occlusion, and the groups
+        # over 9 and 10 reach the absorber through 6.
         assert [(e.kind, e.data) for e in events
-                if e.kind in ("reunion", "occlusion_merge")] == [
-            ("reunion", {"occlusion_id": 6, "fragment_ids": [7, 8]}),
-            ("occlusion_merge", {"occlusion_id": 5, "absorbed": 6})]
-        assert [f.id for f in tr.fragments(6)] == [9, 10] and 6 not in tr.occlusions
-        # one group over the two fragments left: a reunion with a dead occlusion
-        tr.step([group({(23, 1), (24, 0)}, 7)], 7)
+                if e.kind in ("reunion", "occlusion_merge", "region_split")] == [
+            ("reunion", {"occlusion_id": 6, "fragment_ids": [7, 8, 9, 10]}),
+            ("occlusion_merge", {"occlusion_id": 5, "absorbed": 6}),
+            ("region_split", {"occlusion_id": 5, "fragment_ids": [11, 12, 13, 14]})]
+        assert list(tr.occlusions) == [5] and tr.occlusions[5].member_object_ids == [1, 2, 3, 4]
+        assert not any(e.fragment_of == 6 for e in tr.entities.values())
+        # one group over two of the fragments left: a reunion with the live 5
+        events = tr.step([group({(23, 1), (24, 0)}, 7)], 7)
+        assert [e.data for e in events if e.kind == "reunion"] == [
+            {"occlusion_id": 5, "fragment_ids": [11, 12, 13, 14]}]
+
+    def test_reunion_of_two_of_four_fragments_keeps_the_reunited_cells(self):
+        # Occlusion 3 splits into fragments 4-7, and one group over 4 and 5
+        # reunites it: the whole occlusion, so no fragment is left to take
+        # its region over. It follows the group like any unit, and the same
+        # group a frame later is its own, not a new candidate's.
+        tr = EntityTracker(PsmfConfig(psi=4))
+        a, b = row_cells(0, 3), row_cells(9, 12)
+        for f in range(1, 5):
+            tr.step([group(a, f), group(b, f)], f)
+        tr.step([group(row_cells(0, 12), 5)], 5)
+        events = tr.step([group(row_cells(x, x + 2), 6) for x in (0, 3, 6, 9)], 6)
+        assert [e.data["fragment_ids"] for e in events if e.kind == "region_split"] == [
+            [4, 5, 6, 7]]
+        events = tr.step([group(row_cells(0, 5), 7)], 7)
+        assert [e.data for e in events if e.kind == "reunion"] == [
+            {"occlusion_id": 3, "fragment_ids": [4, 5, 6, 7]}]
+        assert tr.entities == {}
+        assert tr.occlusions[3].region == frozenset(row_cells(0, 5))
+        assert tr.step([group(row_cells(0, 5), 8)], 8) == []
+        assert tr.entities == {} and tr.occlusions[3].region == frozenset(row_cells(0, 5))
+
+    def test_group_over_a_fragment_before_its_reunion_stays_with_the_occlusion(self):
+        # The first group reaches fragment 4 alone; the second reunites
+        # occlusion 3 through fragments 4 and 5. The first group moves to
+        # the occlusion with its fragment, so the occlusion holds two groups
+        # and splits anew over both: no cell is left to seed a candidate.
+        tr = EntityTracker(PsmfConfig(psi=4))
+        rows = lambda x0, x1: row_cells(x0, x1) | row_cells(x0, x1, y=1)
+        a, b = rows(0, 3), rows(9, 12)
+        for f in range(1, 5):
+            tr.step([group(a, f), group(b, f)], f)
+        tr.step([group(rows(0, 12), 5)], 5)
+        tr.step([group(a, 6), group(b, 6)], 6)
+        first, second = rows(0, 1), rows(2, 10)
+        events = tr.step([group(first, 7), group(second, 7)], 7)
+        assert [(e.kind, e.data) for e in events] == [
+            ("reunion", {"occlusion_id": 3, "fragment_ids": [4, 5]}),
+            ("region_split", {"occlusion_id": 3, "fragment_ids": [6, 7]})]
+        assert tr.occlusions[3].region == frozenset(first | second)
+        assert [tr.entities[i].region for i in (6, 7)] == [frozenset(first),
+                                                            frozenset(second)]
+        events = tr.step([group(first, 8), group(second, 8)], 8)
+        assert "seed" not in [e.kind for e in events]
 
     def test_real_retires_after_stale_limit_unsupported_frames(self):
         tr = EntityTracker(PsmfConfig(psi=2, stale_limit=1))
@@ -407,7 +457,7 @@ class TestEntityTracker:
         assert tr.entities[1].region == frozenset(row_cells(0, 3))
         new = tr.entities[frags[2]]
         assert new.fragment_of is None
-        assert tr.occlusions == {} and tr.frozen == {}
+        assert tr.occlusions == {} and o.members == {}
 
     def test_unmatched_member_goes_missing(self):
         tr, o, frags = disoccluded(members=3, fragments=2)
@@ -421,7 +471,7 @@ class TestEntityTracker:
         assert tr.entities[2].region == frozenset(row_cells(0, 3))
         assert all(e.label is Label.REAL and e.fragment_of is None
                    for e in tr.entities.values())
-        assert tr.occlusions == {} and tr.frozen == {}
+        assert tr.occlusions == {}
 
 
 def disoccluded(members, fragments):
@@ -461,12 +511,15 @@ HUE = HueHistogram(np.full(HUE_BINS, 1.0 / HUE_BINS), 1)
 def random_traffic(seed, rows=12, cols=24):
     """A random tracking problem: (config, gop, P-frame groups by frame, rng).
 
-    2-5 rects move across a small macroblock grid, bouncing off its edges,
-    so they cross and part again. Each appears and vanishes at its own
-    frame and drops out at random; noise cells, alone or in pairs, can
-    bridge two rects. psi is 2-4 and stale_limit None, 0, 1 or 2. Frames
-    that are a multiple of ``gop`` are I-frames and carry no groups; the
-    rng is left for the driver's I-frame decisions.
+    3-6 rects move across a small macroblock grid, bouncing off its edges,
+    so they cross and part again. Each may bring a companion one column
+    behind it at its speed, so pairs touch and part as they drop out and
+    noise bridges them: their occlusions split, reunite and merge. Each
+    rect appears and vanishes at its own frame and drops out at random;
+    noise cells, alone or in pairs, can bridge two rects. psi is 2-4 and
+    stale_limit None, 0, 1 or 2. Frames that are a multiple of ``gop`` are
+    I-frames and carry no groups; the rng is left for the driver's I-frame
+    decisions.
     """
     rng = np.random.default_rng(seed)
     config = PsmfConfig(psi=int(rng.integers(2, 5)),
@@ -475,16 +528,21 @@ def random_traffic(seed, rows=12, cols=24):
     frames = int(rng.integers(24, 64))
     drop = rng.choice([0.0, 0.1, 0.3])
     noise = rng.choice([0.0, 0.5, 2.0])  # mean noise cells per frame
+    convoy = rng.choice([0.3, 0.7])  # chance that a rect brings a companion
     objects = []
-    for _ in range(rng.integers(2, 6)):
+    for _ in range(rng.integers(3, 7)):
         w, h = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-        objects.append({
+        ob = {
             "pos": [int(rng.integers(0, cols - w + 1)), int(rng.integers(0, rows - h + 1))],
             "vel": [int(rng.choice([-1, 1])), int(rng.choice([-1, 0, 0, 1]))],
             "size": (w, h),
             "life": (int(rng.integers(0, frames // 3)),
                      int(rng.integers(frames // 2, frames + 8))),
-        })
+        }
+        objects.append(ob)
+        x = ob["pos"][0] + w + 1
+        if rng.random() < convoy and x + w <= cols:
+            objects.append({**ob, "pos": [x, ob["pos"][1]], "vel": list(ob["vel"])})
     groups_by_frame = {}
     for f in range(1, frames):
         coded = {}
@@ -509,9 +567,13 @@ def random_traffic(seed, rows=12, cols=24):
 
 
 def tracker_state(tr):
-    """(entities, frozen members, occlusions) as comparable values."""
+    """(entities, frozen members, occlusions) as comparable values. The
+    reference keeps every frozen member in one map, the tracker in the
+    occlusion it belongs to."""
     units = lambda d: {i: (e.label, e.region, e.fragment_of) for i, e in d.items()}
-    return (units(tr.entities), units(tr.frozen),
+    frozen = (tr.frozen if isinstance(tr, reference_filtering.EntityTracker) else
+              {i: m for o in tr.occlusions.values() for i, m in o.members.items()})
+    return (units(tr.entities), units(frozen),
             {i: (o.region, o.member_object_ids, o.confirmed_split)
              for i, o in tr.occlusions.items()})
 
@@ -519,7 +581,7 @@ def tracker_state(tr):
 def run_against_reference(seed):
     """Drive the tracker and the reference through ``random_traffic(seed)``
     side by side, asserting equal events and state after every step and
-    every emulated I-frame; return the event kinds seen.
+    every emulated I-frame; return the events of each step and I-frame.
 
     At an I-frame each split occlusion is resolved as the pipeline would,
     with fragments paired to a random subset of its frozen members, and
@@ -528,7 +590,7 @@ def run_against_reference(seed):
     """
     config, gop, groups_by_frame, rng = random_traffic(seed)
     new, ref = EntityTracker(config), reference_filtering.EntityTracker(config)
-    kinds = set()
+    steps = []
     for f in range(1, max(groups_by_frame) + 1):
         if f % gop:
             got, want = new.step(groups_by_frame[f], f), ref.step(groups_by_frame[f], f)
@@ -536,7 +598,7 @@ def run_against_reference(seed):
             got, want = [], []
             for oid in [oid for oid, o in sorted(new.occlusions.items()) if o.confirmed_split]:
                 o = new.occlusions[oid]
-                members = [m for m in o.member_object_ids if m in new.frozen]
+                members = list(o.members)
                 rng.shuffle(members)
                 frags = [fr.id for fr in new.fragments(oid)]
                 pairs = int(rng.integers(0, min(len(frags), len(members)) + 1))
@@ -555,8 +617,8 @@ def run_against_reference(seed):
             assert [fr.id for fr in new.fragments(oid)] == live, (f, oid)
             # Only a confirmed split's list keeps ids of fragments frozen since.
             assert o.confirmed_split or live == o.fragment_ids, (f, oid)
-        kinds.update(e.kind for e in got)
-    return kinds
+        steps.append(got)
+    return steps
 
 
 class TestTrackerAgainstReference:
@@ -566,7 +628,10 @@ class TestTrackerAgainstReference:
         run_against_reference(seed)
 
     def test_fixed_seeds_reach_every_kind(self):
-        kinds = set()
-        for seed in range(SWEEP_SEEDS):
-            kinds |= run_against_reference(seed)
-        assert kinds == TRACKER_KINDS
+        steps = [s for seed in range(SWEEP_SEEDS) for s in run_against_reference(seed)]
+        assert {e.kind for s in steps for e in s} == TRACKER_KINDS
+        # An occlusion that reunites and is absorbed in the same step: its
+        # other fragments must not be left pointing at it.
+        assert any({e.data["occlusion_id"] for e in s if e.kind == "reunion"}
+                   & {e.data["absorbed"] for e in s if e.kind == "occlusion_merge"}
+                   for s in steps)

@@ -423,6 +423,14 @@ class TestEvaluate:
         assert m["per_object"][1]["matched_track_ids"] == [7]
         assert m["per_object"][2]["matched_track_ids"] == [8]
 
+    def test_records_tied_on_distance_and_ids_match_in_record_order(self):
+        truth = [gt(0, 1, 5.0, 5.0)]
+        records = [rec(0, 1, 4.0, 5.0), rec(0, 1, 6.0, 5.0, w=12.0)]
+        per = evaluate(records, truth, gop_len=4)["per_object"][1]
+        assert per["matched_frames"] == 1
+        assert per["mean_center_error"] == 1.0
+        assert per["mean_iou"] == pytest.approx(9 / 11)  # the first; the second's is 5/6
+
     def test_id_switch_counted_on_real_matches(self):
         truth = [gt(f, 1, 10.0, 10.0) for f in range(6)]
         records = [rec(f, 7, 10.0, 10.0) for f in range(3)]
@@ -561,7 +569,28 @@ class TestCli:
         (lambda d: d.update(width=None), "scene script has a non-numeric 'width': None"),
         (lambda d: d["objects"][0]["path"][1].update(cx="x"),
          "object 1 waypoint 1 has a non-numeric 'cx': 'x'"),
-    ], ids=["no-width", "60px-canvas", "waypoint-without-cy", "null-width", "text-cx"])
+        (lambda d: d.update(background=5), "scene script has a non-object 'background': 5"),
+        (lambda d: d["objects"][0].update(fill=5), "object 1 has a non-object 'fill': 5"),
+        (lambda d: d.update(objects=5), "scene script has a non-list 'objects': 5"),
+        (lambda d: d["objects"][0].update(path=5), "object 1 has a non-list 'path': 5"),
+        (lambda d: d["objects"][0].update(fill={"type": "checker", "tile": 8}),
+         "object 1 has no fill 'colors'"),
+        (lambda d: d.update(background={"type": "flat"}),
+         "scene script has no background 'color'"),
+        (lambda d: d.update(background={"type": "tiles", "colors": [[1, 2, 3]]}),
+         "scene script has a bad background 'colors': [[1, 2, 3]]"
+         " (want two RGB colours in 0..255)"),
+        (lambda d: d["objects"][0].update(fill={"type": "solid", "color": [300, 0, 0]}),
+         "object 1 has a bad fill 'color': [300, 0, 0] (want an RGB colour in 0..255)"),
+        (lambda d: d.update(background={"type": "flat", "color": [-1, 0, 0]}),
+         "scene script has a bad background 'color': [-1, 0, 0]"
+         " (want an RGB colour in 0..255)"),
+        (lambda d: d["objects"][0].update(fill=dict(CHECKER, tile=0)),
+         "object 1 has a bad fill 'tile': 0 (want at least 1 px)"),
+    ], ids=["no-width", "60px-canvas", "waypoint-without-cy", "null-width", "text-cx",
+            "number-background", "number-fill", "number-objects", "number-path",
+            "fill-without-colors", "background-without-color", "one-tile-colour",
+            "colour-300", "colour-minus-1", "tile-0"])
     def test_bad_scene_script_is_a_usage_error(self, tmp_path, capsys, edit, message):
         d = single_object_scene(frame_count=16).to_dict()
         edit(d)
