@@ -12,7 +12,9 @@ compare the two outputs:
 The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
 and ``tests/test_pipeline.py`` of the checkout this script sits in, so
 both trees are fed the same streams; only ``mbtrack`` comes from
-PYTHONPATH.
+PYTHONPATH. The ``lanes-noisy`` stream is also tracked rewritten without
+its background chunk, so that the tracker takes its background from the
+first I-frame's full decode.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 from mbtrack.filtering import PsmfConfig  # noqa: E402
 from mbtrack.pipeline import TrackerConfig, evaluate, run_tracker  # noqa: E402
 from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize  # noqa: E402
+from mbtrack.stream import FLAG_HAS_BACKGROUND, read_stream, stream_to_bytes  # noqa: E402
 from test_acceptance import GRAY_BG, RED, crossing_script, noise_script  # noqa: E402
 from test_pipeline import crossing_scene  # noqa: E402
 from workloads import NOISE_SEED, WORKLOADS, lanes_script, pair_script  # noqa: E402
@@ -44,34 +47,55 @@ def criterion_4_script() -> SceneScript:
                        background=GRAY_BG, objects=[obj])
 
 
+def synthesized(script):
+    """A thunk for the (stream bytes, truth) of the script thunk ``script``."""
+    return lambda: synthesize(script())
+
+
+def without_background(script):
+    """``synthesized``, with the stream rewritten without its background
+    chunk and with its header's background flag cleared."""
+    def make():
+        data, truth = synthesize(script())
+        header, _, frames = read_stream(data)
+        bare = replace(header, flags=header.flags & ~FLAG_HAS_BACKGROUND)
+        return stream_to_bytes(bare, None, frames), truth
+    return make
+
+
 def runs():
-    """(name, script thunk, config, evaluated) for every run but the mode."""
+    """(name, stream thunk, config, evaluated) for every run but the mode."""
     for w in WORKLOADS.values():
         for full in (False, True):
-            yield (f"{w.name}/{'full' if full else 'partial'}", w.script,
+            yield (f"{w.name}/{'full' if full else 'partial'}", synthesized(w.script),
                    TrackerConfig(full_decode=full), True)
     for seed in (0, 23, 7, 11, 42, 99, 30, 34):
-        yield f"lanes-{seed}", lambda seed=seed: lanes_script(seed), TrackerConfig(), False
-    yield "crossing-scene", crossing_scene, TrackerConfig(), False
-    yield "criterion-4", criterion_4_script, TrackerConfig(), False
+        yield (f"lanes-{seed}", synthesized(lambda seed=seed: lanes_script(seed)),
+               TrackerConfig(), False)
+    yield "crossing-scene", synthesized(crossing_scene), TrackerConfig(), False
+    yield "criterion-4", synthesized(criterion_4_script), TrackerConfig(), False
     for seed in (101, 102, 103, 104, 105):
         for objects in (False, True):
             yield (f"criterion-5-{seed}-{'objects' if objects else 'empty'}",
-                   lambda seed=seed, objects=objects: noise_script(seed, objects),
+                   synthesized(lambda seed=seed, objects=objects: noise_script(seed, objects)),
                    TrackerConfig(), False)
     for seed in (201, 202, 203, 204, 205):
-        yield (f"criterion-6-{seed}", lambda seed=seed: crossing_script(seed),
+        yield (f"criterion-6-{seed}", synthesized(lambda seed=seed: crossing_script(seed)),
                TrackerConfig(), False)
     for full in (False, True):
-        yield (f"criterion-8/{'full' if full else 'partial'}", lambda: pair_script(0),
-               TrackerConfig(full_decode=full), False)
+        yield (f"criterion-8/{'full' if full else 'partial'}",
+               synthesized(lambda: pair_script(0)), TrackerConfig(full_decode=full), False)
     for stale in (0, 2):
         config = TrackerConfig(psmf=PsmfConfig(stale_limit=stale))
-        yield f"crossing-scene/stale-{stale}", crossing_scene, config, False
-        yield (f"lanes-{NOISE_SEED}/stale-{stale}", lambda: lanes_script(NOISE_SEED),
-               config, False)
-    yield (f"lanes-{NOISE_SEED}-800", lambda: lanes_script(NOISE_SEED, 800),
+        yield f"crossing-scene/stale-{stale}", synthesized(crossing_scene), config, False
+        yield (f"lanes-{NOISE_SEED}/stale-{stale}",
+               synthesized(lambda: lanes_script(NOISE_SEED)), config, False)
+    yield (f"lanes-{NOISE_SEED}-800", synthesized(lambda: lanes_script(NOISE_SEED, 800)),
            TrackerConfig(), False)
+    lanes = WORKLOADS["lanes-noisy"]
+    for full in (False, True):
+        yield (f"{lanes.name}-no-background/{'full' if full else 'partial'}",
+               without_background(lanes.script), TrackerConfig(full_decode=full), True)
 
 
 def sha(lines) -> str:
@@ -102,8 +126,8 @@ def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool) -> dict:
 
 def main() -> int:
     out = {}
-    for name, script, config, evaluated in runs():
-        data, truth = synthesize(script())
+    for name, stream, config, evaluated in runs():
+        data, truth = stream()
         for live in (False, True):
             out[f"{name}/{'live' if live else 'gop'}"] = digest(
                 data, truth, replace(config, live=live), evaluated)

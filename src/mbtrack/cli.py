@@ -28,7 +28,16 @@ from .refinement import RefineConfig
 from .scene import load_ground_truth, load_scene_script, synthesize_to, write_ground_truth
 
 
+def _check_outputs(parser, *paths) -> None:
+    """A usage error for an output path whose directory does not exist,
+    raised before any work is done and any output is written."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"{path}: No such file or directory")
+
+
 def _cmd_synth(args, parser) -> int:
+    _check_outputs(parser, args.out, args.gt)
     try:
         script = load_scene_script(args.script)
     except OSError as exc:  # a missing or unreadable script: a usage error
@@ -68,7 +77,9 @@ def _cmd_track(args, parser) -> int:
         )
     except ValueError as exc:  # a parameter out of range: a usage error
         parser.error(str(exc))
-    # Every input is opened before any output is written.
+    # Every output's directory is checked, and every input opened, before
+    # any tracking or output.
+    _check_outputs(parser, args.out, args.events, args.metrics)
     try:
         truth = load_ground_truth(args.gt) if args.gt else None
         source = open(args.input, "rb")

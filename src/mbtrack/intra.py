@@ -42,7 +42,9 @@ a background image for neighbor pixels that fall outside the region.
 ``decode_regions_partial`` decodes many regions in one wave: each keeps
 its own predictor planes in one zero-padded stack, aligned so that every
 region's wave starts at the same cell, and the wave takes as many steps
-as the largest region needs. Padding lies below and right of every
+as the largest region needs. The stack is skewed, one anti-diagonal per
+leading index and the planes innermost, so that each step reads and
+writes one contiguous slice. Padding lies below and right of every
 region, and the recurrence reads only above and left, so no region reads
 it (see ``_decode_regions``). A full decode is the one-region case.
 """
@@ -260,9 +262,10 @@ def encode_iframe(image) -> IntraPayload:
     return IntraPayload._viewing(wire, w, h)
 
 
-def _start_predictors(core: np.ndarray, payload: IntraPayload, bx0: int, by0: int,
-                      background: np.ndarray | None) -> None:
-    """Fill ``core``, the zeroed (3, nby, nbx) int32 slab of one rect, with D.
+def _start_predictors(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
+                      background: np.ndarray | None) -> np.ndarray:
+    """D of the rect of nbx x nby blocks at block (bx0, by0), as a new
+    contiguous (3, nby, nbx) int32 slab.
 
     D holds the residual sums of the neighbouring edges inside the rect,
     the ``background`` pixel sums of the edges just above and just left of
@@ -272,7 +275,7 @@ def _start_predictors(core: np.ndarray, payload: IntraPayload, bx0: int, by0: in
     column p = D + p_nb is a running sum, so those blocks leave here with
     their final predictors.
     """
-    nby, nbx = core.shape[1:]
+    core = np.zeros((3, nby, nbx), dtype=np.int32)
     h, w = nby * BLOCK, nbx * BLOCK
     x0, y0 = bx0 * BLOCK, by0 * BLOCK
     res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
@@ -294,6 +297,7 @@ def _start_predictors(core: np.ndarray, payload: IntraPayload, bx0: int, by0: in
         np.cumsum(core[:, 0], axis=-1, out=core[:, 0])
     if bx0 == 0:
         np.cumsum(core[:, :, 0], axis=-1, out=core[:, :, 0])
+    return core
 
 
 def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.ndarray | None:
@@ -336,20 +340,24 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
 
     Runs the predictor recurrence of the module docstring for every
     region at once. Each region gets its own three planes in one
-    zero-padded int32 stack of shape (3K, R, C), started as D by
-    ``_start_predictors``. A region sits with its first block at (1, 1),
-    under one padding row and left of one padding column that stay 0,
-    except that a region on the frame's top (left) edge sits one row (one
-    column) higher (further left): its finished running-sum row (column)
-    then lies in the padding, and every region's wave starts at (1, 1).
-    The wave decodes one anti-diagonal ``i + j = d`` of the whole stack at
-    a time, in place: p = (D + p_up + p_left) >> 1, so it runs as many
-    steps as the largest region needs, not their sum. In a row-major array
-    of row width C, consecutive blocks of one anti-diagonal sit C - 1
-    apart, so a diagonal and the blocks above and left of it are plain
-    strided slices. Stack cells outside a region lie below or right of
-    all of it, and a cell reads only the cells above and left of it, so
-    no region's block ever reads them, nor another region's planes.
+    zero-padded int32 stack, started as D by ``_start_predictors``. A
+    region sits with its first block at (1, 1), under one padding row and
+    left of one padding column that stay 0, except that a region on the
+    frame's top (left) edge sits one row (one column) higher (further
+    left): its finished running-sum row (column) then lies in the
+    padding, and every region's wave starts at (1, 1). The wave decodes
+    one anti-diagonal ``i + j = e`` of the whole stack at a time, in
+    place: p = (D + p_up + p_left) >> 1, so it runs as many steps as the
+    largest region needs, not their sum. The stack is laid out skewed:
+    cell (i, j) of plane q is ``skew[i + j, i, q]``, so diagonal e is the
+    contiguous slice ``skew[e, lo:hi]``, the cells above it are
+    ``skew[e - 1, lo - 1:hi - 1]`` and the cells left of it
+    ``skew[e - 1, lo:hi]``: each step is three operations on contiguous
+    slices, over every plane of every region. A region's planes are a
+    strided (3, nby, nbx) view of the stack. Stack cells outside a region
+    lie below or right of all of it, and a cell reads only the cells
+    above and left of it, so no region's block ever reads them, nor
+    another region's planes.
 
     ``_decode_blocks_clamped`` decodes a region instead when a mode-0
     block lies anywhere in it but at the frame's origin (``encode_iframe``
@@ -380,25 +388,25 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
     # Rows and columns each region's wave covers, below and right of (0, 0).
     rows = max(regions[k][3] - (regions[k][1] == 0) for k in fast)
     cols = max(regions[k][2] - (regions[k][0] == 0) for k in fast)
-    stack = np.zeros((3 * len(fast), rows + 1, cols + 1), dtype=np.int32)
+    skew = np.zeros((rows + cols + 1, rows + 1, 3 * len(fast)), dtype=np.int32)
+    s0, s1, s2 = skew.strides
     cores = []
     for j, k in enumerate(fast):
         bx0, by0, nbx, nby = regions[k]
         r, c = int(by0 > 0), int(bx0 > 0)
-        core = stack[3 * j : 3 * j + 3, r : r + nby, c : c + nbx]
-        _start_predictors(core, payload, bx0, by0, background)
+        core = np.ndarray((3, nby, nbx), np.int32, skew, (r + c) * s0 + r * s1 + 3 * j * s2,
+                          (s2, s0 + s1, s0))
+        # D is made in a contiguous slab and copied in one assignment: made
+        # op by op through the strided view it costs twice as much. The
+        # slab is freed with the statement, so none adds to later peaks.
+        core[...] = _start_predictors(payload, bx0, by0, nbx, nby, background)
         cores.append(core)
 
-    row = cols + 1
-    flat = stack.reshape(len(stack), -1)
-    for d in range(rows + cols - 1 if rows and cols else 0):
-        i0 = max(0, d - cols + 1)
-        n = min(d, rows - 1) + 1 - i0
-        c = (i0 + 1) * row + (d - i0 + 1)  # stack cell of (i0, d - i0)
-        span = (n - 1) * cols + 1
-        p = flat[:, c : c + span : cols]
-        p += flat[:, c - row : c - row + span : cols]
-        p += flat[:, c - 1 : c - 1 + span : cols]
+    for e in range(2, rows + cols + 1 if rows and cols else 2):
+        lo, hi = max(1, e - cols), min(e - 1, rows) + 1
+        p = skew[e, lo:hi]
+        p += skew[e - 1, lo - 1 : hi - 1]
+        p += skew[e - 1, lo:hi]
         p >>= 1
 
     for k, core in zip(fast, cores):

@@ -628,6 +628,31 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--out"), ("synth", "--gt"),
+        ("track", "--out"), ("track", "--events"), ("track", "--metrics"),
+    ])
+    def test_output_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                            command, flag):
+        script_path = tmp_path / "scene.json"
+        script_path.write_text(json.dumps(single_object_scene(frame_count=16).to_dict()))
+        stream = tmp_path / "scene.mbfs"
+        assert main(["synth", "--script", str(script_path), "--out", str(stream)]) == 0
+        flags = {"synth": ["--out", "--gt"], "track": ["--out", "--events", "--metrics"]}
+        outputs = {f: tmp_path / f.strip("-") for f in flags[command]}
+        bad = outputs[flag] = tmp_path / "nodir" / "x"
+        argv = (["synth", "--script", str(script_path)] if command == "synth"
+                else ["track", "--input", str(stream)])
+        argv += [arg for f, path in outputs.items() for arg in (f, str(path))]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {bad}: No such file or directory"
+        assert "Traceback" not in err
+        assert not any(path.exists() for path in outputs.values())
+
     def test_track_reads_a_pipe(self, tmp_path):
         data, _ = synthesize(single_object_scene(frame_count=16))
         read_end, write_end = os.pipe()
