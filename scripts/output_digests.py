@@ -92,6 +92,15 @@ def runs():
                synthesized(lambda: lanes_script(NOISE_SEED)), config, False)
     yield (f"lanes-{NOISE_SEED}-800", synthesized(lambda: lanes_script(NOISE_SEED, 800)),
            TrackerConfig(), False)
+    # Candidate churn on empty canvases beyond the benchmark's noise seed, and
+    # the unfiltered ablation, where every group's region is read.
+    for seed in (23, 7):
+        yield (f"lanes-{seed}-empty",
+               synthesized(lambda seed=seed: lanes_script(seed, objects=False)),
+               TrackerConfig(), False)
+    noise = WORKLOADS["noise-only"]
+    yield (f"{noise.name}/no-spatial-filter", synthesized(noise.script),
+           TrackerConfig(psmf=PsmfConfig(enable_spatial_filter=False)), True)
     lanes = WORKLOADS["lanes-noisy"]
     for full in (False, True):
         yield (f"{lanes.name}-no-background/{'full' if full else 'partial'}",

@@ -29,11 +29,14 @@ from .scene import load_ground_truth, load_scene_script, synthesize_to, write_gr
 
 
 def _check_outputs(parser, *paths) -> None:
-    """A usage error for an output path whose directory does not exist,
-    raised before any work is done and any output is written."""
-    for path in paths:
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """A usage error for an output path whose directory does not exist, or
+    that names a directory, raised before any work is done and any output
+    is written."""
+    for path in filter(None, paths):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             parser.error(f"{path}: No such file or directory")
+        if os.path.isdir(path):
+            parser.error(f"{path}: Is a directory")
 
 
 def _cmd_synth(args, parser) -> int:

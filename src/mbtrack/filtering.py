@@ -99,7 +99,13 @@ def _connected(members: frozenset) -> bool:
 
 @dataclass(frozen=True)
 class BlockGroup:
-    """One 8-connected cluster of non-skip macroblocks."""
+    """One 8-connected cluster of non-skip macroblocks.
+
+    ``size`` is its cell count, ``len(group)``, kept as a plain value. A
+    group ``cluster_blocks`` made holds only its span of the frame's cells
+    until ``members`` is first read; the frozenset is built then, with its
+    cells inserted in raster order, and kept.
+    """
 
     frame_index: int
     members: frozenset  # of (mx, my)
@@ -110,26 +116,54 @@ class BlockGroup:
             raise ValueError("a block group cannot be empty")
         if not _connected(self.members):
             raise ValueError("block group members must be 8-connected")
+        object.__setattr__(self, "size", len(self.members))
 
     @classmethod
-    def _labelled(cls, frame_index: int, members: frozenset,
-                  has_nonzero_coeff: bool) -> "BlockGroup":
-        """A group ``ndimage.label`` built: connected and non-empty by
-        construction, so the validation in ``__post_init__`` is skipped."""
-        group = object.__new__(cls)
-        group.__dict__.update(frame_index=frame_index, members=members,
-                              has_nonzero_coeff=has_nonzero_coeff)
-        return group
+    def _labelled(cls, frame_index: int, cells: tuple[list, list], starts: list[int],
+                  sizes: list[int], coeffs: list[bool]) -> list["BlockGroup"]:
+        """The groups ``ndimage.label`` found in one frame: connected and
+        non-empty by construction, so the validation in ``__post_init__`` is
+        skipped. Group k's members are the cells ``starts[k]:starts[k] +
+        sizes[k]`` of the frame's ``(mx list, my list)``. Most groups are
+        dropped unread, so each costs only its attribute dict."""
+        groups = []
+        for start, size, coeff in zip(starts, sizes, coeffs):
+            group = object.__new__(cls)
+            group.__dict__.update(frame_index=frame_index, has_nonzero_coeff=coeff,
+                                  size=size, _start=start, _cells=cells)
+            groups.append(group)
+        return groups
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.size
+
+
+class _LazyMembers:
+    """``BlockGroup.members`` of a labelled group, on its first read: built
+    from the group's span, with its cells inserted in raster order, and
+    stored in the instance, where every later read finds it first."""
+
+    def __get__(self, group, owner=None):
+        if group is None:
+            return self
+        state = group.__dict__
+        (mx, my), start = state.pop("_cells"), state.pop("_start")
+        end = start + state["size"]
+        members = state["members"] = frozenset(zip(mx[start:end], my[start:end]))
+        return members
+
+
+# Set after @dataclass, which would take it for the field's default.
+BlockGroup.members = _LazyMembers()
 
 
 def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     """Cluster a P-frame's non-skip macroblocks into 8-connected groups.
 
-    Groups come back in raster order of their first macroblock, and each
-    group's members are inserted in raster order.
+    Groups come back in raster order of their first macroblock. The
+    frame's cells are laid out once, by group and in raster order within
+    each group; a group keeps its span of them, and builds its members
+    from it only when they are read (see ``BlockGroup``).
     """
     if frame.kind != "P" or frame.mb_grid is None:
         raise ValueError("cluster_blocks needs a P-frame with macroblock features")
@@ -137,7 +171,6 @@ def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     labels, count = ndimage.label(~grid.skip, structure=_EIGHT_CONNECTED)
     if count == 0:
         return []
-    cols = labels.shape[1]
     flat = labels.ravel()
     cells = np.flatnonzero(flat)  # raster order
     order = np.argsort(flat[cells], kind="stable")  # by label, raster order within
@@ -145,28 +178,24 @@ def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     cell_labels = flat[cells]
     has_coeff = np.zeros(count + 1, dtype=bool)
     has_coeff[cell_labels[grid.coeff_mask.ravel()[cells] != 0]] = True
-    ends = np.cumsum(np.bincount(cell_labels)[1:]).tolist()
-    my, mx = np.divmod(cells, cols)
-    pairs = list(zip(mx.tolist(), my.tolist()))
-    groups = []
-    start = 0
-    for end, coeff in zip(ends, has_coeff[1:].tolist()):
-        groups.append(BlockGroup._labelled(frame.frame_index, frozenset(pairs[start:end]),
-                                           coeff))
-        start = end
-    return groups
+    sizes = np.bincount(cell_labels)[1:]
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    my, mx = np.divmod(cells, labels.shape[1])
+    return BlockGroup._labelled(frame.frame_index, (mx.tolist(), my.tolist()), starts,
+                                sizes.tolist(), has_coeff[1:].tolist())
 
 
 def spatial_filter(groups: list[BlockGroup], *, enabled: bool = True) -> list[BlockGroup]:
     """Drop groups too small or too empty to be an object footprint.
 
     Removes single-macroblock groups and groups with no coefficient-bearing
-    macroblock at all. Order is preserved. With ``enabled=False`` this is a
-    pass-through, for ablation.
+    macroblock at all. It reads only ``size`` and the coefficient flag, so
+    the regions of the groups it drops are never built. Order is preserved.
+    With ``enabled=False`` this is a pass-through, for ablation.
     """
     if not enabled:
         return list(groups)
-    return [g for g in groups if len(g.members) > 1 and g.has_nonzero_coeff]
+    return [g for g in groups if g.size > 1 and g.has_nonzero_coeff]
 
 
 @dataclass
@@ -276,10 +305,11 @@ class EntityTracker:
         seeds: list[BlockGroup] = []
 
         for g in active_groups:
+            members = g.members  # built here, on its first read
             hits = sorted({
                 _canon(alias, key)
                 for key, region in unit_region.items()
-                if g.members & region
+                if members & region
             })
             if not hits:
                 seeds.append(g)

@@ -113,13 +113,20 @@ class _Unit:
     It lives exactly as long as the id does: ``Tracker`` rebuilds its units
     after every step from the tracker's ids, so a merged, dropped or retired
     id loses its unit with no event handled, and a new id gets one anchored
-    at its current region.
+    at the region it first has.
+
+    A candidate's unit holds only ``held``, its region at each P-frame.
+    Most candidates retire as noise, so their blobs and records are built
+    only if they are promoted: then ``anchor``, ``blobs`` and, unless it is
+    a fragment, its records are built from ``held``.
     """
 
-    anchor: tuple[int, BlobFeature, bool]  # (frame, blob, refined) to interpolate from
+    anchor: tuple[int, BlobFeature, bool] | None = None  # (frame, blob, refined) to
+    # interpolate from; None while a candidate
     blobs: list[tuple[int, BlobFeature]] = field(default_factory=list)  # this GOP's
     records: dict[int, TrackRecord] = field(default_factory=dict)  # unreleased, by frame
-    held: list[TrackRecord] = field(default_factory=list)  # a candidate's, until it classifies
+    held: list[tuple[int, frozenset]] = field(default_factory=list)  # a candidate's
+    # (frame, region), until it classifies
 
 
 class Tracker:
@@ -224,17 +231,20 @@ class Tracker:
         self.events.extend(step_events)
         for ev in step_events:
             if ev.kind == "classified" and ev.data["label"] == Label.REAL.value:
-                unit = self.units[ev.data["object_id"]]
+                uid = ev.data["object_id"]
+                unit = self.units[uid]
+                unit.blobs = [(f, BlobFeature.from_grid_region(r)) for f, r in unit.held]
+                unit.anchor = (*unit.blobs[0], False)
                 if not ev.data["is_fragment"]:
-                    for rec in unit.held:
-                        self._commit(unit, rec)
+                    for f, blob in unit.blobs:
+                        self._commit(unit, TrackRecord.from_blob(f, uid, blob, "Candidate"))
                 # else the occlusion's records already cover these frames
                 unit.held = []
             elif ev.kind == "disocclusion":
-                # Each fragment starts afresh: the occlusion's records covered its past.
+                # Each fragment starts afresh, anchored where it stands now: the
+                # occlusion's records covered its past.
                 for fid in ev.data["fragment_ids"]:
-                    blob = BlobFeature.from_grid_region(self.tracker.entities[fid].region)
-                    self.units[fid] = _Unit((i, blob, False))
+                    self.units[fid] = _Unit()
         self._observe(i)
         t4 = time.perf_counter()
         timers["cluster"] += t1 - t0
@@ -244,17 +254,19 @@ class Tracker:
 
     def _observe(self, i: int) -> None:
         """Give the units to the tracker's ids as they stand after the step at
-        P-frame i, and record each one's macroblock blob there."""
+        P-frame i, and record each one's macroblock blob there; a candidate
+        only holds its region."""
         units = {}
         for uid, state, _, region in self._tracked():
-            blob = BlobFeature.from_grid_region(region)
-            unit = units[uid] = self.units.get(uid) or _Unit((i, blob, False))
-            unit.blobs.append((i, blob))
-            rec = TrackRecord.from_blob(i, uid, blob, state)
+            unit = units[uid] = self.units.get(uid) or _Unit()
             if state == "Candidate":
-                unit.held.append(rec)
-            else:
-                self._commit(unit, rec)
+                unit.held.append((i, region))
+                continue
+            blob = BlobFeature.from_grid_region(region)
+            if unit.anchor is None:
+                unit.anchor = (i, blob, False)
+            unit.blobs.append((i, blob))
+            self._commit(unit, TrackRecord.from_blob(i, uid, blob, state))
         self.units = units
 
     # -- I-frame ---------------------------------------------------------------

@@ -119,6 +119,17 @@ class TestSpatialFilter:
             frozenset({(4, 4), (5, 4), (4, 5), (5, 5)}),
         ]
 
+    def test_regions_are_built_only_for_the_groups_the_tracker_receives(self):
+        cells = {(0, 0): 1, (2, 0): 0, (4, 2): 0, (5, 2): 0}  # two singles, a bare pair
+        cells.update({(0, 4): 0, (1, 4): 2, (2, 4): 0})
+        groups = cluster_blocks(make_pframe(cells))
+        kept = spatial_filter(groups)
+        assert [len(g) for g in groups] == [1, 1, 2, 3] and len(kept) == 1
+        assert not any("members" in vars(g) for g in groups)
+        EntityTracker().step(kept, 1)
+        assert [g for g in groups if "members" in vars(g)] == kept
+        assert kept[0].members == frozenset({(0, 4), (1, 4), (2, 4)})
+
     def test_disabled_filter_passes_everything(self):
         groups = cluster_blocks(make_pframe({(0, 0): 1, (3, 3): 0}))
         assert spatial_filter(groups, enabled=False) == groups

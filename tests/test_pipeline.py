@@ -196,6 +196,29 @@ class TestEmissionContract:
             else:
                 assert r.h % 16 == 0 and r.w % 16 == 0
 
+    @pytest.mark.parametrize("live", [False, True])
+    def test_only_released_records_are_built(self, monkeypatch, live):
+        """Candidates that retire, merge or outlive the stream cost no
+        records: every record built is released. On this empty noisy scene
+        most of the 31 seeds retire as background, one merges, five are
+        dropped at the end, and one is promoted."""
+        data, _ = synthesize(SceneScript(
+            width=320, height=240, frame_count=64, gop_len=8, objects=[],
+            noise=NoiseSpec(p_isolated=0.02, p_cluster=0.5, rng_seed=2)))
+        built = []
+        from_blob = TrackRecord.from_blob
+
+        def spy(*args, **kwargs):
+            built.append(from_blob(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(TrackRecord, "from_blob", staticmethod(spy))
+        result = run_tracker(data, TrackerConfig(live=live))
+        kinds = [e.data["label"] if e.kind == "classified" else e.kind
+                 for e in result.events]
+        assert kinds.count("background") >= 10 and "candidate_dropped_eos" in kinds
+        assert len(built) == len(result.records)
+
 
 def crossing_scene():
     """Two 40x80 checkers that cross mid-frame, with light feature noise."""
@@ -477,6 +500,10 @@ class TestSerialization:
         assert {d["event"] for d in lines} >= {"seed", "classified"}
 
 
+OUTPUT_FLAGS = [("synth", "--out"), ("synth", "--gt"),
+                ("track", "--out"), ("track", "--events"), ("track", "--metrics")]
+
+
 class TestCli:
     def test_synth_then_track_end_to_end(self, tmp_path):
         script = single_object_scene()
@@ -628,19 +655,16 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, flag", [
-        ("synth", "--out"), ("synth", "--gt"),
-        ("track", "--out"), ("track", "--events"), ("track", "--metrics"),
-    ])
-    def test_output_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys,
-                                                            command, flag):
+    def run_with_bad_output(self, tmp_path, capsys, command, flag, bad):
+        """Run ``command`` with every output it takes, ``flag``'s at ``bad``;
+        expect a usage error and return its message and the other outputs."""
         script_path = tmp_path / "scene.json"
         script_path.write_text(json.dumps(single_object_scene(frame_count=16).to_dict()))
         stream = tmp_path / "scene.mbfs"
         assert main(["synth", "--script", str(script_path), "--out", str(stream)]) == 0
         flags = {"synth": ["--out", "--gt"], "track": ["--out", "--events", "--metrics"]}
         outputs = {f: tmp_path / f.strip("-") for f in flags[command]}
-        bad = outputs[flag] = tmp_path / "nodir" / "x"
+        outputs[flag] = bad
         argv = (["synth", "--script", str(script_path)] if command == "synth"
                 else ["track", "--input", str(stream)])
         argv += [arg for f, path in outputs.items() for arg in (f, str(path))]
@@ -649,9 +673,25 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.splitlines()[-1] == f"mbtrack: error: {bad}: No such file or directory"
         assert "Traceback" not in err
-        assert not any(path.exists() for path in outputs.values())
+        return err.splitlines()[-1], [path for f, path in outputs.items() if f != flag]
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+    def test_output_in_a_missing_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                            command, flag):
+        bad = tmp_path / "nodir" / "x"
+        message, others = self.run_with_bad_output(tmp_path, capsys, command, flag, bad)
+        assert message == f"mbtrack: error: {bad}: No such file or directory"
+        assert not any(path.exists() for path in [bad, *others])
+
+    @pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+    def test_output_that_is_a_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                          command, flag):
+        bad = tmp_path / "a-directory"
+        bad.mkdir()
+        message, others = self.run_with_bad_output(tmp_path, capsys, command, flag, bad)
+        assert message == f"mbtrack: error: {bad}: Is a directory"
+        assert not any(bad.iterdir()) and not any(path.exists() for path in others)
 
     def test_track_reads_a_pipe(self, tmp_path):
         data, _ = synthesize(single_object_scene(frame_count=16))
