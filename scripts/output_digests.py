@@ -7,18 +7,24 @@ name; the benchmark workloads also get the sha256 of ``evaluate``'s JSON.
 Every run is made in GOP and in live mode. Run it once per tree and
 compare the two outputs:
 
-    PYTHONPATH=<tree>/src python3 scripts/output_digests.py > digests.json
+    PYTHONPATH=<old tree>/src python3 scripts/output_digests.py > digests.json
+    PYTHONPATH=<new tree>/src python3 scripts/output_digests.py --against digests.json
+
+With ``--against FILE`` it prints each run whose digests differ from, or
+are missing in, the saved file, and exits 1 on any difference.
 
 The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
 and ``tests/test_pipeline.py`` of the checkout this script sits in, so
 both trees are fed the same streams; only ``mbtrack`` comes from
 PYTHONPATH. The ``lanes-noisy`` stream is also tracked rewritten without
 its background chunk, so that the tracker takes its background from the
-first I-frame's full decode.
+first I-frame's full decode. The ``scale`` scene tracks 48 objects at
+once, so every P-frame meets many groups and many units.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -30,11 +36,13 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 from mbtrack.filtering import PsmfConfig  # noqa: E402
 from mbtrack.pipeline import TrackerConfig, evaluate, run_tracker  # noqa: E402
-from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize  # noqa: E402
+from mbtrack.scene import (  # noqa: E402
+    NoiseSpec, SceneObject, SceneScript, Waypoint, synthesize)
 from mbtrack.stream import FLAG_HAS_BACKGROUND, read_stream, stream_to_bytes  # noqa: E402
 from test_acceptance import GRAY_BG, RED, crossing_script, noise_script  # noqa: E402
 from test_pipeline import crossing_scene  # noqa: E402
-from workloads import NOISE_SEED, WORKLOADS, lanes_script, pair_script  # noqa: E402
+from workloads import (  # noqa: E402
+    LANE_NOISE, NOISE_SEED, WORKLOADS, _checker, lanes_script, pair_script)
 
 
 def criterion_4_script() -> SceneScript:
@@ -45,6 +53,19 @@ def criterion_4_script() -> SceneScript:
     ])
     return SceneScript(width=320, height=240, frame_count=240, gop_len=8,
                        background=GRAY_BG, objects=[obj])
+
+
+def scale_script() -> SceneScript:
+    """1280x720, GOP 8: 48 checkers of 32 px in an 8x6 grid, each moving
+    160 px right over 120 frames, with the lanes noise of seed 101."""
+    objs = []
+    for k in range(48):
+        cx, cy = 32 + 144 * (k % 8), 48 + 120 * (k // 8)
+        objs.append(SceneObject(id=k + 1, w=32, h=32, fill=_checker(k / 48), path=[
+            Waypoint(0, cx, cy), Waypoint(119, cx + 160, cy)]))
+    return SceneScript(width=1280, height=720, frame_count=120, gop_len=8,
+                       background=GRAY_BG, objects=objs,
+                       noise=NoiseSpec(rng_seed=NOISE_SEED, **LANE_NOISE))
 
 
 def synthesized(script):
@@ -105,6 +126,9 @@ def runs():
     for full in (False, True):
         yield (f"{lanes.name}-no-background/{'full' if full else 'partial'}",
                without_background(lanes.script), TrackerConfig(full_decode=full), True)
+    for full in (False, True):
+        yield (f"scale/{'full' if full else 'partial'}", synthesized(scale_script),
+               TrackerConfig(full_decode=full), False)
 
 
 def sha(lines) -> str:
@@ -134,6 +158,10 @@ def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool) -> dict:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with digests saved by an earlier run")
+    args = parser.parse_args()
     out = {}
     for name, stream, config, evaluated in runs():
         data, truth = stream()
@@ -141,8 +169,19 @@ def main() -> int:
             out[f"{name}/{'live' if live else 'gop'}"] = digest(
                 data, truth, replace(config, live=live), evaluated)
         print(f"{name}: done", file=sys.stderr)
-    print(json.dumps(out, indent=1, sort_keys=True))
-    return 0
+    if args.against is None:
+        print(json.dumps(out, indent=1, sort_keys=True))
+        return 0
+    saved = json.loads(Path(args.against).read_text())
+    differ = [name for name in sorted(out.keys() | saved.keys())
+              if out.get(name) != saved.get(name)]
+    for name in differ:
+        old, new = saved.get(name), out.get(name)
+        what = (f"not in {args.against}" if old is None else "not run" if new is None else
+                ", ".join(k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)))
+        print(f"differs: {name}: {what}")
+    print(f"{len(differ)} of {len(out.keys() | saved.keys())} runs differ from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

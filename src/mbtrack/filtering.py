@@ -20,6 +20,11 @@ A frame without support freezes the region in place (a virtual copy), so
 a briefly undetected object keeps its footprint. I-frames never reach
 this module; the observation clock only ticks on P-frames.
 
+A region, of a group, an entity or an occlusion, is one 1-D int64 array
+of cell keys ``my << CELL_BITS | mx``, which needs no grid width to build
+or read. ``cluster_blocks`` lays out a frame's keys once, and each of its
+groups views its span of them.
+
 Real entities whose blobs collide are frozen into one ``OcclusionGroup``
 and tracked as its region. When that region splits, each piece is
 observed as a fragment; once two or more are promoted, the pipeline
@@ -45,7 +50,8 @@ if TYPE_CHECKING:
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
-GridCell = tuple[int, int]  # (mx, my) macroblock coordinates
+CELL_BITS = 16  # a cell key is my << CELL_BITS | mx
+CELL_MASK = (1 << CELL_BITS) - 1
 
 
 def _canon(alias: dict[int, int], key: int) -> int:
@@ -87,7 +93,7 @@ class PsmfConfig:
             raise ValueError("stale_limit must be at least 0")
 
 
-def _connected(members: frozenset) -> bool:
+def _connected(members: set) -> bool:
     cells = np.array(list(members))
     cells -= cells.min(axis=0)
     if cells.max() >= len(cells):  # n connected cells span at most n rows and columns
@@ -97,73 +103,52 @@ def _connected(members: frozenset) -> bool:
     return ndimage.label(mask, structure=_EIGHT_CONNECTED)[1] == 1
 
 
-@dataclass(frozen=True)
 class BlockGroup:
     """One 8-connected cluster of non-skip macroblocks.
 
-    ``size`` is its cell count, ``len(group)``, kept as a plain value. A
-    group ``cluster_blocks`` made holds only its span of the frame's cells
-    until ``members`` is first read; the frozenset is built then, with its
-    cells inserted in raster order, and kept.
+    ``keys`` is its region, in raster order, and ``size`` its cell count,
+    a plain value (``len(group)``). The public constructor takes and checks
+    ``(mx, my)`` cells; ``members`` gives them back as a frozenset.
     """
 
-    frame_index: int
-    members: frozenset  # of (mx, my)
-    has_nonzero_coeff: bool
+    __slots__ = ("frame_index", "keys", "has_nonzero_coeff", "size")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, frame_index: int, members, has_nonzero_coeff: bool):
+        cells = {(int(mx), int(my)) for mx, my in members}
+        if not cells:
             raise ValueError("a block group cannot be empty")
-        if not _connected(self.members):
+        if not all(0 <= v <= CELL_MASK for cell in cells for v in cell):
+            raise ValueError(f"block group cells must lie in 0..{CELL_MASK}")
+        if not _connected(cells):
             raise ValueError("block group members must be 8-connected")
-        object.__setattr__(self, "size", len(self.members))
+        keys = sorted(my << CELL_BITS | mx for mx, my in cells)
+        self._set(frame_index, np.array(keys, dtype=np.int64), has_nonzero_coeff)
 
-    @classmethod
-    def _labelled(cls, frame_index: int, cells: tuple[list, list], starts: list[int],
-                  sizes: list[int], coeffs: list[bool]) -> list["BlockGroup"]:
-        """The groups ``ndimage.label`` found in one frame: connected and
-        non-empty by construction, so the validation in ``__post_init__`` is
-        skipped. Group k's members are the cells ``starts[k]:starts[k] +
-        sizes[k]`` of the frame's ``(mx list, my list)``. Most groups are
-        dropped unread, so each costs only its attribute dict."""
-        groups = []
-        for start, size, coeff in zip(starts, sizes, coeffs):
-            group = object.__new__(cls)
-            group.__dict__.update(frame_index=frame_index, has_nonzero_coeff=coeff,
-                                  size=size, _start=start, _cells=cells)
-            groups.append(group)
-        return groups
+    def _set(self, frame_index: int, keys: np.ndarray, has_nonzero_coeff: bool) -> "BlockGroup":
+        self.frame_index, self.keys, self.size = frame_index, keys, len(keys)
+        self.has_nonzero_coeff = has_nonzero_coeff
+        return self
+
+    @property
+    def members(self) -> frozenset:
+        """The cells as ``(mx, my)`` pairs, inserted in raster order."""
+        return frozenset(zip((self.keys & CELL_MASK).tolist(), (self.keys >> CELL_BITS).tolist()))
 
     def __len__(self) -> int:
         return self.size
 
-
-class _LazyMembers:
-    """``BlockGroup.members`` of a labelled group, on its first read: built
-    from the group's span, with its cells inserted in raster order, and
-    stored in the instance, where every later read finds it first."""
-
-    def __get__(self, group, owner=None):
-        if group is None:
-            return self
-        state = group.__dict__
-        (mx, my), start = state.pop("_cells"), state.pop("_start")
-        end = start + state["size"]
-        members = state["members"] = frozenset(zip(mx[start:end], my[start:end]))
-        return members
-
-
-# Set after @dataclass, which would take it for the field's default.
-BlockGroup.members = _LazyMembers()
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, BlockGroup) and self.frame_index == other.frame_index
+                and np.array_equal(self.keys, other.keys)
+                and self.has_nonzero_coeff == other.has_nonzero_coeff)
 
 
 def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     """Cluster a P-frame's non-skip macroblocks into 8-connected groups.
 
     Groups come back in raster order of their first macroblock. The
-    frame's cells are laid out once, by group and in raster order within
-    each group; a group keeps its span of them, and builds its members
-    from it only when they are read (see ``BlockGroup``).
+    frame's cell keys are laid out once, by group and in raster order
+    within each group, and each group views its span of them.
     """
     if frame.kind != "P" or frame.mb_grid is None:
         raise ValueError("cluster_blocks needs a P-frame with macroblock features")
@@ -178,20 +163,21 @@ def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     cell_labels = flat[cells]
     has_coeff = np.zeros(count + 1, dtype=bool)
     has_coeff[cell_labels[grid.coeff_mask.ravel()[cells] != 0]] = True
-    sizes = np.bincount(cell_labels)[1:]
-    starts = (np.cumsum(sizes) - sizes).tolist()
+    ends = np.cumsum(np.bincount(cell_labels)[1:]).tolist()
     my, mx = np.divmod(cells, labels.shape[1])
-    return BlockGroup._labelled(frame.frame_index, (mx.tolist(), my.tolist()), starts,
-                                sizes.tolist(), has_coeff[1:].tolist())
+    keys = my << CELL_BITS | mx
+    # Connected and non-empty by construction: the constructor's checks are skipped.
+    return [BlockGroup.__new__(BlockGroup)._set(frame.frame_index, keys[start:end], coeff)
+            for start, end, coeff in zip([0, *ends], ends, has_coeff[1:].tolist())]
 
 
 def spatial_filter(groups: list[BlockGroup], *, enabled: bool = True) -> list[BlockGroup]:
     """Drop groups too small or too empty to be an object footprint.
 
     Removes single-macroblock groups and groups with no coefficient-bearing
-    macroblock at all. It reads only ``size`` and the coefficient flag, so
-    the regions of the groups it drops are never built. Order is preserved.
-    With ``enabled=False`` this is a pass-through, for ablation.
+    macroblock at all, reading only ``size`` and the coefficient flag.
+    Order is preserved. With ``enabled=False`` this is a pass-through, for
+    ablation.
     """
     if not enabled:
         return list(groups)
@@ -208,7 +194,7 @@ class Entity:
     """
 
     id: int
-    region: frozenset
+    region: np.ndarray  # cell keys
     label: Label = Label.CANDIDATE
     neglog_sum: float = 0.0
     observed: int = 1  # 1-based observation ordinal
@@ -246,8 +232,8 @@ class OcclusionGroup:
     """
 
     id: int
+    region: np.ndarray  # cell keys; may repeat a cell
     members: dict[int, Entity] = field(default_factory=dict)
-    region: frozenset = frozenset()
     confirmed_split: bool = False
 
     @property
@@ -292,40 +278,30 @@ class EntityTracker:
         # absorber instead of seeding a duplicate.
         alias: dict[int, int] = {}
 
-        # Region snapshot of every trackable unit. Occlusions with live
-        # fragments are represented by the fragments; a confirmed split
-        # has handed tracking to the (now real) fragments entirely.
-        unit_region: dict[int, frozenset] = {e.id: e.region for e in self.entities.values()}
-        split = {e.fragment_of for e in self.entities.values()}
-        for o in self.occlusions.values():
-            if o.id not in split and not o.confirmed_split:
-                unit_region[o.id] = o.region
+        # Every unit's cells, indexed once. A reunion later in the step needs
+        # no new entry: it only aliases units whose cells are indexed.
+        index = self._cell_index() if active_groups else []
 
         assignments: dict[int, list[BlockGroup]] = defaultdict(list)
         seeds: list[BlockGroup] = []
 
         for g in active_groups:
-            members = g.members  # built here, on its first read
-            hits = sorted({
-                _canon(alias, key)
-                for key, region in unit_region.items()
-                if members & region
-            })
+            found = {key for layer in index for key in map(layer.get, g.keys.tolist())}
+            hits = sorted({_canon(alias, key) for key in found if key is not None})
             if not hits:
                 seeds.append(g)
             elif len(hits) == 1:
                 assignments[hits[0]].append(g)
             else:
-                target = self._resolve_collision(
-                    g, hits, frame_index, alias, unit_region, assignments, events
-                )
+                target = self._resolve_collision(g, hits, frame_index, alias,
+                                                 assignments, events)
                 assignments[target].append(g)
 
         # Seed new candidates from unclaimed groups, then advance every
         # entity that was there before.
         advancing = sorted(self.entities)
         for g in seeds:
-            e = Entity(id=self._new_id(), region=g.members)
+            e = Entity(id=self._new_id(), region=g.keys)
             self.entities[e.id] = e
             events.append(TrackEvent(frame_index, "seed", {"object_id": e.id}))
         for eid in advancing:
@@ -343,15 +319,33 @@ class EntityTracker:
                 gs = assignments.get(oid, [])
                 if len(gs) >= 2:
                     self._begin_split(o, gs, frame_index, events)
-                else:
-                    o.region = frozenset().union(*(g.members for g in gs)) or o.region
+                elif gs:
+                    o.region = gs[0].keys
 
         return events
 
+    def _cell_index(self) -> list[dict[int, int]]:
+        """Cell key -> id of every trackable unit, in layers of units whose
+        regions are disjoint: one layer unless regions overlap. Occlusions
+        with live fragments are represented by the fragments; a confirmed
+        split has handed tracking to the (now real) fragments entirely."""
+        split = {e.fragment_of for e in self.entities.values()}
+        units = [*self.entities.values(), *(o for o in self.occlusions.values()
+                                            if o.id not in split and not o.confirmed_split)]
+        layers: list[dict[int, int]] = []
+        for u in units:
+            cells = dict.fromkeys(u.region.tolist(), u.id)
+            for layer in layers:
+                if layer.keys().isdisjoint(cells):
+                    layer.update(cells)
+                    break
+            else:
+                layers.append(cells)
+        return layers
+
     # -- collision handling ------------------------------------------------
 
-    def _resolve_collision(self, g, hits, frame_index, alias, unit_region,
-                           assignments, events) -> int:
+    def _resolve_collision(self, g, hits, frame_index, alias, assignments, events) -> int:
         """Decide who owns a group that overlaps several units."""
         # Reunion first: one group covering >= 2 candidate fragments of the
         # same occlusion means the split was transient. It ends the split
@@ -364,8 +358,7 @@ class EntityTracker:
         for oid, fs in sorted(frags.items()):
             if len(fs) >= 2:
                 fs = self.fragments(oid)
-                region = frozenset().union(*(f.region for f in fs))
-                self.occlusions[oid].region = unit_region[oid] = region
+                self.occlusions[oid].region = np.concatenate([f.region for f in fs])
                 for f in fs:
                     self._fold(f.id, oid, alias, assignments)
                 events.append(TrackEvent(frame_index, "reunion",
@@ -392,8 +385,7 @@ class EntityTracker:
                                          {"occlusion_id": o.id, "object_id": r.id}))
             owner = o.id
         elif len(reals) >= 2:
-            o = OcclusionGroup(self._new_id(),
-                               region=frozenset().union(*(r.region for r in reals)))
+            o = OcclusionGroup(self._new_id(), np.concatenate([r.region for r in reals]))
             for r in reals:
                 self._freeze(o, r, alias, assignments, frame_index, events)
             self.occlusions[o.id] = o
@@ -438,16 +430,21 @@ class EntityTracker:
     # -- per-entity advance -------------------------------------------------
 
     def _advance(self, e: Entity, gs: list[BlockGroup], frame_index: int, events):
-        union = frozenset().union(*(g.members for g in gs))
         prev = e.region
-        e.region = union or prev
-        e.virtual_streak = 0 if union else e.virtual_streak + 1
+        if gs:
+            # Unions concatenate, here one frame's disjoint groups; only an
+            # occlusion's union repeats cells, and nothing counts them. Not
+            # np.unique or np.intersect1d: a first sort-family call pages in
+            # numpy's sort code, which peak_mem_mb counts.
+            e.region = gs[0].keys if len(gs) == 1 else np.concatenate([g.keys for g in gs])
+        e.virtual_streak = 0 if gs else e.virtual_streak + 1
 
         if e.label is Label.CANDIDATE:
             e.observed += 1
-            if union:  # overlap with the previous region
+            if gs:  # overlap with the previous region
                 e.supported += 1
-                e.neglog_sum += -math.log(len(union & prev) / len(prev))
+                overlap = set(prev.tolist()).intersection(e.region.tolist())
+                e.neglog_sum += -math.log(len(overlap) / len(prev))
             else:  # detection rate so far
                 e.neglog_sum += -math.log(e.supported / e.observed)
             if e.observed == self.config.psi:
@@ -475,10 +472,9 @@ class EntityTracker:
 
     def _begin_split(self, o: OcclusionGroup, gs: list[BlockGroup], frame_index: int,
                      events):
-        frags = [Entity(id=self._new_id(), region=g.members, fragment_of=o.id)
-                 for g in gs]
+        frags = [Entity(id=self._new_id(), region=g.keys, fragment_of=o.id) for g in gs]
         self.entities.update((f.id, f) for f in frags)
-        o.region = frozenset().union(*(g.members for g in gs))
+        o.region = np.concatenate([g.keys for g in gs])
         events.append(TrackEvent(frame_index, "region_split",
                                  {"occlusion_id": o.id, "fragment_ids": [f.id for f in frags]}))
 
@@ -490,10 +486,10 @@ class EntityTracker:
         promoted confirm the split; a lone one continues the occlusion."""
         reals = [f for f in frags if f.label is Label.REAL]
         if not reals and len(frags) >= 2:  # still under observation
-            o.region = frozenset().union(*(f.region for f in frags))
+            o.region = np.concatenate([f.region for f in frags])
         elif len(reals) >= 2:
             o.confirmed_split = True
-            o.region = frozenset().union(*(f.region for f in reals))
+            o.region = np.concatenate([f.region for f in reals])
             events.append(TrackEvent(frame_index, "disocclusion", {
                 "occlusion_id": o.id,
                 "fragment_ids": [f.id for f in reals],

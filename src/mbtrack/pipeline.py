@@ -125,8 +125,8 @@ class _Unit:
     # interpolate from; None while a candidate
     blobs: list[tuple[int, BlobFeature]] = field(default_factory=list)  # this GOP's
     records: dict[int, TrackRecord] = field(default_factory=dict)  # unreleased, by frame
-    held: list[tuple[int, frozenset]] = field(default_factory=list)  # a candidate's
-    # (frame, region), until it classifies
+    held: list[tuple[int, np.ndarray]] = field(default_factory=list)  # a candidate's
+    # (frame, region keys), until it classifies
 
 
 class Tracker:

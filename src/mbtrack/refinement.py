@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .filtering import CELL_BITS, CELL_MASK
 from .intra import BLOCK, PixelTile
 
 MB = 16
@@ -50,14 +51,14 @@ class BlobFeature:
         return (x0, y0, x1 - x0, y1 - y0)
 
     @classmethod
-    def from_grid_region(cls, members: frozenset) -> "BlobFeature":
-        """Bounding blob of a set of (mx, my) macroblock cells, in pixels."""
-        if not members:
+    def from_grid_region(cls, keys: np.ndarray) -> "BlobFeature":
+        """Bounding blob, in pixels, of a region of cell keys (``filtering``)."""
+        if not len(keys):
             raise ValueError("cannot take the blob of an empty region")
-        xs = [mx for mx, _ in members]
-        ys = [my for _, my in members]
+        cells = keys.tolist()
+        xs = [c & CELL_MASK for c in cells]
         x0, x1 = min(xs) * MB, (max(xs) + 1) * MB
-        y0, y1 = min(ys) * MB, (max(ys) + 1) * MB
+        y0, y1 = (min(cells) >> CELL_BITS) * MB, ((max(cells) >> CELL_BITS) + 1) * MB
         return cls(cx=(x0 + x1) / 2.0, cy=(y0 + y1) / 2.0,
                    h=float(y1 - y0), w=float(x1 - x0))
 

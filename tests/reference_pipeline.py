@@ -10,6 +10,12 @@ loop that drove it. It drives the reference ``EntityTracker`` of
 checked together against the old pair. ``RefineResult`` and
 ``refine_object`` are the ones ``_Run`` called, which also handed back
 the object's id, its tile and whether its anchor was refined.
+
+One departure: the reference ``EntityTracker``'s regions are frozensets
+of ``(mx, my)`` cells, while ``BlobFeature.from_grid_region`` now takes
+cell keys, so ``blob_of_cells`` keeps the tuple walk that
+``from_grid_region`` made when regions were frozensets, and every blob of
+this module is taken with it.
 """
 
 from __future__ import annotations
@@ -36,6 +42,16 @@ from mbtrack.refinement import (
 from mbtrack.stream import open_source, read_stream
 
 from reference_filtering import EntityTracker
+
+
+def blob_of_cells(members: frozenset) -> BlobFeature:
+    """Bounding blob of a set of (mx, my) macroblock cells, in pixels."""
+    xs = [mx for mx, _ in members]
+    ys = [my for _, my in members]
+    x0, x1 = min(xs) * 16, (max(xs) + 1) * 16
+    y0, y1 = min(ys) * 16, (max(ys) + 1) * 16
+    return BlobFeature(cx=(x0 + x1) / 2.0, cy=(y0 + y1) / 2.0,
+                       h=float(y1 - y0), w=float(x1 - x0))
 
 
 @dataclass
@@ -170,7 +186,7 @@ class _Run:
             if ev.kind == "seed":
                 eid = ev.data["object_id"]
                 e = tr.entities[eid]
-                self.anchors[eid] = (frame_index, BlobFeature.from_grid_region(e.region), False)
+                self.anchors[eid] = (frame_index, blob_of_cells(e.region), False)
             elif ev.kind == "classified":
                 eid = ev.data["object_id"]
                 if ev.data["label"] == Label.REAL.value:
@@ -192,7 +208,7 @@ class _Run:
             elif ev.kind == "occlusion_begin":
                 oid = ev.data["occlusion_id"]
                 o = tr.occlusions[oid]
-                self.anchors[oid] = (frame_index, BlobFeature.from_grid_region(o.region), False)
+                self.anchors[oid] = (frame_index, blob_of_cells(o.region), False)
             elif ev.kind == "occlusion_merge":
                 self._drop_unit(ev.data["absorbed"])
             elif ev.kind == "disocclusion":
@@ -201,7 +217,7 @@ class _Run:
                     self.candidate_buf.pop(fid, None)  # covered by occlusion records
                     self.unit_frame_rec[fid].clear()
                     self.anchors[fid] = (
-                        frame_index, BlobFeature.from_grid_region(f.region), False,
+                        frame_index, blob_of_cells(f.region), False,
                     )
                     self.gop_blobs[fid] = []
 
@@ -209,7 +225,7 @@ class _Run:
         tr = self.tracker
         for eid in sorted(tr.entities):
             e = tr.entities[eid]
-            blob = BlobFeature.from_grid_region(e.region)
+            blob = blob_of_cells(e.region)
             self.gop_blobs[eid].append((frame_index, blob))
             if e.label is Label.CANDIDATE:
                 rec = TrackRecord.from_blob(frame_index, eid, blob, "Candidate")
@@ -223,7 +239,7 @@ class _Run:
             o = tr.occlusions[oid]
             if o.confirmed_split:
                 continue  # fragments are real objects now; they emit
-            blob = BlobFeature.from_grid_region(o.region)
+            blob = blob_of_cells(o.region)
             self.gop_blobs[oid].append((frame_index, blob))
             rec = TrackRecord.from_blob(frame_index, oid, blob, "Occluded")
             self.pending.append(rec)

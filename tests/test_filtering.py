@@ -20,6 +20,7 @@ from mbtrack.filtering import (
     spatial_filter,
 )
 from mbtrack.occlusion import HUE_BINS, HueHistogram
+from mbtrack.refinement import BlobFeature
 from mbtrack.stream import FrameFeatures, MacroblockGrid
 
 import reference_filtering
@@ -42,6 +43,11 @@ def group(cells, frame_index=1, coeff=True):
 
 def row_cells(x0, x1, y=0):
     return {(x, y) for x in range(x0, x1)}
+
+
+def region_cells(region):
+    """A region's cell keys ``my << 16 | mx`` as a frozenset of (mx, my)."""
+    return frozenset(zip((region & 0xFFFF).tolist(), (region >> 16).tolist()))
 
 
 class TestClustering:
@@ -71,6 +77,37 @@ class TestClustering:
         with pytest.raises(ValueError):
             BlockGroup(0, frozenset(), has_nonzero_coeff=False)
 
+    def test_cells_outside_the_key_range_are_rejected(self):
+        # A negative or 17-bit coordinate would spill into the other half of
+        # its key and name a different cell.
+        for cells in ({(-1, 0), (0, 0)}, {(0, -1), (0, 0)}, {(65535, 0), (65536, 0)},
+                      {(0, 65536)}):
+            with pytest.raises(ValueError):
+                BlockGroup(0, frozenset(cells), has_nonzero_coeff=True)
+        group = BlockGroup(0, {(65535, 65535), (65534, 65535)}, has_nonzero_coeff=True)
+        assert group.members == {(65535, 65535), (65534, 65535)}
+
+    def test_the_widest_grid_keeps_its_geometry(self):
+        # 4095 columns are the widest a u16 pixel width allows (65,520 px).
+        groups = cluster_blocks(make_pframe({(4093, 0): 1, (4094, 0): 0}, rows=1, cols=4095))
+        (g,) = spatial_filter(groups)
+        assert g.members == {(4093, 0), (4094, 0)}
+        blob = BlobFeature.from_grid_region(g.keys)
+        x0, _, w, _ = blob.corner_rect()
+        assert (x0, x0 + w) == (65488, 65520)
+
+    def test_groups_view_one_key_array(self):
+        cells = {(0, 0): 1, (2, 0): 0, (4, 2): 0, (5, 2): 0}  # two singles, a bare pair
+        cells.update({(0, 4): 0, (1, 4): 2, (2, 4): 0})
+        groups = cluster_blocks(make_pframe(cells))
+        kept = spatial_filter(groups)
+        assert [len(g) for g in groups] == [1, 1, 2, 3] and len(kept) == 1
+        frame_keys = groups[0].keys.base
+        assert all(g.keys.base is frame_keys and np.shares_memory(g.keys, frame_keys)
+                   for g in groups)
+        assert [region_cells(g.keys) for g in groups] == [g.members for g in groups]
+        assert kept[0].members == frozenset({(0, 4), (1, 4), (2, 4)})
+
 
 def reference_cluster(frame):
     """The label-by-label loop ``cluster_blocks`` replaced: two scans of the
@@ -98,9 +135,9 @@ class TestClusteringAgainstReference:
                                       rng.integers(1, 0x10000, (rows, cols)), 0)
         frame = FrameFeatures(7, "P", mb_grid=grid)
         got, want = cluster_blocks(frame), reference_cluster(frame)
+        # equal keys in equal (raster) order, so nothing downstream can tell
+        # them apart
         assert got == want
-        # same set iteration order, so nothing downstream can tell them apart
-        assert [list(g.members) for g in got] == [list(g.members) for g in want]
 
 
 class TestSpatialFilter:
@@ -118,17 +155,6 @@ class TestSpatialFilter:
             frozenset({(0, 4), (1, 4), (2, 4)}),
             frozenset({(4, 4), (5, 4), (4, 5), (5, 5)}),
         ]
-
-    def test_regions_are_built_only_for_the_groups_the_tracker_receives(self):
-        cells = {(0, 0): 1, (2, 0): 0, (4, 2): 0, (5, 2): 0}  # two singles, a bare pair
-        cells.update({(0, 4): 0, (1, 4): 2, (2, 4): 0})
-        groups = cluster_blocks(make_pframe(cells))
-        kept = spatial_filter(groups)
-        assert [len(g) for g in groups] == [1, 1, 2, 3] and len(kept) == 1
-        assert not any("members" in vars(g) for g in groups)
-        EntityTracker().step(kept, 1)
-        assert [g for g in groups if "members" in vars(g)] == kept
-        assert kept[0].members == frozenset({(0, 4), (1, 4), (2, 4)})
 
     def test_disabled_filter_passes_everything(self):
         groups = cluster_blocks(make_pframe({(0, 0): 1, (3, 3): 0}))
@@ -185,7 +211,7 @@ class TestClassification:
 
     def test_threshold_is_strict(self):
         cfg = PsmfConfig(psi=8)
-        e = Entity(id=1, region=frozenset({(0, 0)}))
+        e = Entity(id=1, region=np.zeros(1, dtype=np.int64))
         e.neglog_sum = cfg.omega
         assert classify_entity(e, cfg) is Label.BACKGROUND
         e.neglog_sum = np.nextafter(cfg.omega, 0.0)
@@ -243,7 +269,7 @@ class TestEntityTracker:
         tr.step([group(cells, 1)], 1)
         tr.step([], 2)
         e = tr.entities[1]
-        assert e.region == frozenset(cells)
+        assert region_cells(e.region) == frozenset(cells)
         assert e.virtual_streak == 1
 
     def test_region_propagates_through_union(self):
@@ -253,7 +279,7 @@ class TestEntityTracker:
         near_a = group(row_cells(0, 2), 2)
         near_b = group(row_cells(3, 5), 2)
         tr.step([near_a, near_b, far], 2)
-        assert tr.entities[1].region == frozenset(row_cells(0, 2) | row_cells(3, 5))
+        assert region_cells(tr.entities[1].region) == frozenset(row_cells(0, 2) | row_cells(3, 5))
         assert len(tr.entities) == 2  # the far group seeded its own candidate
 
     def test_candidate_collision_merges_into_oldest(self):
@@ -264,7 +290,7 @@ class TestEntityTracker:
         kinds = [e.kind for e in events]
         assert "merged" in kinds and "seed" not in kinds
         assert sorted(tr.entities) == [1]
-        assert tr.entities[1].region == frozenset(row_cells(0, 8))
+        assert region_cells(tr.entities[1].region) == frozenset(row_cells(0, 8))
 
     def test_real_collision_opens_occlusion(self):
         tr = EntityTracker(PsmfConfig(psi=4))
@@ -328,7 +354,7 @@ class TestEntityTracker:
         assert merges == [{"occlusion_id": 5, "absorbed": 6}]
         assert list(tr.occlusions) == [5]
         assert tr.occlusions[5].member_object_ids == [1, 2, 3, 4]
-        assert tr.occlusions[5].region == frozenset(row_cells(0, 28))
+        assert region_cells(tr.occlusions[5].region) == frozenset(row_cells(0, 28))
 
     def test_one_group_over_candidate_fragments_is_a_reunion(self):
         tr = EntityTracker(PsmfConfig(psi=4))
@@ -342,7 +368,7 @@ class TestEntityTracker:
         reunions = [e.data for e in events if e.kind == "reunion"]
         assert reunions == [{"occlusion_id": 3, "fragment_ids": [4, 5]}]
         assert tr.entities == {}
-        assert tr.occlusions[3].region == frozenset(row_cells(0, 12))
+        assert region_cells(tr.occlusions[3].region) == frozenset(row_cells(0, 12))
 
     def test_region_split_payload_keeps_every_fragment(self):
         # The event lists the fragments the split made, whatever the next
@@ -370,7 +396,7 @@ class TestEntityTracker:
         single = [e.data for e in seen if e.kind == "occluded_single"]
         assert single == [{"occlusion_id": 3, "fragment_id": 4}]
         assert tr.entities == {}
-        assert tr.occlusions[3].region == frozenset(a)
+        assert region_cells(tr.occlusions[3].region) == frozenset(a)
         assert not tr.occlusions[3].confirmed_split
 
     def test_fragments_of_an_absorbed_occlusion_can_reunite(self):
@@ -420,9 +446,10 @@ class TestEntityTracker:
         assert [e.data for e in events if e.kind == "reunion"] == [
             {"occlusion_id": 3, "fragment_ids": [4, 5, 6, 7]}]
         assert tr.entities == {}
-        assert tr.occlusions[3].region == frozenset(row_cells(0, 5))
+        assert region_cells(tr.occlusions[3].region) == frozenset(row_cells(0, 5))
         assert tr.step([group(row_cells(0, 5), 8)], 8) == []
-        assert tr.entities == {} and tr.occlusions[3].region == frozenset(row_cells(0, 5))
+        assert tr.entities == {}
+        assert region_cells(tr.occlusions[3].region) == frozenset(row_cells(0, 5))
 
     def test_group_over_a_fragment_before_its_reunion_stays_with_the_occlusion(self):
         # The first group reaches fragment 4 alone; the second reunites
@@ -441,9 +468,9 @@ class TestEntityTracker:
         assert [(e.kind, e.data) for e in events] == [
             ("reunion", {"occlusion_id": 3, "fragment_ids": [4, 5]}),
             ("region_split", {"occlusion_id": 3, "fragment_ids": [6, 7]})]
-        assert tr.occlusions[3].region == frozenset(first | second)
-        assert [tr.entities[i].region for i in (6, 7)] == [frozenset(first),
-                                                            frozenset(second)]
+        assert region_cells(tr.occlusions[3].region) == frozenset(first | second)
+        assert [region_cells(tr.entities[i].region) for i in (6, 7)] == [frozenset(first),
+                                                                   frozenset(second)]
         events = tr.step([group(first, 8), group(second, 8)], 8)
         assert "seed" not in [e.kind for e in events]
 
@@ -465,7 +492,7 @@ class TestEntityTracker:
             ("occlusion_closed", {"occlusion_id": o.id}),
         ]
         assert sorted(tr.entities) == [1, 2, frags[2]]
-        assert tr.entities[1].region == frozenset(row_cells(0, 3))
+        assert region_cells(tr.entities[1].region) == frozenset(row_cells(0, 3))
         new = tr.entities[frags[2]]
         assert new.fragment_of is None
         assert tr.occlusions == {} and o.members == {}
@@ -479,7 +506,7 @@ class TestEntityTracker:
             ("occlusion_closed", {"occlusion_id": o.id}),
         ]
         assert sorted(tr.entities) == [2, 3]
-        assert tr.entities[2].region == frozenset(row_cells(0, 3))
+        assert region_cells(tr.entities[2].region) == frozenset(row_cells(0, 3))
         assert all(e.label is Label.REAL and e.fragment_of is None
                    for e in tr.entities.values())
         assert tr.occlusions == {}
@@ -580,12 +607,17 @@ def random_traffic(seed, rows=12, cols=24):
 def tracker_state(tr):
     """(entities, frozen members, occlusions) as comparable values. The
     reference keeps every frozen member in one map, the tracker in the
-    occlusion it belongs to."""
-    units = lambda d: {i: (e.label, e.region, e.fragment_of) for i, e in d.items()}
-    frozen = (tr.frozen if isinstance(tr, reference_filtering.EntityTracker) else
+    occlusion it belongs to; the reference's regions are cell frozensets,
+    the tracker's cell keys. An entity's key count must be its cell count,
+    since the evidence divides by it; only an occlusion's keys may repeat."""
+    old = isinstance(tr, reference_filtering.EntityTracker)
+    region = (lambda r: r) if old else region_cells
+    units = lambda d: {i: (e.label, region(e.region), len(e.region), e.fragment_of)
+                       for i, e in d.items()}
+    frozen = (tr.frozen if old else
               {i: m for o in tr.occlusions.values() for i, m in o.members.items()})
     return (units(tr.entities), units(frozen),
-            {i: (o.region, o.member_object_ids, o.confirmed_split)
+            {i: (region(o.region), o.member_object_ids, o.confirmed_split)
              for i, o in tr.occlusions.items()})
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from mbtrack import refinement
+from mbtrack.filtering import BlockGroup
 from mbtrack.intra import PixelTile
 from mbtrack.refinement import (
     BlobFeature,
@@ -23,14 +24,17 @@ class TestBlobGeometry:
         assert BlobFeature(16.0, 8.0, 16.0, 32.0).corner_rect() == (0.0, 0.0, 32.0, 16.0)
 
     def test_from_grid_region_scales_cells_to_pixels(self):
-        b = BlobFeature.from_grid_region(frozenset({(0, 0)}))
+        region = lambda *cells: BlockGroup(0, cells, has_nonzero_coeff=True).keys
+        b = BlobFeature.from_grid_region(region((0, 0)))
         assert (b.cx, b.cy, b.h, b.w) == (8.0, 8.0, 16.0, 16.0)
-        b = BlobFeature.from_grid_region(frozenset({(0, 0), (1, 0)}))
+        b = BlobFeature.from_grid_region(region((0, 0), (1, 0)))
         assert (b.cx, b.cy, b.h, b.w) == (16.0, 8.0, 16.0, 32.0)
+        b = BlobFeature.from_grid_region(region((3, 2), (2, 3)))
+        assert (b.cx, b.cy, b.h, b.w) == (48.0, 48.0, 32.0, 32.0)
 
     def test_from_empty_region_rejected(self):
         with pytest.raises(ValueError):
-            BlobFeature.from_grid_region(frozenset())
+            BlobFeature.from_grid_region(np.empty(0, dtype=np.int64))
 
     def test_iou_of_half_overlapping_squares_is_one_third(self):
         a = BlobFeature(5.0, 5.0, 10.0, 10.0)    # corners (0, 0, 10, 10)
