@@ -19,7 +19,10 @@ both trees are fed the same streams; only ``mbtrack`` comes from
 PYTHONPATH. The ``lanes-noisy`` stream is also tracked rewritten without
 its background chunk, so that the tracker takes its background from the
 first I-frame's full decode. The ``scale`` scene tracks 48 objects at
-once, so every P-frame meets many groups and many units.
+once, so every P-frame meets many groups and many units. In the ``edges``
+scene objects enter through the frame's left and top edges and leave
+through its right and bottom edges, so decode rects are clipped by the
+frame and foreground boxes touch the tile's edges.
 """
 
 from __future__ import annotations
@@ -65,6 +68,25 @@ def scale_script() -> SceneScript:
             Waypoint(0, cx, cy), Waypoint(119, cx + 160, cy)]))
     return SceneScript(width=1280, height=720, frame_count=120, gop_len=8,
                        background=GRAY_BG, objects=objs,
+                       noise=NoiseSpec(rng_seed=NOISE_SEED, **LANE_NOISE))
+
+
+def edges_script() -> SceneScript:
+    """320x240, GOP 8, 160 frames, lanes noise of seed 101: objects that
+    grow in from the left and top edges, cross the frame and shrink out
+    through the right and bottom edges, and one that runs from the
+    top-left corner to the bottom-right one."""
+    last = 159
+    across = SceneObject(id=1, w=48, h=48, fill=_checker(0.0), path=[
+        Waypoint(0, 8, 60, w=16), Waypoint(16, 24, 60), Waypoint(last - 16, 296, 60),
+        Waypoint(last, 312, 60, w=16)])
+    down = SceneObject(id=2, w=48, h=48, fill=_checker(0.6), path=[
+        Waypoint(8, 100, 8, h=16), Waypoint(24, 100, 24), Waypoint(140, 100, 216),
+        Waypoint(156, 100, 232, h=16)])
+    corner = SceneObject(id=3, w=64, h=48, fill=_checker(0.3), path=[
+        Waypoint(20, 32, 24), Waypoint(150, 288, 216)])
+    return SceneScript(width=320, height=240, frame_count=last + 1, gop_len=8,
+                       background=GRAY_BG, objects=[across, down, corner],
                        noise=NoiseSpec(rng_seed=NOISE_SEED, **LANE_NOISE))
 
 
@@ -128,6 +150,9 @@ def runs():
                without_background(lanes.script), TrackerConfig(full_decode=full), True)
     for full in (False, True):
         yield (f"scale/{'full' if full else 'partial'}", synthesized(scale_script),
+               TrackerConfig(full_decode=full), False)
+    for full in (False, True):
+        yield (f"edges/{'full' if full else 'partial'}", synthesized(edges_script),
                TrackerConfig(full_decode=full), False)
 
 

@@ -36,6 +36,15 @@ rect's residuals raises peak memory. A rebuilt pixel outside 0..255
 means the payload clips; that rect alone is then decoded again by the
 clamped wave, which carries pixels and clamps every block as it goes.
 
+Decoded pixels land in channel planes, one (h, w) array per colour, as
+the payload keeps them and as H.264 keeps each colour component in its
+own sample array. A block row of 4 uint8 pixels is one uint32 word in
+the block layout and in the plane layout alike, so one copy of words
+moves a rect's blocks into its planes. Every decode entry point returns
+the (h, w, 3) view of the planes, ``planes.transpose(1, 2, 0)``: the
+same shape and values as an interleaved image, whose per-channel reads
+(``pixels[:, :, c]``) are contiguous rows.
+
 The point of the scheme is partial decoding: any rectangular region can
 be reconstructed without touching the rest of the frame by substituting
 a background image for neighbor pixels that fall outside the region.
@@ -85,7 +94,12 @@ class DecodeStats:
 
 @dataclass(frozen=True)
 class PixelTile:
-    """Decoded pixels for one rect. rect is (x, y, w, h) in frame pixels."""
+    """Decoded pixels for one rect. rect is (x, y, w, h) in frame pixels.
+
+    ``pixels`` is (h, w, 3) uint8 in any memory layout. The decoder hands
+    out views of channel planes, ``planes.transpose(1, 2, 0)`` cropped to
+    the rect: the same shape and values as an interleaved image.
+    """
 
     rect: tuple[int, int, int, int]
     pixels: np.ndarray  # (h, w, 3) uint8
@@ -300,15 +314,32 @@ def _start_predictors(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: 
     return core
 
 
+def _as_planes(blocks: np.ndarray) -> np.ndarray:
+    """The (h, w, 3) image of (3, nby, nbx, 4, 4) uint8 ``blocks``, as a
+    view of new (3, h, w) channel planes.
+
+    A block row of 4 uint8 pixels is one uint32 word in the block layout
+    and in the plane layout alike, so one copy of words moves every pixel:
+    word (plane, block row, pixel row, block column) of the planes is word
+    (plane, block row, block column, pixel row) of the blocks. ``blocks``
+    may be a view whose last axis is contiguous.
+    """
+    _, nby, nbx = blocks.shape[:3]
+    planes = np.empty((3, nby * BLOCK, nbx * BLOCK), dtype=np.uint8)
+    planes.view(np.uint32).reshape(3, nby, BLOCK, nbx)[...] = (
+        blocks.view(np.uint32)[..., 0].transpose(0, 1, 3, 2))
+    return planes.transpose(1, 2, 0)
+
+
 def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.ndarray | None:
     """Pixels of one rect from its final predictors ``core`` (3, nby, nbx).
 
     The pixels are residual plus predictor, ``_REBUILD_BLOCKS`` blocks per
     plane at a time, so the int16 sums never cover the whole rect (at
-    640x480 they would add 1.8 MB to the peak), then moved into the
-    (h, w, 3) output one plane and pixel offset at a time: 48 strided
-    copies, which numpy runs far faster than one copy whose innermost axis
-    is the 3 channels. Returns None when a pixel leaves 0..255.
+    640x480 they would add 1.8 MB to the peak), then moved from the block
+    layout into channel planes by one copy of uint32 block rows
+    (``_as_planes``). Returns the (h, w, 3) view of the planes, or None
+    when a pixel leaves 0..255.
     """
     nby, nbx = core.shape[1:]
     res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
@@ -325,13 +356,7 @@ def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.
         if blk.view(np.uint16).max() > 255:
             return None
         blocks[:, i : i + step] = blk
-    out = np.empty((nby * BLOCK, nbx * BLOCK, 3), dtype=np.uint8)
-    out_blocks = out.reshape(nby, BLOCK, nbx, BLOCK, 3)
-    for plane in range(3):
-        for r in range(BLOCK):
-            for s in range(BLOCK):
-                out_blocks[:, r, :, s, plane] = blocks[plane, :, :, r, s]
-    return out
+    return _as_planes(blocks)
 
 
 def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, int]],
@@ -369,7 +394,8 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
     such pixel in wave order was rebuilt from the codec's predictor, so
     the check sees it whatever the predictors after it hold.
 
-    Returns one (4*nby, 4*nbx, 3) uint8 image per region, in order.
+    Returns one (4*nby, 4*nbx, 3) uint8 image per region, in order, each
+    a view of its own (3, 4*nby, 4*nbx) channel planes.
     """
     out: list[np.ndarray | None] = [None] * len(regions)
     fast = []
@@ -435,7 +461,8 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
     blocks of one anti-diagonal sit r - 1 apart, so a diagonal and the
     blocks above and left of it are plain strided slices.
 
-    Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image.
+    Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image, a view
+    of its channel planes as ``_rebuild`` returns.
     """
     h, w = nby * BLOCK, nbx * BLOCK
     x0, y0 = bx0 * BLOCK, by0 * BLOCK
@@ -482,11 +509,12 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
         np.maximum(blk, 0, out=blk)
         np.minimum(blk, 255, out=blk)
         work_flat[:, cur] = blk
-    return work[:, 1:, 1:].transpose(1, 3, 2, 4, 0).reshape(h, w, 3)
+    return _as_planes(work[:, 1:, 1:])
 
 
 def decode_full(payload: IntraPayload) -> np.ndarray:
-    """Reconstruct the whole frame. Returns (H, W, 3) uint8."""
+    """Reconstruct the whole frame. Returns (H, W, 3) uint8, a view of
+    channel planes."""
     nbx, nby = payload.width_px // BLOCK, payload.height_px // BLOCK
     return _decode_regions(payload, [(0, 0, nbx, nby)], None)[0]
 
@@ -508,8 +536,8 @@ def decode_regions_partial(payload: IntraPayload, rects: list[tuple[int, int, in
     them advance through one predictor wave together (see
     ``_decode_regions``), which gives the same pixels as raster order. Each
     returned tile is cropped to exactly its rect; its pixels are a view of
-    the region decoded for it, which nothing else holds, so no copy is
-    made.
+    the channel planes decoded for it, which nothing else holds, so no
+    copy is made.
 
     The decode cost is a pure function of the rect geometry:
     blocks_decoded sums, over the rects, the block positions each touches,

@@ -113,7 +113,9 @@ def render_overlays(source, records, out_dir, limit: int | None = None) -> list[
             if frame.kind == "I":
                 image = decode_full(frame.intra_payload)
                 if background is None:
-                    background = image
+                    # A copy: the boxes drawn on this frame must not show
+                    # on the P-frames drawn over it.
+                    background = image.copy()
             else:
                 base = background if background is not None else np.zeros(
                     (header.height_px, header.width_px, 3), dtype=np.uint8)

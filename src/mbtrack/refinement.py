@@ -4,7 +4,8 @@ Macroblock-level tracking gives coarse 16px-aligned blobs. Once per GOP,
 at the I-frame, each object's blob is re-measured from partially decoded
 pixels: predict where the object is from its recent motion, decode that
 region plus a one-block border, subtract the reference background, clean
-the difference mask morphologically, and fit the tightest rectangle.
+the difference mask morphologically inside its bounding box, and fit the
+tightest rectangle.
 The refined I-frame blob then rewrites the preceding P-frame blobs by
 linear interpolation against the previous anchor.
 
@@ -133,6 +134,16 @@ def _square_filter(mask: np.ndarray, r: int, erode: bool) -> np.ndarray:
     return out
 
 
+def _bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """(r0, r1, c0, c1): the rows r0:r1 and columns c0:c1 of the smallest
+    box holding every pixel of a 2-D mask, or None when it is empty."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not len(rows):
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+
+
 def background_subtract(tile: PixelTile, background: np.ndarray,
                         config: RefineConfig) -> tuple[np.ndarray, BlobFeature | None]:
     """Foreground mask and tight blob for one decoded tile.
@@ -143,52 +154,69 @@ def background_subtract(tile: PixelTile, background: np.ndarray,
     components are discarded, and the tightest rectangle around what
     survives becomes the blob. Returns (mask in tile coordinates, blob in
     frame coordinates or None when nothing survives).
+
+    The background crop is copied into the tile's own memory layout (the
+    decoder's tiles are views of channel planes, a stored background is
+    interleaved), so that every ufunc below reads operands of one layout:
+    numpy's buffered iterator makes a ufunc that mixes the two layouts
+    many times slower.
+
+    Cleaning runs only on the bounding box of the raw mask, which is about
+    half the tile at lanes scale, and is exact there: an opening never
+    adds a pixel, so it stays inside the box; a closing with a square
+    never leaves the bounding box of its input; and every component lies
+    inside the box, so labelling it finds the same areas.
     """
     x, y, w, h = tile.rect
     pix = tile.pixels
-    crop = np.asarray(background)[y : y + h, x : x + w]
+    crop = np.empty_like(pix)
+    crop[...] = np.asarray(background)[y : y + h, x : x + w]
     # |pix - crop| without a signed copy: max minus min stays in range.
     diff = np.maximum(pix, crop)
     diff -= np.minimum(pix, crop)
     mask = diff[:, :, 0] > config.epsilon
     mask |= diff[:, :, 1] > config.epsilon
     mask |= diff[:, :, 2] > config.epsilon
+    bounds = _bbox(mask)
+    if bounds is None:
+        return mask, None
 
-    if config.morph_radius > 0 and mask.any():
+    # Everything outside the box is background and stays so; ``box`` is a
+    # view, so cleaning it cleans ``mask``.
+    r0, r1, c0, c1 = bounds
+    box = mask[r0:r1, c0:c1]
+    if config.morph_radius > 0:
         r = config.morph_radius
         # No pad for the opening: the border already counts as background,
         # and an opening never reaches into the ring a pad would add.
-        opened = _square_filter(_square_filter(mask, r, erode=True), r, erode=False)
+        opened = _square_filter(_square_filter(box, r, erode=True), r, erode=False)
         # Pad so closing's erosion sees the dilated ring instead of the
-        # array border; otherwise blobs touching the tile edge lose a row.
-        padded = np.zeros((h + 2 * r, w + 2 * r), dtype=bool)
+        # array border; otherwise blobs touching the box edge lose a row.
+        padded = np.zeros((r1 - r0 + 2 * r, c1 - c0 + 2 * r), dtype=bool)
         padded[r:-r, r:-r] = opened
         closed = _square_filter(_square_filter(padded, r, erode=False), r, erode=True)
-        mask = closed[r:-r, r:-r]
+        box[...] = closed[r:-r, r:-r]
 
-    if config.min_component_area > 0 and mask.any():
-        labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+    if config.min_component_area > 0 and box.any():
+        labels, count = ndimage.label(box, structure=np.ones((3, 3), dtype=int))
         if count == 1:
             # The usual case: the area is the mask's, with no count per label.
-            if np.count_nonzero(mask) < config.min_component_area:
-                mask[:] = False
+            if np.count_nonzero(box) < config.min_component_area:
+                box[...] = False
         else:
             areas = np.bincount(labels.ravel())
             small = areas < config.min_component_area
             small[0] = False
             if small.any():
-                mask[small[labels]] = False
+                box[small[labels]] = False
 
-    if not mask.any():
+    bounds = _bbox(box)
+    if bounds is None:
         return mask, None
-
-    rows = np.any(mask, axis=1)
-    cols = np.any(mask, axis=0)
-    r0, r1 = np.argmax(rows), len(rows) - 1 - np.argmax(rows[::-1])
-    c0, c1 = np.argmax(cols), len(cols) - 1 - np.argmax(cols[::-1])
-    bh = float(r1 - r0 + 1)
-    bw = float(c1 - c0 + 1)
-    blob = BlobFeature(cx=x + c0 + bw / 2.0, cy=y + r0 + bh / 2.0, h=bh, w=bw)
+    br0, br1, bc0, bc1 = bounds
+    bh = float(br1 - br0)
+    bw = float(bc1 - bc0)
+    blob = BlobFeature(cx=x + c0 + bc0 + bw / 2.0, cy=y + r0 + br0 + bh / 2.0, h=bh, w=bw)
     return mask, blob
 
 

@@ -487,6 +487,27 @@ def edge_rects(draw, width, height):
     return rects
 
 
+class TestChannelPlanes:
+    """Every decode path hands out (h, w, 3) views of channel planes."""
+
+    def test_each_path_returns_a_view_of_contiguous_planes(self):
+        rng = np.random.default_rng(3)
+        image = rng.integers(0, 256, (24, 40, 3), dtype=np.uint8)
+        payload = encode_iframe(image)
+        with clamped_wave_calls(forbid=True):
+            full = decode_full(payload)
+            (clean,) = intra._decode_regions(payload, [(2, 1, 6, 4)], image)
+        payload.residuals[0, 5, 9, 3, 3] += 300  # the last block clips
+        with clamped_wave_calls() as calls:
+            (clamped,) = intra._decode_regions(payload, [(5, 2, 5, 4)], image)
+        assert len(calls) == 1
+        for pixels, want in [(full, image), (clean, image[4:20, 8:32]),
+                             (clamped, reference_decode(payload, (20, 8, 20, 16), image)[0])]:
+            assert pixels.dtype == np.uint8 and pixels.shape == want.shape
+            assert pixels.transpose(2, 0, 1).flags.c_contiguous
+            assert np.array_equal(pixels, want)
+
+
 class TestBatchDecode:
     """One wave over many rects gives each rect's own decode."""
 

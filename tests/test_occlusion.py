@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layouts import LAYOUTS, in_layout
 from mbtrack.intra import PixelTile
 from mbtrack.occlusion import (
     HUE_BINS,
@@ -123,7 +124,8 @@ def hue_cases(draw):
     """(tile, mask) with random pixels. Channel values come from a small
     palette or the full range; the palette makes gray pixels and channel
     ties (r = g = max, g = b = max, r = b = max) common. Some tiles are all
-    gray and some masks are empty."""
+    gray and some masks are empty. The pixels come in a drawn memory
+    layout."""
     h, w = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     palette = draw(st.sampled_from([(0, 255), (0, 1, 254, 255), (7, 128, 200),
@@ -138,7 +140,7 @@ def hue_cases(draw):
     elif kind == "gray":
         pixels[:] = pixels[:, :, :1]
     mask = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
-    return PixelTile((0, 0, w, h), pixels), mask
+    return PixelTile((0, 0, w, h), in_layout(pixels, draw(st.sampled_from(LAYOUTS)))), mask
 
 
 class TestHueAgainstReference:

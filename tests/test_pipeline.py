@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,8 @@ from mbtrack.scene import (
     load_ground_truth,
     synthesize,
 )
-from mbtrack.stream import StreamError, read_stream
+from mbtrack.overlay import render_overlays
+from mbtrack.stream import FLAG_HAS_BACKGROUND, StreamError, read_stream, stream_to_bytes
 
 from reference_pipeline import reference_run
 
@@ -502,6 +504,21 @@ class TestSerialization:
 
 OUTPUT_FLAGS = [("synth", "--out"), ("synth", "--gt"),
                 ("track", "--out"), ("track", "--events"), ("track", "--metrics")]
+
+
+class TestOverlay:
+    def test_p_frames_of_a_stream_without_background_show_no_i_frame_boxes(self, tmp_path):
+        # The first I-frame's decode becomes the P-frames' background; the
+        # boxes drawn on frame 0 must not show on frame 1.
+        script = SceneScript(width=64, height=48, frame_count=3, gop_len=4, objects=[])
+        header, _, frames = read_stream(synthesize(script)[0])
+        data = stream_to_bytes(replace(header, flags=header.flags & ~FLAG_HAS_BACKGROUND),
+                               None, frames)
+        drawn = render_overlays(data, [rec(0, 1, 32.0, 24.0, h=20.0, w=30.0)], tmp_path / "a")
+        bare = render_overlays(data, [], tmp_path / "b")
+        assert Path(drawn[0]).read_bytes() != Path(bare[0]).read_bytes()
+        assert [Path(f).read_bytes() for f in drawn[1:]] == [
+            Path(f).read_bytes() for f in bare[1:]]
 
 
 class TestCli:

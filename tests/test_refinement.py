@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from layouts import LAYOUTS, in_layout
 from mbtrack import refinement
 from mbtrack.filtering import BlockGroup
 from mbtrack.intra import PixelTile
@@ -181,39 +182,78 @@ def reference_background_subtract(tile, background, config):
     return mask, BlobFeature(cx=x + c0 + bw / 2.0, cy=y + r0 + bh / 2.0, h=bh, w=bw)
 
 
-@st.composite
-def subtraction_cases(draw):
-    """(tile, background, config): a tile 1-40 px a side cut from a random
-    background, with random rectangles painted over it (some touching the
-    tile edge) and optional salt noise."""
-    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+def paint_cases(draw, h, w, spot):
+    """(tile, background, config): an h x w tile cut from a random
+    background, with up to four rectangles painted over it where ``spot``
+    puts them, optional salt noise, and the tile and the background each
+    in a drawn memory layout."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.sampled_from([2, 8, 256]))  # few levels: many exact ties
     background = rng.integers(0, levels, (h + 8, w + 8, 3), dtype=np.uint8)
     x, y = (int(v) for v in rng.integers(0, 9, 2))
     pixels = background[y : y + h, x : x + w].copy()
     for _ in range(draw(st.integers(0, 4))):
-        r0, r1 = np.sort(rng.integers(0, h + 1, 2))
-        c0, c1 = np.sort(rng.integers(0, w + 1, 2))
+        (r0, r1), (c0, c1) = spot(draw, rng)
         pixels[r0:r1, c0:c1] = rng.integers(0, 256, 3)
     noise = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.05, 0.3]))
     pixels[noise] = rng.integers(0, 256, (int(noise.sum()), 3))
     config = RefineConfig(epsilon=draw(st.integers(0, 300)),
                           morph_radius=draw(st.integers(0, 3)),
                           min_component_area=draw(st.integers(0, 40)))
-    return PixelTile((x, y, w, h), pixels), background, config
+    tile = PixelTile((x, y, w, h), in_layout(pixels, draw(st.sampled_from(LAYOUTS))))
+    return tile, in_layout(background, draw(st.sampled_from(LAYOUTS))), config
+
+
+@st.composite
+def subtraction_cases(draw):
+    """``paint_cases`` on a tile 1-40 px a side, with rectangles anywhere
+    (some touching the tile edge)."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+
+    def anywhere(draw, rng):
+        return np.sort(rng.integers(0, h + 1, 2)), np.sort(rng.integers(0, w + 1, 2))
+    return paint_cases(draw, h, w, anywhere)
+
+
+@st.composite
+def small_object_cases(draw):
+    """``paint_cases`` on a tile 40-128 px a side, with rectangles 1-16 px
+    a side, small against the tile: each away from every edge or against
+    one drawn edge, so the foreground box is a small part of the tile or
+    touches its edge."""
+    h, w = draw(st.integers(40, 128)), draw(st.integers(40, 128))
+
+    def small(draw, rng):
+        rh, rw = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        r0 = draw(st.integers(4, h - rh - 4))
+        c0 = draw(st.integers(4, w - rw - 4))
+        edge = draw(st.sampled_from(["none", "top", "bottom", "left", "right"]))
+        r0 = {"top": 0, "bottom": h - rh}.get(edge, r0)
+        c0 = {"left": 0, "right": w - rw}.get(edge, c0)
+        return (r0, r0 + rh), (c0, c0 + rw)
+    return paint_cases(draw, h, w, small)
+
+
+def assert_matches_reference(case):
+    tile, background, config = case
+    mask, blob = background_subtract(tile, background, config)
+    want_mask, want_blob = reference_background_subtract(tile, background, config)
+    assert mask.dtype == bool and mask.shape == want_mask.shape
+    assert np.array_equal(mask, want_mask)
+    assert blob == want_blob
 
 
 class TestSubtractionAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(subtraction_cases())
     def test_mask_and_blob_match_scipy_reference(self, case):
-        tile, background, config = case
-        mask, blob = background_subtract(tile, background, config)
-        want_mask, want_blob = reference_background_subtract(tile, background, config)
-        assert mask.dtype == bool and mask.shape == want_mask.shape
-        assert np.array_equal(mask, want_mask)
-        assert blob == want_blob
+        assert_matches_reference(case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_object_cases())
+    def test_small_objects_in_large_tiles_match_scipy_reference(self, case):
+        # Cleaning runs on the raw mask's bounding box only.
+        assert_matches_reference(case)
 
 
 def reference_square_filter(mask, r, erode):
