@@ -4,14 +4,20 @@ that must not change them.
 For each run it prints the sha256 of the records JSONL, the events JSONL
 and the sequence of ``on_emit`` batches, as one JSON object keyed by run
 name; the benchmark workloads also get the sha256 of ``evaluate``'s JSON.
-Every run is made in GOP and in live mode. Run it once per tree and
-compare the two outputs:
+Every run is made in GOP and in live mode. Each stream the matrix builds
+also gets a parse digest, under ``<run>/parse``: the sha256 of every
+P-frame's ``skip``, ``coeff_mask`` and ``mv_qpel`` bytes as
+``read_stream`` gives them. Records and events never read ``mv_qpel`` and
+read ``coeff_mask`` only as nonzero, so only the parse digest sees a
+payload decoded into the wrong field. Run it once per tree and compare
+the two outputs:
 
     PYTHONPATH=<old tree>/src python3 scripts/output_digests.py > digests.json
     PYTHONPATH=<new tree>/src python3 scripts/output_digests.py --against digests.json
 
-With ``--against FILE`` it prints each run whose digests differ from, or
-are missing in, the saved file, and exits 1 on any difference.
+With ``--against FILE`` it prints each run and stream whose digests
+differ from, or are missing in, the saved file, and exits 1 on any
+difference.
 
 The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
 and ``tests/test_pipeline.py`` of the checkout this script sits in, so
@@ -182,6 +188,17 @@ def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool) -> dict:
     return out
 
 
+def parse_digest(data: bytes) -> str:
+    """sha256 over every P-frame's skip, coeff_mask and mv_qpel bytes."""
+    h = hashlib.sha256()
+    for frame in read_stream(data)[2]:
+        if frame.kind == "P":
+            grid = frame.mb_grid
+            for a in (grid.skip, grid.coeff_mask, grid.mv_qpel):
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="FILE",
@@ -190,6 +207,7 @@ def main() -> int:
     out = {}
     for name, stream, config, evaluated in runs():
         data, truth = stream()
+        out[f"{name}/parse"] = {"pframes": parse_digest(data)}
         for live in (False, True):
             out[f"{name}/{'live' if live else 'gop'}"] = digest(
                 data, truth, replace(config, live=live), evaluated)
@@ -205,7 +223,11 @@ def main() -> int:
         what = (f"not in {args.against}" if old is None else "not run" if new is None else
                 ", ".join(k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)))
         print(f"differs: {name}: {what}")
-    print(f"{len(differ)} of {len(out.keys() | saved.keys())} runs differ from {args.against}")
+    names = out.keys() | saved.keys()
+    streams = {name for name in names if name.endswith("/parse")}
+    changed = sum(name in streams for name in differ)
+    print(f"{len(differ) - changed} of {len(names) - len(streams)} runs and {changed} of"
+          f" {len(streams)} parsed streams differ from {args.against}")
     return 1 if differ else 0
 
 

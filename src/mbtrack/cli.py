@@ -26,6 +26,7 @@ from .pipeline import (
 )
 from .refinement import RefineConfig
 from .scene import load_ground_truth, load_scene_script, synthesize_to, write_ground_truth
+from .stream import StreamError
 
 
 def _check_outputs(parser, *paths) -> None:
@@ -89,7 +90,10 @@ def _cmd_track(args, parser) -> int:
     except OSError as exc:
         parser.error(f"{exc.filename}: {exc.strerror}")
     with source:
-        result = run_tracker(source, config)
+        try:
+            result = run_tracker(source, config)
+        except StreamError as exc:  # a malformed or truncated stream: a usage error
+            parser.error(f"{args.input}: {exc}")
 
     write_records_jsonl(result.records, args.out)
     if args.events:

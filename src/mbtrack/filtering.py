@@ -35,6 +35,7 @@ tracked whole or as its fragments, never both.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -122,12 +123,9 @@ class BlockGroup:
         if not _connected(cells):
             raise ValueError("block group members must be 8-connected")
         keys = sorted(my << CELL_BITS | mx for mx, my in cells)
-        self._set(frame_index, np.array(keys, dtype=np.int64), has_nonzero_coeff)
-
-    def _set(self, frame_index: int, keys: np.ndarray, has_nonzero_coeff: bool) -> "BlockGroup":
-        self.frame_index, self.keys, self.size = frame_index, keys, len(keys)
-        self.has_nonzero_coeff = has_nonzero_coeff
-        return self
+        self.frame_index, self.has_nonzero_coeff = frame_index, has_nonzero_coeff
+        self.keys = np.array(keys, dtype=np.int64)
+        self.size = len(keys)
 
     @property
     def members(self) -> frozenset:
@@ -143,12 +141,23 @@ class BlockGroup:
                 and self.has_nonzero_coeff == other.has_nonzero_coeff)
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_keys(rows: int, cols: int) -> np.ndarray:
+    """The cell key of every macroblock of a rows x cols grid, in raster
+    order; read-only, as it is shared by every frame of that shape."""
+    my, mx = np.divmod(np.arange(rows * cols, dtype=np.int64), cols)
+    keys = my << CELL_BITS | mx
+    keys.flags.writeable = False
+    return keys
+
+
 def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     """Cluster a P-frame's non-skip macroblocks into 8-connected groups.
 
     Groups come back in raster order of their first macroblock. The
-    frame's cell keys are laid out once, by group and in raster order
-    within each group, and each group views its span of them.
+    frame's cell keys are gathered once from the grid shape's key table,
+    by group and in raster order within each group, and each group views
+    its span of them.
     """
     if frame.kind != "P" or frame.mb_grid is None:
         raise ValueError("cluster_blocks needs a P-frame with macroblock features")
@@ -157,18 +166,23 @@ def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     if count == 0:
         return []
     flat = labels.ravel()
-    cells = np.flatnonzero(flat)  # raster order
-    order = np.argsort(flat[cells], kind="stable")  # by label, raster order within
-    cells = cells[order]
+    cells = flat.nonzero()[0]  # raster order
+    cells = cells[flat[cells].argsort(kind="stable")]  # by label, raster order within
     cell_labels = flat[cells]
     has_coeff = np.zeros(count + 1, dtype=bool)
     has_coeff[cell_labels[grid.coeff_mask.ravel()[cells] != 0]] = True
-    ends = np.cumsum(np.bincount(cell_labels)[1:]).tolist()
-    my, mx = np.divmod(cells, labels.shape[1])
-    keys = my << CELL_BITS | mx
+    keys = _cell_keys(*labels.shape)[cells]
     # Connected and non-empty by construction: the constructor's checks are skipped.
-    return [BlockGroup.__new__(BlockGroup)._set(frame.frame_index, keys[start:end], coeff)
-            for start, end, coeff in zip([0, *ends], ends, has_coeff[1:].tolist())]
+    groups = []
+    start = 0
+    for end, coeff in zip(np.bincount(cell_labels)[1:].cumsum().tolist(),
+                          has_coeff[1:].tolist()):
+        g = BlockGroup.__new__(BlockGroup)
+        g.frame_index, g.keys, g.size, g.has_nonzero_coeff = (
+            frame.frame_index, keys[start:end], end - start, coeff)
+        groups.append(g)
+        start = end
+    return groups
 
 
 def spatial_filter(groups: list[BlockGroup], *, enabled: bool = True) -> list[BlockGroup]:

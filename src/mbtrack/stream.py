@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator
@@ -46,6 +47,9 @@ _FRAME_PREFIX = struct.Struct("<cI")
 _MB_PAYLOAD = np.dtype([("coeff_mask", "<u2"), ("mv", "<i2", (2,))])
 _PAYLOAD_OFFSETS = np.arange(1, 1 + _MB_PAYLOAD.itemsize)
 _MB_CODED = b"\x00"
+# A coded record: its 0x00 flag, and its payload as the one group, so that
+# ``split`` gives skip runs and payloads, alternating.
+_CODED = re.compile(rb"\x00([\x00-\xff]{6})")
 # The most a reader asks of a file object at once. Above the largest
 # I-frame payload of common sizes (12.9 MB at 1920x1088), so a payload is
 # one read; a header claiming huge dimensions cannot make one huge request.
@@ -200,12 +204,6 @@ class FrameFeatures:
         )
 
 
-def _payload_index(starts: np.ndarray) -> np.ndarray:
-    """Byte offsets of the coded payloads whose flag bytes sit at ``starts``:
-    one row of 6 per record."""
-    return starts[:, None] + _PAYLOAD_OFFSETS
-
-
 def _serialize_pframe(grid: MacroblockGrid) -> bytes:
     skip = grid.skip.ravel()
     coded = np.flatnonzero(~skip)
@@ -216,7 +214,8 @@ def _serialize_pframe(grid: MacroblockGrid) -> bytes:
     payload = np.empty(coded.size, dtype=_MB_PAYLOAD)
     payload["coeff_mask"] = grid.coeff_mask.ravel()[coded]
     payload["mv"] = grid.mv_qpel.reshape(-1, 2)[coded]
-    out[_payload_index(starts[coded])] = payload.view(np.uint8).reshape(-1, _MB_PAYLOAD.itemsize)
+    payload_at = starts[coded][:, None] + _PAYLOAD_OFFSETS  # one row of 6 per record
+    out[payload_at] = payload.view(np.uint8).reshape(-1, _MB_PAYLOAD.itemsize)
     return out.tobytes()
 
 
@@ -315,6 +314,13 @@ class _Reader:
     from the source into a bytes object of its own, with no copy. The
     lookahead is at most one P-frame, so memory does not grow with the
     length of the stream.
+
+    A P-frame is read through ``window``: its first window is the frame's
+    flag bytes, and ``_parse_pframe`` scans each window with one regex
+    split, then pulls the next one up to the frame's end as far as the
+    coded records found so far make it known. So every byte in the buffer
+    belongs to the frame being parsed, and the scan can run to the
+    buffer's end.
     """
 
     def __init__(self, source):
@@ -363,61 +369,66 @@ class _Reader:
 
 
 def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> MacroblockGrid:
-    """Parse one P-frame's records, in one pass over its bytes.
+    """Parse one P-frame's records with one regex scan per window.
 
-    The loop runs once per coded record: every byte before the next 0x00
-    flag is a one-byte skip record, so ``find`` jumps from one coded record
-    to the next, and each one it finds moves the frame's end 6 bytes on.
-    Bytes are requested up to that end only, so the reader never takes
-    bytes of the next frame. All flag bytes are then checked at once, and
-    the coded payloads are gathered into one structured array. Errors are
-    the ones a record-by-record read raises: the first bad flag byte if it
-    comes before the end of the data, else truncation.
+    ``_CODED.split`` cuts the bytes into skip runs and 6-byte payloads,
+    alternating. The scan runs left to right and a 0x00 with six bytes
+    after it always starts a match, which takes its payload with it, so
+    the cut follows the record grammar and payload zeros are never read
+    as flags. The first window is the frame's n flag bytes; each coded
+    record found moves the frame's end 6 bytes on, and the window is
+    pulled up to that end and scanned again from the end of the last
+    complete record. A 0x00 left in the tail is a record the window cut:
+    it counts toward the end, and the next scan reads it whole. Bytes are
+    requested up to that end only, so the reader never takes bytes of the
+    next frame, and its buffer never holds any.
+
+    The skip runs joined by 0x00 are the frame's flag bytes in raster
+    order; one ``translate`` checks them all. Errors are the ones a
+    record-by-record read raises: the first bad flag byte if it comes
+    before the end of the data, else truncation. If the data ends inside
+    a record, the bytes after its flag are payload, not flags.
     """
     n = rows * cols
     size = _MB_PAYLOAD.itemsize
     buf, start = reader.window(n)
-    starts = []  # offset of each coded record's flag byte from start
-    end = n  # the frame's length if no later record is coded
-    p = 0  # offsets before p are searched
+    runs, pays = [], []  # skip runs and payloads, each run ending at a coded flag
+    scanned = 0  # offset from start of the first byte not yet cut into records
     while True:
-        q = buf.find(_MB_CODED, start + p, start + end)
-        if q >= 0:
-            starts.append(q - start)
-            p = q - start + 1 + size
-            end += size
-            continue
+        parts = _CODED.split(memoryview(buf)[start + scanned :])
+        tail = parts.pop()
+        runs += parts[0::2]
+        pays += parts[1::2]
+        cut = tail.find(_MB_CODED)  # a record the window cut
+        end = n + size * (len(pays) + (cut >= 0))  # the frame's length as far as is known
         have = len(buf) - start
         if have >= end:
             break
+        scanned = have - len(tail)
         buf, start = reader.window(end)
         if len(buf) - start == have:  # the source ended
             break
-        p = max(p, have)
 
-    data = np.frombuffer(buf, dtype=np.uint8)[start : start + end]  # short when truncated
-    rel = np.array(starts, dtype=np.intp)
-    bad = data > 1  # reserved bits on a flag byte, or any payload byte
-    payload_at = _payload_index(rel)
-    bad[payload_at[payload_at < data.size]] = False
-    if bad.any():
-        at = int(np.argmax(bad))
-        my, mx = divmod(at - size * int(np.searchsorted(rel, at)), cols)
+    if cut >= 0:
+        tail = tail[: cut + 1]  # the rest is the cut record's payload
+    flags = bytearray(_MB_CODED).join([*runs, tail])
+    bad = flags.translate(None, b"\x00\x01")  # reserved bits on a flag byte
+    if bad:
+        my, mx = divmod(flags.index(bad[0]), cols)
         raise StreamInvariantError(
             f"frame {frame_index}: macroblock ({mx}, {my}) has reserved"
-            f" flag bits {int(data[at]):#04x}"
+            f" flag bits {bad[0]:#04x}"
         )
-    if data.size < end:
+    if have < end:
         raise _truncated("macroblock record", frame_index)
     reader.advance(end)
 
-    skip = np.ones(n, dtype=bool)
+    skip = np.frombuffer(flags, dtype=bool)
     mask = np.zeros(n, dtype=np.uint16)
     mv = np.zeros((n, 2), dtype=np.int16)
-    if starts:
-        coded = rel - size * np.arange(rel.size)  # macroblock index of each record
-        payload = data[_payload_index(rel)].view(_MB_PAYLOAD)[:, 0]
-        skip[coded] = False
+    if pays:
+        coded = (~skip).nonzero()[0]
+        payload = np.frombuffer(b"".join(pays), dtype=_MB_PAYLOAD)
         mask[coded] = payload["coeff_mask"]
         mv[coded] = payload["mv"]
     return MacroblockGrid(skip.reshape(rows, cols), mask.reshape(rows, cols),

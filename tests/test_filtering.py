@@ -123,21 +123,37 @@ def reference_cluster(frame):
     return groups
 
 
+def random_pframe(rng, rows, cols, p_coded, p_coeff, frame_index=7):
+    grid = MacroblockGrid.all_skip(rows, cols)
+    grid.skip[:] = rng.random((rows, cols)) >= p_coded
+    grid.coeff_mask[:] = np.where(~grid.skip & (rng.random((rows, cols)) < p_coeff),
+                                  rng.integers(1, 0x10000, (rows, cols)), 0)
+    return FrameFeatures(frame_index, "P", mb_grid=grid)
+
+
 class TestClusteringAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
            st.sampled_from([0.05, 0.3, 0.6, 0.95]), st.sampled_from([0.0, 0.2, 1.0]))
     def test_groups_match_the_label_loop(self, rows, cols, seed, p_coded, p_coeff):
-        rng = np.random.default_rng(seed)
-        grid = MacroblockGrid.all_skip(rows, cols)
-        grid.skip[:] = rng.random((rows, cols)) >= p_coded
-        grid.coeff_mask[:] = np.where(~grid.skip & (rng.random((rows, cols)) < p_coeff),
-                                      rng.integers(1, 0x10000, (rows, cols)), 0)
-        frame = FrameFeatures(7, "P", mb_grid=grid)
+        frame = random_pframe(np.random.default_rng(seed), rows, cols, p_coded, p_coeff)
         got, want = cluster_blocks(frame), reference_cluster(frame)
         # equal keys in equal (raster) order, so nothing downstream can tell
         # them apart
         assert got == want
+
+    def test_interleaved_grid_shapes_match_the_label_loop(self):
+        # Shapes of one cell count but other widths, and more shapes than a
+        # per-shape table cache keeps, one frame of each in turn: a key
+        # table of one shape must never serve a frame of another.
+        shapes = [(1, 4095), (4095, 1), (30, 40), (40, 30), (15, 80), (80, 15), (1, 1),
+                  (3, 1365), (1365, 3), (68, 120)]
+        rng = np.random.default_rng(11)
+        for order in (shapes, shapes[::-1], shapes[::2] + shapes[1::2]):
+            for rows, cols in order:
+                frame = random_pframe(rng, rows, cols, 0.4, 0.5)
+                got, want = cluster_blocks(frame), reference_cluster(frame)
+                assert got == want, (rows, cols)
 
 
 class TestSpatialFilter:

@@ -710,6 +710,29 @@ class TestCli:
         assert message == f"mbtrack: error: {bad}: Is a directory"
         assert not any(bad.iterdir()) and not any(path.exists() for path in others)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d[:-100], "stream ended inside macroblock record of frame 15"),
+        (lambda d: d[:4], "stream ended inside header"),
+        (lambda d: d.replace(b"P\x01\x00\x00\x00\x01", b"P\x01\x00\x00\x00\x02", 1),
+         "frame 1: macroblock (0, 0) has reserved flag bits 0x02"),
+    ], ids=["truncated", "magic-only", "reserved-flag"])
+    def test_bad_stream_is_a_usage_error(self, tmp_path, capsys, damage, message):
+        data = synthesize(single_object_scene(frame_count=16))[0]
+        stream = tmp_path / "scene.mbfs"
+        stream.write_bytes(damage(data))
+        assert stream.read_bytes() != data
+        outputs = [tmp_path / name for name in ("traj.jsonl", "events.jsonl", "metrics.json")]
+        argv = ["track", "--input", str(stream)]
+        argv += [arg for flag, path in zip(["--out", "--events", "--metrics"], outputs)
+                 for arg in (flag, str(path))]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {stream}: {message}"
+        assert "Traceback" not in err
+        assert not any(path.exists() for path in outputs)
+
     def test_track_reads_a_pipe(self, tmp_path):
         data, _ = synthesize(single_object_scene(frame_count=16))
         read_end, write_end = os.pipe()

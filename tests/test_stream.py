@@ -15,6 +15,8 @@ from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize
 from mbtrack.stream import (
     _HEADER,
     _READ_CAP,
+    _parse_pframe,
+    _Reader,
     FLAG_HAS_BACKGROUND,
     MAGIC,
     BackgroundChunk,
@@ -224,20 +226,40 @@ class TestReaderValidation:
         assert isinstance(err.value.__cause__, IntraFormatError)
 
 
+class Trickle(io.RawIOBase):
+    """A file object that returns at most 3 bytes per read."""
+
+    def __init__(self, data):
+        self._src = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def read(self, n=-1):
+        return self._src.read(min(n, 3) if n >= 0 else 3)
+
+    def tell(self):
+        return self._src.tell()
+
+
+class Pipe(io.RawIOBase):
+    """A raw stream that cannot seek, like a pipe or a FIFO."""
+
+    def __init__(self, data):
+        self._src = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._src.readinto(b)
+
+    def tell(self):  # lets a BufferedReader over it report its position
+        return self._src.tell()
+
+
 class TestStreaming:
     def test_short_reads_give_the_same_frames(self):
-        class Trickle(io.RawIOBase):
-            """A file object that returns at most 3 bytes per read."""
-
-            def __init__(self, data):
-                self._src = io.BytesIO(data)
-
-            def readable(self):
-                return True
-
-            def read(self, n=-1):
-                return self._src.read(min(n, 3) if n >= 0 else 3)
-
         header, bg, frames = make_stream(seed=5, background=True)
         data = stream_to_bytes(header, bg, frames)
         h2, bg2, it = read_stream(Trickle(data))
@@ -245,18 +267,6 @@ class TestStreaming:
         assert list(it) == frames
 
     def test_unseekable_buffered_source_gives_the_same_frames(self):
-        class Pipe(io.RawIOBase):
-            """A raw stream that cannot seek, like a pipe or a FIFO."""
-
-            def __init__(self, data):
-                self._src = io.BytesIO(data)
-
-            def readable(self):
-                return True
-
-            def readinto(self, b):
-                return self._src.readinto(b)
-
         header, bg, frames = make_stream(frame_count=9, gop_len=4, seed=3, background=True)
         data = stream_to_bytes(header, bg, frames)
         with io.BufferedReader(Pipe(data), buffer_size=64) as f:
@@ -430,10 +440,11 @@ def reference_parse_pframe(src, rows, cols, frame_index):
 
 
 @st.composite
-def random_grids(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+def random_grids(draw, max_rows=6, max_cols=6, shape=None,
+                 densities=(0.0, 0.1, 0.5, 0.9, 1.0)):
+    rows, cols = shape or (draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    coded = rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    coded = rng.random((rows, cols)) < draw(st.sampled_from(densities))
     grid = MacroblockGrid(
         ~coded,
         np.where(coded, rng.integers(0, 0x10000, (rows, cols)), 0),
@@ -550,3 +561,110 @@ class TestAgainstReference:
         cut = data.draw(st.integers(0, len(body)))
         got = outcome(new_parse(stream[:at] + bytes(body[:cut]), data.draw(st.booleans())))
         assert got == outcome(reference_parse(bytes(body[:cut]), grid.shape))
+
+
+# -- the scan at frame scale: whole grids, several windows, short reads --------
+
+SOURCES = {
+    "bytes": lambda data: data,
+    "file": io.BytesIO,
+    "trickle": Trickle,
+    "pipe": lambda data: io.BufferedReader(Pipe(data), buffer_size=64),
+}
+FRAME_SCALE_DENSITIES = (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0)
+
+
+def frame_scale_grids(shape=None):
+    return random_grids(30, 40, shape=shape, densities=FRAME_SCALE_DENSITIES)
+
+
+def scan_frames(data, shape, count, kind):
+    """Parse ``count`` P-frames laid back to back in ``data`` with one
+    ``_Reader`` over a source of ``kind``: each frame's grid, or the first
+    error, and the source's position after each frame (None for bytes)."""
+    source = SOURCES[kind](data)
+    reader = _Reader(source)
+    got, tells = [], []
+    for k in range(count):
+        got.append(outcome(lambda: _parse_pframe(reader, *shape, k + 1)))
+        if got[-1][1] is not None:
+            break
+        tells.append(None if kind == "bytes" else source.tell())
+    return got, tells
+
+
+def reference_frames(data, shape, count):
+    """``scan_frames`` with the record-by-record reader."""
+    source = io.BytesIO(data)
+    got, tells = [], []
+    for k in range(count):
+        got.append(outcome(lambda: reference_parse_pframe(source, *shape, k + 1)))
+        if got[-1][1] is not None:
+            break
+        tells.append(source.tell())
+    return got, tells
+
+
+def assert_scans_like_the_reference(data, shape, count, kinds=tuple(SOURCES)):
+    want, want_tells = reference_frames(data, shape, count)
+    for kind in kinds:
+        got, tells = scan_frames(data, shape, count, kind)
+        assert got == want, kind
+        if kind != "bytes":
+            assert tells == want_tells, kind
+
+
+def cut_records(grid):
+    """Flag offsets of the coded records that a window ends inside, when
+    the first window is the frame's n flag bytes and each later one ends
+    6 bytes on per coded record the last one held."""
+    n = grid.skip.size
+    coded = [at for at, skip in zip(flag_offsets(grid), grid.skip.ravel()) if not skip]
+    cut, end = [], n
+    while True:
+        seen = [at for at in coded if at < end]
+        cut += [at for at in seen if at + 7 > end]
+        if n + 6 * len(seen) == end:
+            return cut
+        end = n + 6 * len(seen)
+
+
+class TestScanAtFrameScale:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 40), st.data())
+    def test_back_to_back_frames_match_the_record_loop(self, rows, cols, data):
+        grids = [data.draw(frame_scale_grids((rows, cols))) for _ in range(3)]
+        stream = b"".join(map(reference_serialize_pframe, grids)) + b"tail"
+        got, tells = scan_frames(stream, (rows, cols), 3, "file")
+        assert [grid for grid, _ in got] == grids
+        assert tells[-1] == len(stream) - 4
+        assert_scans_like_the_reference(stream, (rows, cols), 3)
+
+    @pytest.mark.parametrize("shape, density, seed", [
+        ((30, 40), 0.02, 2), ((30, 40), 0.3, 1), ((12, 16), 0.9, 2), ((1, 40), 1.0, 3),
+    ])
+    def test_every_cut_raises_like_the_record_loop(self, shape, density, seed):
+        rng = np.random.default_rng(seed)
+        coded = rng.random(shape) < density
+        grid = MacroblockGrid(~coded, np.where(coded, rng.integers(0, 3, shape), 0),
+                              np.where(coded[..., None], rng.integers(-1, 2, (*shape, 2)), 0))
+        body = reference_serialize_pframe(grid)
+        assert cut_records(grid)
+        for cut in range(len(body) + 1):
+            assert_scans_like_the_reference(body[:cut], shape, 1, ("bytes", "trickle"))
+        assert_scans_like_the_reference(body, shape, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_scale_grids(), st.data())
+    def test_reserved_flag_before_a_cut_record_raises_like_the_record_loop(self, grid, data):
+        cut = cut_records(grid)
+        flags = flag_offsets(grid)
+        assume(cut and cut[-1] > 0)
+        record = data.draw(st.sampled_from([at for at in cut if at > 0]))
+        body = bytearray(reference_serialize_pframe(grid))
+        body[flags[flags.index(record) - 1]] = data.draw(st.integers(0x02, 0xFF))
+        for end in (record + 1, record + 4, len(body)):
+            stream = bytes(body[:end])
+            assert_scans_like_the_reference(stream, grid.shape, 1)
+            assert "reserved" in outcome(
+                lambda: _parse_pframe(_Reader(stream), *grid.shape, 1))[1][1]
