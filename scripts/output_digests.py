@@ -17,7 +17,9 @@ the two outputs:
 
 With ``--against FILE`` it prints each run and stream whose digests
 differ from, or are missing in, the saved file, and exits 1 on any
-difference.
+difference. Either way it ends by printing to stderr how many events of
+each kind the matrix emitted, so that a reader can see which kinds the
+events digests cover.
 
 The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
 and ``tests/test_pipeline.py`` of the checkout this script sits in, so
@@ -37,6 +39,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -173,10 +176,13 @@ def as_json(x) -> str:
     return json.dumps(x, sort_keys=True)
 
 
-def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool) -> dict:
+def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool,
+           kinds: Counter) -> dict:
+    """The run's digests; adds the count of each event kind it emitted to ``kinds``."""
     batches = []
     result = run_tracker(data, config, on_emit=lambda after, batch: batches.append(
         as_json([after, [r.to_json_dict() for r in batch]])))
+    kinds.update(e.kind for e in result.events)
     out = {
         "records": sha(as_json(r.to_json_dict()) for r in result.records),
         "events": sha(as_json(e.to_json_dict()) for e in result.events),
@@ -205,13 +211,17 @@ def main() -> int:
                         help="compare with digests saved by an earlier run")
     args = parser.parse_args()
     out = {}
+    kinds = Counter()
     for name, stream, config, evaluated in runs():
         data, truth = stream()
         out[f"{name}/parse"] = {"pframes": parse_digest(data)}
         for live in (False, True):
             out[f"{name}/{'live' if live else 'gop'}"] = digest(
-                data, truth, replace(config, live=live), evaluated)
+                data, truth, replace(config, live=live), evaluated, kinds)
         print(f"{name}: done", file=sys.stderr)
+    print(f"events over the matrix, {len(kinds)} kinds:", file=sys.stderr)
+    for kind, count in sorted(kinds.items()):
+        print(f"{count:>9} {kind}", file=sys.stderr)
     if args.against is None:
         print(json.dumps(out, indent=1, sort_keys=True))
         return 0

@@ -40,6 +40,16 @@ def _check_outputs(parser, *paths) -> None:
             parser.error(f"{path}: Is a directory")
 
 
+def _check_output_dir(parser, path) -> None:
+    """A usage error, before any work, unless ``path`` or its first existing
+    ancestor is a directory, so that it can be made."""
+    existing = path
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        parser.error(f"{path}: Not a directory")
+
+
 def _cmd_synth(args, parser) -> int:
     _check_outputs(parser, args.out, args.gt)
     try:
@@ -50,6 +60,10 @@ def _cmd_synth(args, parser) -> int:
         parser.error(f"{args.script}: {exc}")
     if args.seed is not None:
         script.noise.rng_seed = args.seed
+        try:
+            script.validate()
+        except ValueError as exc:
+            parser.error(f"--seed: {exc}")
     with open(args.out, "wb") as f:
         truth = synthesize_to(script, f)  # frame by frame: the stream is never held whole
         size = f.tell()
@@ -84,11 +98,15 @@ def _cmd_track(args, parser) -> int:
     # Every output's directory is checked, and every input opened, before
     # any tracking or output.
     _check_outputs(parser, args.out, args.events, args.metrics)
+    if args.overlay:
+        _check_output_dir(parser, args.overlay)
     try:
         truth = load_ground_truth(args.gt) if args.gt else None
         source = open(args.input, "rb")
     except OSError as exc:
         parser.error(f"{exc.filename}: {exc.strerror}")
+    except ValueError as exc:  # a malformed ground-truth line
+        parser.error(f"{args.gt}: {exc}")
     with source:
         try:
             result = run_tracker(source, config)

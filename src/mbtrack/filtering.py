@@ -30,7 +30,8 @@ and tracked as its region. When that region splits, each piece is
 observed as a fragment; once two or more are promoted, the pipeline
 recovers their identities by hue (``occlusion``) at the next I-frame. A
 blob over two fragments ends the split for all of them: an occlusion is
-tracked whole or as its fragments, never both.
+tracked whole or as its fragments, never both. ``EntityTracker.step`` and
+``resolve_identities`` hold the frame they run for and return its events.
 """
 
 from __future__ import annotations
@@ -259,10 +260,10 @@ class EntityTracker:
     """Per-P-frame entity state machine over filtered block groups.
 
     Owns candidates, real objects, and occlusion groups, which own their
-    frozen members. ``step`` consumes one P-frame's active groups and
-    returns the events it produced. Identity resolution after a confirmed
-    disocclusion is driven externally (it needs decoded pixels) via
-    ``resolve_identities``.
+    frozen members. ``step`` consumes one P-frame's active groups; identity
+    resolution after a confirmed disocclusion is driven externally (it needs
+    decoded pixels) via ``resolve_identities``. Each holds its frame while it
+    runs and returns the events that call produced.
 
     Entity and occlusion ids come from one counter, so a tracked unit is
     keyed by its id alone, whichever kind it is.
@@ -273,6 +274,7 @@ class EntityTracker:
         self.entities: dict[int, Entity] = {}  # candidates, reals, fragments
         self.occlusions: dict[int, OcclusionGroup] = {}
         self._next_id = 1
+        self._frame, self._events = 0, []  # the call in hand: its frame, its events
 
     def _new_id(self) -> int:
         i = self._next_id
@@ -283,10 +285,13 @@ class EntityTracker:
         """The live fragments of occlusion ``oid``, in id order."""
         return [e for _, e in sorted(self.entities.items()) if e.fragment_of == oid]
 
+    def _emit(self, kind: str, **data) -> None:
+        self._events.append(TrackEvent(self._frame, kind, data))
+
     # -- one P-frame ------------------------------------------------------
 
     def step(self, active_groups: list[BlockGroup], frame_index: int) -> list[TrackEvent]:
-        events: list[TrackEvent] = []
+        self._frame, self._events = frame_index, []
         # Units merged away mid-frame are re-pointed here, so a group that
         # overlaps only the absorbed unit's old region still reaches the
         # absorber instead of seeding a duplicate.
@@ -307,8 +312,7 @@ class EntityTracker:
             elif len(hits) == 1:
                 assignments[hits[0]].append(g)
             else:
-                target = self._resolve_collision(g, hits, frame_index, alias,
-                                                 assignments, events)
+                target = self._resolve_collision(g, hits, alias, assignments)
                 assignments[target].append(g)
 
         # Seed new candidates from unclaimed groups, then advance every
@@ -317,9 +321,9 @@ class EntityTracker:
         for g in seeds:
             e = Entity(id=self._new_id(), region=g.keys)
             self.entities[e.id] = e
-            events.append(TrackEvent(frame_index, "seed", {"object_id": e.id}))
+            self._emit("seed", object_id=e.id)
         for eid in advancing:
-            self._advance(self.entities[eid], assignments.get(eid, []), frame_index, events)
+            self._advance(self.entities[eid], assignments.get(eid, []))
 
         # Advance occlusion entities that track directly, then reconcile
         # fragment-based occlusions.
@@ -328,15 +332,15 @@ class EntityTracker:
                 continue
             frags = self.fragments(oid)
             if frags:
-                self._reconcile_fragments(o, frags, frame_index, events)
+                self._reconcile_fragments(o, frags)
             else:
                 gs = assignments.get(oid, [])
                 if len(gs) >= 2:
-                    self._begin_split(o, gs, frame_index, events)
+                    self._begin_split(o, gs)
                 elif gs:
                     o.region = gs[0].keys
 
-        return events
+        return self._events
 
     def _cell_index(self) -> list[dict[int, int]]:
         """Cell key -> id of every trackable unit, in layers of units whose
@@ -359,7 +363,7 @@ class EntityTracker:
 
     # -- collision handling ------------------------------------------------
 
-    def _resolve_collision(self, g, hits, frame_index, alias, assignments, events) -> int:
+    def _resolve_collision(self, g, hits, alias, assignments) -> int:
         """Decide who owns a group that overlaps several units."""
         # Reunion first: one group covering >= 2 candidate fragments of the
         # same occlusion means the split was transient. It ends the split
@@ -375,9 +379,7 @@ class EntityTracker:
                 self.occlusions[oid].region = np.concatenate([f.region for f in fs])
                 for f in fs:
                     self._fold(f.id, oid, alias, assignments)
-                events.append(TrackEvent(frame_index, "reunion",
-                                         {"occlusion_id": oid,
-                                          "fragment_ids": [f.id for f in fs]}))
+                self._emit("reunion", occlusion_id=oid, fragment_ids=[f.id for f in fs])
                 hits = sorted({_canon(alias, k) for k in hits})
 
         occs = [k for k in hits if k in self.occlusions]
@@ -391,21 +393,18 @@ class EntityTracker:
             o = self.occlusions[occs[0]]
             for other_id in occs[1:]:
                 o.members.update(self._fold(other_id, o.id, alias, assignments).members)
-                events.append(TrackEvent(frame_index, "occlusion_merge",
-                                         {"occlusion_id": o.id, "absorbed": other_id}))
+                self._emit("occlusion_merge", occlusion_id=o.id, absorbed=other_id)
             for r in reals:
-                self._freeze(o, r, alias, assignments, frame_index, events)
-                events.append(TrackEvent(frame_index, "occlusion_extend",
-                                         {"occlusion_id": o.id, "object_id": r.id}))
+                self._freeze(o, r, alias, assignments)
+                self._emit("occlusion_extend", occlusion_id=o.id, object_id=r.id)
             owner = o.id
         elif len(reals) >= 2:
             o = OcclusionGroup(self._new_id(), np.concatenate([r.region for r in reals]))
             for r in reals:
-                self._freeze(o, r, alias, assignments, frame_index, events)
+                self._freeze(o, r, alias, assignments)
             self.occlusions[o.id] = o
-            events.append(TrackEvent(frame_index, "occlusion_begin",
-                                     {"occlusion_id": o.id,
-                                      "member_object_ids": o.member_object_ids}))
+            self._emit("occlusion_begin", occlusion_id=o.id,
+                       member_object_ids=o.member_object_ids)
             owner = o.id
         elif reals:
             owner = reals[0].id
@@ -417,8 +416,7 @@ class EntityTracker:
         for c in cands:
             if c.id != owner:
                 self._fold(c.id, owner, alias, assignments)
-                events.append(TrackEvent(frame_index, "merged",
-                                         {"object_id": c.id, "into": owner}))
+                self._emit("merged", object_id=c.id, into=owner)
         return owner
 
     def _fold(self, key: int, into: int, alias, assignments):
@@ -431,19 +429,17 @@ class EntityTracker:
             assignments[into].extend(assignments.pop(key))
         return (self.entities if key in self.entities else self.occlusions).pop(key)
 
-    def _freeze(self, o: OcclusionGroup, r: Entity, alias, assignments,
-                frame_index, events):
+    def _freeze(self, o: OcclusionGroup, r: Entity, alias, assignments):
         """Move real entity ``r`` into occlusion ``o`` as a member. Its last
         refined appearance, ``prior_hue``, is its identity prior."""
         if r.prior_hue is None:
-            events.append(TrackEvent(frame_index, "prior_capture_failed",
-                                     {"occlusion_id": o.id, "object_id": r.id}))
+            self._emit("prior_capture_failed", occlusion_id=o.id, object_id=r.id)
         r.label = Label.OCCLUDED
         o.members[r.id] = self._fold(r.id, o.id, alias, assignments)
 
     # -- per-entity advance -------------------------------------------------
 
-    def _advance(self, e: Entity, gs: list[BlockGroup], frame_index: int, events):
+    def _advance(self, e: Entity, gs: list[BlockGroup]):
         prev = e.region
         if gs:
             # Unions concatenate, here one frame's disjoint groups; only an
@@ -462,38 +458,30 @@ class EntityTracker:
             else:  # detection rate so far
                 e.neglog_sum += -math.log(e.supported / e.observed)
             if e.observed == self.config.psi:
-                self._classify(e, frame_index, events)
+                self._classify(e)
         elif e.label is Label.REAL:
             limit = self.config.stale_limit
             if limit is not None and e.virtual_streak > limit:
                 del self.entities[e.id]
-                events.append(TrackEvent(frame_index, "stale_retired",
-                                         {"object_id": e.id}))
+                self._emit("stale_retired", object_id=e.id)
 
-    def _classify(self, e: Entity, frame_index: int, events):
+    def _classify(self, e: Entity):
         label = classify_entity(e, self.config)
         e.label = label
-        events.append(TrackEvent(frame_index, "classified", {
-            "object_id": e.id,
-            "label": label.value,
-            "neglog_sum": e.neglog_sum,
-            "is_fragment": e.fragment_of is not None,
-        }))
+        self._emit("classified", object_id=e.id, label=label.value,
+                   neglog_sum=e.neglog_sum, is_fragment=e.fragment_of is not None)
         if label is Label.BACKGROUND:
             del self.entities[e.id]
 
     # -- occlusion split lifecycle -----------------------------------------
 
-    def _begin_split(self, o: OcclusionGroup, gs: list[BlockGroup], frame_index: int,
-                     events):
+    def _begin_split(self, o: OcclusionGroup, gs: list[BlockGroup]):
         frags = [Entity(id=self._new_id(), region=g.keys, fragment_of=o.id) for g in gs]
         self.entities.update((f.id, f) for f in frags)
         o.region = np.concatenate([g.keys for g in gs])
-        events.append(TrackEvent(frame_index, "region_split",
-                                 {"occlusion_id": o.id, "fragment_ids": [f.id for f in frags]}))
+        self._emit("region_split", occlusion_id=o.id, fragment_ids=[f.id for f in frags])
 
-    def _reconcile_fragments(self, o: OcclusionGroup, frags: list[Entity],
-                             frame_index: int, events):
+    def _reconcile_fragments(self, o: OcclusionGroup, frags: list[Entity]):
         """Follow a split through its fragments, never an empty list. They
         were seeded together, so they classify together: while they are
         observed the occlusion's region is their union; two or more
@@ -504,28 +492,26 @@ class EntityTracker:
         elif len(reals) >= 2:
             o.confirmed_split = True
             o.region = np.concatenate([f.region for f in reals])
-            events.append(TrackEvent(frame_index, "disocclusion", {
-                "occlusion_id": o.id,
-                "fragment_ids": [f.id for f in reals],
-            }))
+            self._emit("disocclusion", occlusion_id=o.id, fragment_ids=[f.id for f in reals])
         else:
             f = (reals or frags)[0]
             o.region = f.region
             del self.entities[f.id]
-            events.append(TrackEvent(frame_index, "occluded_single",
-                                     {"occlusion_id": o.id, "fragment_id": f.id}))
+            self._emit("occluded_single", occlusion_id=o.id, fragment_id=f.id)
 
     # -- identity resolution (called by the pipeline at I-frames) ----------
 
     def resolve_identities(self, o: OcclusionGroup, assignment: dict[int, int],
-                           frame_index: int, events) -> None:
-        """Apply a fragment->member id mapping after a confirmed disocclusion.
+                           frame_index: int) -> list[TrackEvent]:
+        """Apply a fragment->member id mapping after a confirmed disocclusion
+        at I-frame ``frame_index``; return the events it produced.
 
         Matched members resume as real objects carrying the fragment's
         region, and its hue when it has one; unmatched fragments keep their
         provisional ids as new objects; unmatched members are dropped with a
         ``member_missing`` event, never to emit again.
         """
+        self._frame, self._events = frame_index, []
         frags = self.fragments(o.id)
         for frag_id, member_id in sorted(assignment.items()):
             frag = self.entities.pop(frag_id)
@@ -539,11 +525,9 @@ class EntityTracker:
         for f in frags:
             if f.id not in assignment:
                 f.fragment_of = None
-                events.append(TrackEvent(frame_index, "new_object_from_fragment",
-                                         {"object_id": f.id, "occlusion_id": o.id}))
+                self._emit("new_object_from_fragment", object_id=f.id, occlusion_id=o.id)
         for mid in o.members:
-            events.append(TrackEvent(frame_index, "member_missing",
-                                     {"object_id": mid, "occlusion_id": o.id}))
+            self._emit("member_missing", object_id=mid, occlusion_id=o.id)
         del self.occlusions[o.id]
-        events.append(TrackEvent(frame_index, "occlusion_closed",
-                                 {"occlusion_id": o.id}))
+        self._emit("occlusion_closed", occlusion_id=o.id)
+        return self._events

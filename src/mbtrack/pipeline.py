@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,13 +81,7 @@ class TrackRecord:
         self.w = float(blob.w)
 
     def to_json_dict(self) -> dict:
-        return {
-            "frame_index": self.frame_index,
-            "object_id": self.object_id,
-            "cx": self.cx, "cy": self.cy, "h": self.h, "w": self.w,
-            "state": self.state,
-            "refined": self.refined,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -99,7 +93,7 @@ class TrackResult:
 
 
 # Per P-frame: cluster, filter, step (EntityTracker.step) and emit (following
-# the step's units and recording this frame's blobs).
+# the step's units, recording this frame's blobs and releasing records).
 STAGES = ("parse", "cluster", "filter", "step", "emit", "partial_decode", "subtract",
           "interpolate", "occlusion")
 
@@ -136,6 +130,7 @@ class Tracker:
     sorted by (frame, id); ``finish()`` returns the rest at end of stream.
     ``background`` is the stream's ``BackgroundChunk``, or None to take the
     first I-frame as the reference. ``events`` grows as frames are fed.
+    ``last_index`` is the frame being fed, which every event it logs carries.
     """
 
     def __init__(self, header, background, config: TrackerConfig | None = None):
@@ -150,16 +145,17 @@ class Tracker:
         self.decoded_blocks = 0
         self.total_blocks = 0
         self.last_index = 0
+        self._clock = 0.0  # perf_counter at the last lap
 
     def feed(self, frame) -> list[TrackRecord]:
         """Process the next frame; return the records it released."""
+        self._clock = time.perf_counter()
         i = self.last_index = frame.frame_index
         if frame.kind == "I":
             if self.background is None:
                 # No reference shipped: the first I-frame is the reference.
-                t0 = time.perf_counter()
                 self.background = decode_full(frame.intra_payload)
-                self.timers["partial_decode"] += time.perf_counter() - t0
+                self._lap("partial_decode")
             self._iframe(frame)
         else:
             self._pframe(frame)
@@ -167,22 +163,30 @@ class Tracker:
         # before it, once refinement has rewritten its GOP; live mode
         # releases at each P-frame everything up to it and rewrites nothing
         # already released.
+        released = []
         if self.cfg.live == (frame.kind == "P"):
-            return self._release(i + 1 if self.cfg.live else i)
-        return []
+            released = self._release(i + 1 if self.cfg.live else i)
+        self._lap("emit")
+        return released
 
     def finish(self) -> list[TrackRecord]:
         """End of stream: log what stays unresolved; return every record left."""
-        last = self.last_index
         for oid in sorted(self.tracker.occlusions):
             if self.tracker.occlusions[oid].confirmed_split:
-                self.events.append(TrackEvent(last, "identity_unresolved",
-                                              {"occlusion_id": oid}))
+                self._emit("identity_unresolved", occlusion_id=oid)
         for uid, state, _, _ in self._tracked():
             if state == "Candidate":
-                self.events.append(TrackEvent(last, "candidate_dropped_eos",
-                                              {"object_id": uid}))
+                self._emit("candidate_dropped_eos", object_id=uid)
         return self._release(None)
+
+    def _lap(self, stage: str) -> None:
+        """Charge the time since the last lap, or since ``feed`` began, to ``stage``."""
+        now = time.perf_counter()
+        self.timers[stage] += now - self._clock
+        self._clock = now
+
+    def _emit(self, kind: str, **data) -> None:
+        self.events.append(TrackEvent(self.last_index, kind, data))
 
     # -- units and records ---------------------------------------------------
 
@@ -219,15 +223,13 @@ class Tracker:
     # -- P-frame -------------------------------------------------------------
 
     def _pframe(self, frame) -> None:
-        timers = self.timers
-        i = frame.frame_index
-        t0 = time.perf_counter()
+        # What follows the step is emit time, charged by feed after the release.
         groups = cluster_blocks(frame)
-        t1 = time.perf_counter()
+        self._lap("cluster")
         active = spatial_filter(groups, enabled=self.cfg.psmf.enable_spatial_filter)
-        t2 = time.perf_counter()
-        step_events = self.tracker.step(active, i)
-        t3 = time.perf_counter()
+        self._lap("filter")
+        step_events = self.tracker.step(active, self.last_index)
+        self._lap("step")
         self.events.extend(step_events)
         for ev in step_events:
             if ev.kind == "classified" and ev.data["label"] == Label.REAL.value:
@@ -245,17 +247,13 @@ class Tracker:
                 # occlusion's records covered its past.
                 for fid in ev.data["fragment_ids"]:
                     self.units[fid] = _Unit()
-        self._observe(i)
-        t4 = time.perf_counter()
-        timers["cluster"] += t1 - t0
-        timers["filter"] += t2 - t1
-        timers["step"] += t3 - t2
-        timers["emit"] += t4 - t3
+        self._observe()
 
-    def _observe(self, i: int) -> None:
+    def _observe(self) -> None:
         """Give the units to the tracker's ids as they stand after the step at
-        P-frame i, and record each one's macroblock blob there; a candidate
-        only holds its region."""
+        this P-frame, and record each one's macroblock blob there; a
+        candidate only holds its region."""
+        i = self.last_index
         units = {}
         for uid, state, _, region in self._tracked():
             unit = units[uid] = self.units.get(uid) or _Unit()
@@ -273,7 +271,6 @@ class Tracker:
 
     def _iframe(self, frame) -> None:
         payload = frame.intra_payload
-        i = frame.frame_index
         frame_w, frame_h = self.header.width_px, self.header.height_px
         self.total_blocks += payload.blocks_per_plane
 
@@ -283,7 +280,6 @@ class Tracker:
                  for uid, state, e, _ in self._tracked() if state != "Candidate"]
         rects = [refine_rect(u.blobs, u.anchor, frame_w, frame_h) for *_, u in plans]
         batch = [(0, 0, frame_w, frame_h)] if self.cfg.full_decode else rects
-        t0 = time.perf_counter()
         tiles = []
         if batch:
             tiles, stats = decode_region_partial(payload, batch, self.background)
@@ -291,48 +287,42 @@ class Tracker:
         if self.cfg.full_decode:
             tiles = [PixelTile((x, y, w, h), tiles[0].pixels[y : y + h, x : x + w])
                      for x, y, w, h in rects]
-        self.timers["partial_decode"] += time.perf_counter() - t0
+        self._lap("partial_decode")
 
         for plan, tile in zip(plans, tiles):
-            self._refine_unit(*plan, tile, i)
+            self._refine_unit(*plan, tile)
 
-        t0 = time.perf_counter()
-        self._resolve_pending_identities(i)
-        self.timers["occlusion"] += time.perf_counter() - t0
+        self._resolve_pending_identities()
+        self._lap("occlusion")
 
-    def _refine_unit(self, uid, state, entity, unit: _Unit, tile, i) -> None:
-        t0 = time.perf_counter()
+    def _refine_unit(self, uid, state, entity, unit: _Unit, tile) -> None:
+        i = self.last_index
         result = refine_object(tile, self.background, self.cfg.refine,
                                unit.blobs, unit.anchor, i)
-        self.timers["subtract"] += time.perf_counter() - t0
+        self._lap("subtract")
 
         if not result.refined:
             # Nothing survived subtraction; this GOP keeps macroblock geometry.
-            self.events.append(TrackEvent(i, "subtraction_empty", {"object_id": uid}))
+            self._emit("subtraction_empty", object_id=uid)
         elif result.rewrites and not unit.anchor[2]:  # the anchor was not refined
-            self.events.append(TrackEvent(i, "unanchored_interpolation",
-                                          {"object_id": uid, "anchor_frame": unit.anchor[0]}))
-        t0 = time.perf_counter()
+            self._emit("unanchored_interpolation", object_id=uid, anchor_frame=unit.anchor[0])
         for f, blob in result.rewrites.items():  # none unless refined
             rec = unit.records.get(f)
             if rec is not None:
                 rec.set_blob(blob)
                 rec.refined = True
-        self.timers["interpolate"] += time.perf_counter() - t0
-
         self._commit(unit, TrackRecord.from_blob(i, uid, result.blob, state,
                                                  refined=result.refined))
+        unit.anchor = (i, result.blob, result.refined)
+        unit.blobs = []
+        self._lap("interpolate")
 
-        t0 = time.perf_counter()
         if entity is not None and result.refined:
             entity.prior_hue = hue_histogram(tile, result.mask)
         # Hue exists for identity priors, so it counts as occlusion work.
-        self.timers["occlusion"] += time.perf_counter() - t0
+        self._lap("occlusion")
 
-        unit.anchor = (i, result.blob, result.refined)
-        unit.blobs = []
-
-    def _resolve_pending_identities(self, i: int) -> None:
+    def _resolve_pending_identities(self) -> None:
         """Resolve every confirmed split. A fragment's hue is its
         ``prior_hue``, which only this I-frame's refinement can have set: a
         fragment is a candidate, never refined, until its split is confirmed
@@ -356,8 +346,7 @@ class Tracker:
             leftover_members = sorted(m for m in o.members if m not in assignment.values())
             for fid, mid in zip(leftover_frags, leftover_members):
                 assignment[fid] = mid
-                self.events.append(TrackEvent(i, "identity_by_exclusion",
-                                              {"fragment_id": fid, "object_id": mid}))
+                self._emit("identity_by_exclusion", fragment_id=fid, object_id=mid)
 
             # The fragment's unit carries on under the member's id.
             for fid, mid in sorted(assignment.items()):
@@ -365,15 +354,11 @@ class Tracker:
                 for rec in unit.records.values():
                     rec.object_id = mid
 
-            self.events.append(TrackEvent(i, "identity_assigned", {
-                "occlusion_id": oid,
-                "assignment": {str(f): m for f, m in sorted(assignment.items())},
-                "distances": [
-                    {"fragment_id": f, "object_id": m, "distance": d}
-                    for d, f, m in chosen
-                ],
-            }))
-            tr.resolve_identities(o, assignment, i, self.events)
+            self._emit("identity_assigned", occlusion_id=oid,
+                       assignment={str(f): m for f, m in sorted(assignment.items())},
+                       distances=[{"fragment_id": f, "object_id": m, "distance": d}
+                                  for d, f, m in chosen])
+            self.events.extend(tr.resolve_identities(o, assignment, self.last_index))
 
 
 def run_tracker(source, config: TrackerConfig | None = None,

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -81,15 +81,7 @@ class GroundTruthRecord:
     occluded: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "frame_index": self.frame_index,
-            "object_id": self.object_id,
-            "cx": self.cx,
-            "cy": self.cy,
-            "h": self.h,
-            "w": self.w,
-            "occluded": self.occluded,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -271,6 +263,8 @@ class SceneScript:
         for p in (self.noise.p_isolated, self.noise.p_cluster):
             if not (0.0 <= p <= 1.0):
                 raise ValueError("noise probabilities must be in [0, 1]")
+        if self.noise.rng_seed < 0:
+            raise ValueError(f"noise rng_seed {self.noise.rng_seed} must be at least 0")
         seen = set()
         for o in self.objects:
             if o.id in seen:
@@ -547,17 +541,28 @@ def write_ground_truth(records: list[GroundTruthRecord], path) -> None:
 
 
 def load_ground_truth(path) -> list[GroundTruthRecord]:
+    """Read ground-truth JSONL; a malformed line raises ``ValueError`` naming
+    its line number and, if that is what is wrong, the missing field."""
     out = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            d = json.loads(line)
-            out.append(GroundTruthRecord(
-                frame_index=int(d["frame_index"]), object_id=int(d["object_id"]),
-                cx=float(d["cx"]), cy=float(d["cy"]),
-                h=float(d["h"]), w=float(d["w"]),
-                occluded=bool(d.get("occluded", False)),
-            ))
+            try:
+                d = json.loads(line)
+                if not isinstance(d, dict):
+                    raise TypeError("not a JSON object")
+                out.append(GroundTruthRecord(
+                    frame_index=int(d["frame_index"]), object_id=int(d["object_id"]),
+                    cx=float(d["cx"]), cy=float(d["cy"]),
+                    h=float(d["h"]), w=float(d["w"]),
+                    occluded=bool(d.get("occluded", False)),
+                ))
+            except KeyError as exc:
+                raise ValueError(f"line {n} has no {exc}") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {n} is not JSON: {exc.msg}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"line {n}: {exc}") from None
     return out

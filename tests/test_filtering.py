@@ -501,8 +501,7 @@ class TestEntityTracker:
 
     def test_unmatched_fragment_becomes_a_new_object(self):
         tr, o, frags = disoccluded(members=2, fragments=3)
-        events = []
-        tr.resolve_identities(o, {frags[0]: 1, frags[1]: 2}, 8, events)
+        events = tr.resolve_identities(o, {frags[0]: 1, frags[1]: 2}, 8)
         assert [(e.kind, e.data) for e in events] == [
             ("new_object_from_fragment", {"object_id": frags[2], "occlusion_id": o.id}),
             ("occlusion_closed", {"occlusion_id": o.id}),
@@ -515,8 +514,7 @@ class TestEntityTracker:
 
     def test_unmatched_member_goes_missing(self):
         tr, o, frags = disoccluded(members=3, fragments=2)
-        events = []
-        tr.resolve_identities(o, {frags[0]: 2, frags[1]: 3}, 8, events)
+        events = tr.resolve_identities(o, {frags[0]: 2, frags[1]: 3}, 8)
         assert [(e.kind, e.data) for e in events] == [
             ("member_missing", {"object_id": 1, "occlusion_id": o.id}),
             ("occlusion_closed", {"occlusion_id": o.id}),
@@ -526,6 +524,26 @@ class TestEntityTracker:
         assert all(e.label is Label.REAL and e.fragment_of is None
                    for e in tr.entities.values())
         assert tr.occlusions == {}
+
+    def test_each_call_returns_only_its_own_events_at_its_frame(self):
+        # A P-frame, the I-frame after it that resolves the split, and the
+        # next P-frame: each call's list is its own, and stays as returned.
+        tr, o, frags = disoccluded(members=2, fragments=2)
+
+        def groups(f):  # the two fragments, and a new blob that seeds at 7
+            return [group(cells, f) for cells in (row_cells(0, 3), row_cells(6, 9),
+                                                  row_cells(0, 3, y=6))]
+
+        before = tr.step(groups(7), 7)
+        closing = tr.resolve_identities(o, {frags[0]: 1, frags[1]: 2}, 8)
+        after = tr.step(groups(9), 9)
+        seed = max(tr.entities)
+        assert [(e.frame_index, e.kind, e.data) for e in before] == [
+            (7, "seed", {"object_id": seed})]
+        assert [(e.frame_index, e.kind, e.data) for e in closing] == [
+            (8, "occlusion_closed", {"occlusion_id": o.id})]
+        assert [(e.frame_index, e.kind) for e in after] == [(9, "classified")]
+        assert after[0].data["object_id"] == seed
 
 
 def disoccluded(members, fragments):
@@ -662,7 +680,7 @@ def run_against_reference(seed):
                 frags = [fr.id for fr in new.fragments(oid)]
                 pairs = int(rng.integers(0, min(len(frags), len(members)) + 1))
                 assignment = dict(zip(frags, members[:pairs]))
-                new.resolve_identities(o, assignment, f, got)
+                got += new.resolve_identities(o, assignment, f)
                 ref.resolve_identities(ref.occlusions[oid], assignment, f, want)
             for eid, e in sorted(new.entities.items()):
                 if e.label is Label.REAL and rng.random() < 0.7:

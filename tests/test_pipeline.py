@@ -139,6 +139,28 @@ class TestRunTracker:
         assert stages["occlusion"] >= slept
         assert stages["subtract"] < slept
 
+    @pytest.mark.parametrize("live", [False, True], ids=["gop", "live"])
+    @pytest.mark.parametrize("scene", ["crossing_scene", "single_object_scene"])
+    def test_stages_cover_the_time_inside_feed(self, monkeypatch, scene, live):
+        import time
+
+        from mbtrack import pipeline
+
+        inside = []
+        feed = pipeline.Tracker.feed
+
+        def timed_feed(tracker, frame):
+            t0 = time.perf_counter()
+            try:
+                return feed(tracker, frame)
+            finally:
+                inside.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(pipeline.Tracker, "feed", timed_feed)
+        data, _ = synthesize(globals()[scene]())
+        stages = run_tracker(data, TrackerConfig(live=live)).metrics["stage_seconds"]
+        assert sum(t for s, t in stages.items() if s != "parse") >= 0.98 * sum(inside)
+
 
 class TestBoundedMemory:
     def test_peak_memory_does_not_grow_with_stream_length(self, tmp_path):
@@ -631,10 +653,11 @@ class TestCli:
          " (want an RGB colour in 0..255)"),
         (lambda d: d["objects"][0].update(fill=dict(CHECKER, tile=0)),
          "object 1 has a bad fill 'tile': 0 (want at least 1 px)"),
+        (lambda d: d.update(noise={"rng_seed": -5}), "noise rng_seed -5 must be at least 0"),
     ], ids=["no-width", "60px-canvas", "waypoint-without-cy", "null-width", "text-cx",
             "number-background", "number-fill", "number-objects", "number-path",
             "fill-without-colors", "background-without-color", "one-tile-colour",
-            "colour-300", "colour-minus-1", "tile-0"])
+            "colour-300", "colour-minus-1", "tile-0", "negative-noise-seed"])
     def test_bad_scene_script_is_a_usage_error(self, tmp_path, capsys, edit, message):
         d = single_object_scene(frame_count=16).to_dict()
         edit(d)
@@ -782,5 +805,48 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"mbtrack: error: {message}"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        script_path = tmp_path / "scene.json"
+        script_path.write_text(json.dumps(single_object_scene(frame_count=16).to_dict()))
+        out = tmp_path / "scene.mbfs"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "--script", str(script_path), "--out", str(out), "--seed", "-1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "mbtrack: error: --seed: noise rng_seed -1 must be at least 0"
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("overlay", ["a-file", "a-file/frames"])
+    def test_overlay_that_cannot_be_a_directory_is_a_usage_error(self, tmp_path, capsys,
+                                                                overlay):
+        (tmp_path / "a-file").write_text("")
+        bad = tmp_path / overlay
+        message, others = self.run_with_bad_output(tmp_path, capsys, "track", "--overlay", bad)
+        assert message == f"mbtrack: error: {bad}: Not a directory"
+        assert not any(path.exists() for path in others)
+
+    @pytest.mark.parametrize("lines, message", [
+        (['{"frame_index": 0}'], "line 1 has no 'object_id'"),
+        (["not json"], "line 1 is not JSON: Expecting value"),
+        ([json.dumps(gt(0, 1, 5, 5).to_json_dict()), "", '{"frame_index": 1, "object_id": 1,'
+          ' "cx": "x", "cy": 0, "h": 1, "w": 1}'],
+         "line 3: could not convert string to float: 'x'"),
+        (["[1, 2]"], "line 1: not a JSON object"),
+    ], ids=["missing-field", "not-json", "text-cx", "list"])
+    def test_bad_ground_truth_is_a_usage_error(self, tmp_path, capsys, lines, message):
+        stream = tmp_path / "scene.mbfs"
+        stream.write_bytes(synthesize(single_object_scene(frame_count=16))[0])
+        gt_path = tmp_path / "gt.jsonl"
+        gt_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "traj.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["track", "--input", str(stream), "--out", str(out), "--gt", str(gt_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {gt_path}: {message}"
         assert "Traceback" not in err
         assert not out.exists()
