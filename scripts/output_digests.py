@@ -21,6 +21,13 @@ difference. Either way it ends by printing to stderr how many events of
 each kind the matrix emitted, so that a reader can see which kinds the
 events digests cover.
 
+``run_tracker`` reads a seekable source, bytes included, sparsely: each
+I-frame only in the block rows it will decode. So every run of a
+benchmark workload's stream is also tracked from an unseekable buffered
+pipe (``Pipe`` of ``tests/test_stream.py``), which is read whole, and
+the script exits 1 if those digests differ from the seekable run's. The
+whole-read path under tracking then stays covered as well.
+
 The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
 and ``tests/test_pipeline.py`` of the checkout this script sits in, so
 both trees are fed the same streams; only ``mbtrack`` comes from
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
@@ -53,6 +61,7 @@ from mbtrack.scene import (  # noqa: E402
 from mbtrack.stream import FLAG_HAS_BACKGROUND, read_stream, stream_to_bytes  # noqa: E402
 from test_acceptance import GRAY_BG, RED, crossing_script, noise_script  # noqa: E402
 from test_pipeline import crossing_scene  # noqa: E402
+from test_stream import Pipe  # noqa: E402
 from workloads import (  # noqa: E402
     LANE_NOISE, NOISE_SEED, WORKLOADS, _checker, lanes_script, pair_script)
 
@@ -176,9 +185,9 @@ def as_json(x) -> str:
     return json.dumps(x, sort_keys=True)
 
 
-def digest(data: bytes, truth, config: TrackerConfig, evaluated: bool,
-           kinds: Counter) -> dict:
-    """The run's digests; adds the count of each event kind it emitted to ``kinds``."""
+def digest(data, truth, config: TrackerConfig, evaluated: bool, kinds: Counter) -> dict:
+    """The run's digests over ``data``, stream bytes or a file object; adds
+    the count of each event kind it emitted to ``kinds``."""
     batches = []
     result = run_tracker(data, config, on_emit=lambda after, batch: batches.append(
         as_json([after, [r.to_json_dict() for r in batch]])))
@@ -212,19 +221,28 @@ def main() -> int:
     args = parser.parse_args()
     out = {}
     kinds = Counter()
+    piped_differ = []  # workload runs whose digests differ when read from a pipe
     for name, stream, config, evaluated in runs():
         data, truth = stream()
         out[f"{name}/parse"] = {"pframes": parse_digest(data)}
         for live in (False, True):
-            out[f"{name}/{'live' if live else 'gop'}"] = digest(
-                data, truth, replace(config, live=live), evaluated, kinds)
+            run = f"{name}/{'live' if live else 'gop'}"
+            run_config = replace(config, live=live)
+            out[run] = digest(data, truth, run_config, evaluated, kinds)
+            if name.split("/")[0] in WORKLOADS:
+                piped = digest(io.BufferedReader(Pipe(data)), truth, run_config, evaluated,
+                               Counter())
+                if piped != out[run]:
+                    piped_differ.append(run)
         print(f"{name}: done", file=sys.stderr)
     print(f"events over the matrix, {len(kinds)} kinds:", file=sys.stderr)
     for kind, count in sorted(kinds.items()):
         print(f"{count:>9} {kind}", file=sys.stderr)
+    for run in piped_differ:
+        print(f"differs when read from a pipe: {run}", file=sys.stderr)
     if args.against is None:
         print(json.dumps(out, indent=1, sort_keys=True))
-        return 0
+        return 1 if piped_differ else 0
     saved = json.loads(Path(args.against).read_text())
     differ = [name for name in sorted(out.keys() | saved.keys())
               if out.get(name) != saved.get(name)]
@@ -238,7 +256,7 @@ def main() -> int:
     changed = sum(name in streams for name in differ)
     print(f"{len(differ) - changed} of {len(names) - len(streams)} runs and {changed} of"
           f" {len(streams)} parsed streams differ from {args.against}")
-    return 1 if differ else 0
+    return 1 if differ or piped_differ else 0
 
 
 if __name__ == "__main__":

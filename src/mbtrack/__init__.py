@@ -44,6 +44,7 @@ from .refinement import (
 from .scene import GroundTruthRecord, SceneScript, encode_p_frame, synthesize, synthesize_to
 from .stream import (
     BackgroundChunk,
+    Demand,
     FrameFeatures,
     MacroblockGrid,
     StreamHeader,

@@ -26,7 +26,7 @@ from .pipeline import (
 )
 from .refinement import RefineConfig
 from .scene import load_ground_truth, load_scene_script, synthesize_to, write_ground_truth
-from .stream import StreamError
+from .stream import StreamError, read_stream
 
 
 def _check_outputs(parser, *paths) -> None:
@@ -40,6 +40,19 @@ def _check_outputs(parser, *paths) -> None:
             parser.error(f"{path}: Is a directory")
 
 
+def _check_distinct(parser, paths: dict[str, str | None]) -> None:
+    """A usage error, before any work, when two of the given paths (by
+    flag) name one file: an output would overwrite the input or another
+    output."""
+    seen: dict[str, str] = {}
+    for flag, path in paths.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                parser.error(f"{seen[real]} and {flag} name the same path: {path}")
+            seen[real] = flag
+
+
 def _check_output_dir(parser, path) -> None:
     """A usage error, before any work, unless ``path`` or its first existing
     ancestor is a directory, so that it can be made."""
@@ -51,6 +64,7 @@ def _check_output_dir(parser, path) -> None:
 
 
 def _cmd_synth(args, parser) -> int:
+    _check_distinct(parser, {"--out": args.out, "--gt": args.gt})
     _check_outputs(parser, args.out, args.gt)
     try:
         script = load_scene_script(args.script)
@@ -95,8 +109,10 @@ def _cmd_track(args, parser) -> int:
         )
     except ValueError as exc:  # a parameter out of range: a usage error
         parser.error(str(exc))
-    # Every output's directory is checked, and every input opened, before
-    # any tracking or output.
+    # Every output's path and directory is checked, and every input opened,
+    # before any tracking or output.
+    _check_distinct(parser, {"--input": args.input, "--out": args.out, "--events": args.events,
+                             "--metrics": args.metrics, "--overlay": args.overlay})
     _check_outputs(parser, args.out, args.events, args.metrics)
     if args.overlay:
         _check_output_dir(parser, args.overlay)
@@ -109,6 +125,14 @@ def _cmd_track(args, parser) -> int:
         parser.error(f"{args.gt}: {exc}")
     with source:
         try:
+            if args.overlay:
+                # The overlay decodes every I-frame whole, but tracking reads
+                # only the blocks it decodes: check the whole stream first,
+                # so that a block only the overlay reads fails before any
+                # output is written.
+                for _ in read_stream(source)[2]:
+                    pass
+                source.seek(0)
             result = run_tracker(source, config)
         except StreamError as exc:  # a malformed or truncated stream: a usage error
             parser.error(f"{args.input}: {exc}")

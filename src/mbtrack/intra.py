@@ -47,7 +47,11 @@ same shape and values as an interleaved image, whose per-channel reads
 
 The point of the scheme is partial decoding: any rectangular region can
 be reconstructed without touching the rest of the frame by substituting
-a background image for neighbor pixels that fall outside the region.
+a background image for neighbor pixels that fall outside the region. The
+result is exact only when the block-aligned border of the region sits on
+background pixels. A payload need not even hold the rest of the frame:
+one read sparsely (``IntraPayload.sparse``) holds only the blocks its
+``mask`` marks, and decodes any region inside them.
 ``decode_regions_partial`` decodes many regions in one wave: each keeps
 its own predictor planes in one zero-padded stack, aligned so that every
 region's wave starts at the same cell, and the wave takes as many steps
@@ -126,7 +130,15 @@ class IntraPayload:
     A payload that ``encode_iframe`` made or ``from_bytes`` parsed keeps
     its blocks in the wire layout, and ``modes`` and ``residuals`` are
     views of them, so ``wire`` serializes it without a copy.
+
+    ``mask`` is None for a payload that holds the whole frame. A payload
+    read by ``sparse`` holds only the blocks its (H/4, W/4) ``mask``
+    marks, the same in every plane; the rest were never read and hold
+    whatever the allocator left there. It decodes only regions inside the
+    mask, and has no wire form and no equality.
     """
+
+    mask = None
 
     def __init__(self, modes, residuals, width_px: int, height_px: int):
         if width_px % BLOCK or height_px % BLOCK or width_px <= 0 or height_px <= 0:
@@ -166,6 +178,8 @@ class IntraPayload:
     def __eq__(self, other):
         if not isinstance(other, IntraPayload):
             return NotImplemented
+        if self.mask is not None or other.mask is not None:
+            raise ValueError("a sparse intra payload does not hold the whole frame")
         return (
             self.width_px == other.width_px
             and self.height_px == other.height_px
@@ -180,6 +194,8 @@ class IntraPayload:
     def wire(self) -> np.ndarray:
         """The serialized payload as a flat uint8 array: a view of the
         payload's wire layout when it has one, else a new array."""
+        if self.mask is not None:
+            raise ValueError("a sparse intra payload does not hold the whole frame")
         blocks = self._blocks
         if blocks is None:
             n = self.blocks_per_plane
@@ -210,6 +226,65 @@ class IntraPayload:
             )
         return cls._viewing(np.frombuffer(data, dtype=_BLOCK_DTYPE, count=3 * n),
                             width_px, height_px)
+
+    @classmethod
+    def sparse(cls, width_px: int, height_px: int, regions, read_into) -> "IntraPayload":
+        """A payload holding only the blocks under ``regions``, a list of
+        (bx0, by0, nbx, nby) block regions, read with one call of
+        ``read_into(offset, view)`` per plane and band. That call fills
+        the writable ``view`` with the wire bytes at ``offset`` of the
+        payload.
+
+        Regions whose block rows overlap or touch form one band of
+        consecutive rows. A band is read as one contiguous run of blocks
+        in raster order, from its first row at that row's leftmost
+        demanded column to its last row at that row's rightmost one, so
+        the rows between are read whole. The modes of each band are
+        checked as it is read, while its bytes are in cache, as
+        ``__init__`` checks a whole payload's, block (0, 0) included when
+        a band holds it; blocks outside the bands are never read nor
+        checked. The blocks are allocated uninitialised: pages that no band
+        touches stay out of the resident set, and the 1.9 MB of a 640x480
+        frame are not zeroed, which costs more than the reads themselves.
+        """
+        nbx, nby = width_px // BLOCK, height_px // BLOCK
+        # A band runs from the first block of its regions in raster order to
+        # the last: a region on a later row starts later and, ending on a
+        # later row, ends later, whatever its columns.
+        spans = []  # [first, end) block index of each band, in raster order
+        for by0, bx0, w, h in sorted((by0, bx0, w, h) for bx0, by0, w, h in regions):
+            if w <= 0 or h <= 0 or bx0 < 0 or by0 < 0 or bx0 + w > nbx or by0 + h > nby:
+                raise ValueError(f"block region {(bx0, by0, w, h)} is outside the "
+                                 f"{nbx}x{nby}-block frame")
+            end = (by0 + h - 1) * nbx + bx0 + w
+            if spans and by0 <= (spans[-1][1] - 1) // nbx + 1:  # on or next to the band
+                spans[-1][1] = max(spans[-1][1], end)
+            else:
+                spans.append([by0 * nbx + bx0, end])
+
+        n, size = nbx * nby, _BLOCK_DTYPE.itemsize
+        blocks = np.empty(3 * n, dtype=_BLOCK_DTYPE)
+        wire = memoryview(blocks.view(np.uint8))
+        mask = np.zeros(n, dtype=bool)
+        modes = blocks["mode"].reshape(3, n)
+        for plane in range(3):
+            for first, end in spans:
+                at = (plane * n + first) * size
+                read_into(at, wire[at : at + (end - first) * size])
+                if modes[plane, first:end].max() > MODE_NEIGHBOR_DC:
+                    raise IntraFormatError("unknown prediction mode in payload")
+        for first, end in spans:
+            mask[first:end] = True
+        if mask[0] and np.any(modes[:, 0] == MODE_NEIGHBOR_DC):
+            raise IntraFormatError("mode 1 requires at least one causal neighbor")
+
+        payload = cls.__new__(cls)  # not __init__: its mode scan reads the whole frame
+        payload.modes = modes.reshape(3, nby, nbx)
+        payload.residuals = blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
+        payload.width_px, payload.height_px = width_px, height_px
+        payload.mask = mask.reshape(nby, nbx)
+        payload._blocks = blocks
+        return payload
 
 
 def _check_image(image) -> np.ndarray:
@@ -400,6 +475,8 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
     out: list[np.ndarray | None] = [None] * len(regions)
     fast = []
     for k, (bx0, by0, nbx, nby) in enumerate(regions):
+        if payload.mask is not None and not payload.mask[by0 : by0 + nby, bx0 : bx0 + nbx].all():
+            raise ValueError(f"block region {regions[k]} is not all in the sparse payload")
         modes = payload.modes[:, by0 : by0 + nby, bx0 : bx0 + nbx]
         origin = bx0 == 0 and by0 == 0
         if origin and np.any(modes[:, 0, 0] != MODE_CONST):
@@ -525,6 +602,12 @@ def blocks_for_rect(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int
     return (x // BLOCK, (x + w - 1) // BLOCK, y // BLOCK, (y + h - 1) // BLOCK)
 
 
+def block_region(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The (bx0, by0, nbx, nby) block region covering a pixel rect."""
+    bx0, bx1, by0, by1 = blocks_for_rect(rect)
+    return bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1
+
+
 def decode_regions_partial(payload: IntraPayload, rects: list[tuple[int, int, int, int]],
                            background: np.ndarray) -> tuple[list[PixelTile], DecodeStats]:
     """Reconstruct only the blocks intersecting each of ``rects``, in one wave.
@@ -553,8 +636,7 @@ def decode_regions_partial(payload: IntraPayload, rects: list[tuple[int, int, in
         if x < 0 or y < 0 or x + w > payload.width_px or y + h > payload.height_px:
             raise ValueError(f"rect {(x, y, w, h)} is outside the "
                              f"{payload.width_px}x{payload.height_px} frame")
-        bx0, bx1, by0, by1 = blocks_for_rect((x, y, w, h))
-        regions.append((bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1))
+        regions.append(block_region((x, y, w, h)))
 
     tiles = []
     for (x, y, w, h), (bx0, by0, _, _), region in zip(

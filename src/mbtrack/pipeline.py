@@ -33,14 +33,14 @@ from .filtering import (
     cluster_blocks,
     spatial_filter,
 )
-from .intra import PixelTile, decode_full
+from .intra import PixelTile, block_region, decode_full
 # The batch decoder under the one-rect name: the benchmark's trace patches
 # ``mbtrack.pipeline:decode_region_partial`` and reads ``out[1].blocks_decoded``.
 from .intra import decode_regions_partial as decode_region_partial
 from .occlusion import greedy_pairs, hue_histogram, match_identities
 from .refinement import BlobFeature, RefineConfig, refine_object, refine_rect
 from .scene import GroundTruthRecord
-from .stream import open_source, read_stream
+from .stream import Demand, open_source, read_stream
 
 
 @dataclass
@@ -146,17 +146,19 @@ class Tracker:
         self.total_blocks = 0
         self.last_index = 0
         self._clock = 0.0  # perf_counter at the last lap
+        self._planned = None  # the next I-frame's _plan, made by iframe_regions
 
     def feed(self, frame) -> list[TrackRecord]:
         """Process the next frame; return the records it released."""
         self._clock = time.perf_counter()
         i = self.last_index = frame.frame_index
+        planned, self._planned = self._planned, None  # made for this frame only
         if frame.kind == "I":
             if self.background is None:
                 # No reference shipped: the first I-frame is the reference.
                 self.background = decode_full(frame.intra_payload)
                 self._lap("partial_decode")
-            self._iframe(frame)
+            self._iframe(frame, planned)
         else:
             self._pframe(frame)
         # The flush policy. GOP mode releases at each I-frame everything
@@ -269,16 +271,33 @@ class Tracker:
 
     # -- I-frame ---------------------------------------------------------------
 
-    def _iframe(self, frame) -> None:
-        payload = frame.intra_payload
-        frame_w, frame_h = self.header.width_px, self.header.height_px
-        self.total_blocks += payload.blocks_per_plane
+    def iframe_regions(self) -> list[tuple[int, int, int, int]] | None:
+        """The (bx0, by0, nbx, nby) block regions that the next I-frame will
+        decode, or None when it decodes the whole frame: under full decode,
+        and at the first I-frame of a stream with no background chunk.
+        The plan is kept for that I-frame's ``feed``, which decodes it."""
+        if self.cfg.full_decode or self.background is None:
+            return None
+        self._planned = self._plan()
+        return [block_region(rect) for rect in self._planned[1]]
 
-        # Every unit's rect is known before any refinement runs, so one
-        # batch decodes them all; full decode is a batch of one full frame.
+    def _plan(self):
+        """(id, state, entity, unit) of every unit the next I-frame refines,
+        and the rect decoded for each. Every unit's rect is known before any
+        refinement runs: ``refine_rect`` reads only unit state."""
         plans = [(uid, state, e, self.units[uid])
                  for uid, state, e, _ in self._tracked() if state != "Candidate"]
-        rects = [refine_rect(u.blobs, u.anchor, frame_w, frame_h) for *_, u in plans]
+        frame_w, frame_h = self.header.width_px, self.header.height_px
+        return plans, [refine_rect(u.blobs, u.anchor, frame_w, frame_h) for *_, u in plans]
+
+    def _iframe(self, frame, planned=None) -> None:
+        payload = frame.intra_payload
+        self.total_blocks += payload.blocks_per_plane
+
+        # One batch decodes every unit's rect; full decode is a batch of one
+        # full frame.
+        plans, rects = planned if planned is not None else self._plan()
+        frame_w, frame_h = self.header.width_px, self.header.height_px
         batch = [(0, 0, frame_w, frame_h)] if self.cfg.full_decode else rects
         tiles = []
         if batch:
@@ -368,9 +387,13 @@ def run_tracker(source, config: TrackerConfig | None = None,
     source: bytes, a path, or a binary file object. A path or file object
     is streamed frame by frame, never read whole, so apart from the records
     and events it returns, memory does not grow with the length of the
-    stream. Returns records, events, and run metrics. ``on_emit(after_frame,
-    batch)`` observes each release of buffered records as it happens, so
-    a ``StreamError`` raised later leaves every earlier batch with the
+    stream. A seekable source, bytes included, is read through a
+    ``Demand`` that asks the tracker for each I-frame's regions
+    (``Tracker.iframe_regions``), so only the block rows it will decode
+    are read; an unseekable one, such as a pipe, is read whole. Returns
+    records, events, and run metrics. ``on_emit(after_frame, batch)``
+    observes each release of buffered records as it happens, so a
+    ``StreamError`` raised later leaves every earlier batch with the
     caller.
     """
     records: list[TrackRecord] = []
@@ -381,8 +404,23 @@ def run_tracker(source, config: TrackerConfig | None = None,
             if on_emit is not None:
                 on_emit(after_frame, batch)
 
+    def regions():
+        # The reader asks as it reaches each I-frame, inside the parse lap
+        # below. Planning the decode is decode work, so its time moves to
+        # partial_decode.
+        t0 = time.perf_counter()
+        demand = tracker.iframe_regions()
+        spent = time.perf_counter() - t0
+        tracker.timers["partial_decode"] += spent
+        tracker.timers["parse"] -= spent
+        return demand
+
     with open_source(source) as source:
         t_start = time.perf_counter()
+        if isinstance(source, (bytes, bytearray)) or getattr(source, "seekable", lambda: False)():
+            # The frames are read lazily, so the tracker made below exists
+            # by the time the reader asks for the first I-frame's regions.
+            source = Demand(source, regions)
         header, background, frames = read_stream(source)
         parse_s = time.perf_counter() - t_start
         tracker = Tracker(header, background, config)

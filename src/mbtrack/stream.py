@@ -30,7 +30,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -296,6 +296,21 @@ def stream_to_bytes(header: StreamHeader, background: BackgroundChunk | None,
     return buf.getvalue()
 
 
+@dataclass(frozen=True)
+class Demand:
+    """A seekable byte source (bytes or a binary file object), and what
+    of each I-frame its reader's caller will decode.
+
+    ``regions()`` returns the (bx0, by0, nbx, nby) block regions of the
+    next I-frame that will be decoded, or None for the whole frame. The
+    reader calls it as it reaches each I-frame payload, so it may answer
+    from state that the frames before have built.
+    """
+
+    file: object
+    regions: Callable[[], list[tuple[int, int, int, int]] | None]
+
+
 def _truncated(what: str, frame_index: int | None) -> StreamTruncatedError:
     return StreamTruncatedError(
         f"stream ended inside {what}"
@@ -310,10 +325,11 @@ class _Reader:
     Bytes are read through ``io.BytesIO``, so both take one path. The
     source is read in pieces, and never past the bytes a caller asks for:
     ``window`` pulls only up to the end it is given, so nothing is left
-    over when a frame ends, and ``read`` of an I-frame payload is one read
-    from the source into a bytes object of its own, with no copy. The
-    lookahead is at most one P-frame, so memory does not grow with the
-    length of the stream.
+    over when a frame ends. A whole I-frame payload is one ``read`` from
+    the source into a bytes object of its own, with no copy; ``sparse``
+    reads only some of its blocks from a seekable source and seeks over
+    the rest. The lookahead is at most one P-frame, so memory does not
+    grow with the length of the stream.
 
     A P-frame is read through ``window``: its first window is the frame's
     flag bytes, and ``_parse_pframe`` scans each window with one regex
@@ -329,6 +345,7 @@ class _Reader:
         self._src = source
         self._buf = b""
         self._pos = 0
+        self._size = None  # the seekable source's length, once ``sparse`` needs it
 
     def _pull(self, n: int) -> bytes:
         """Up to n bytes from the source; fewer only at its end.
@@ -354,6 +371,37 @@ class _Reader:
         if len(data) != n:
             raise _truncated(what, frame_index)
         return data
+
+    def sparse(self, width: int, height: int, regions, frame_index: int) -> IntraPayload:
+        """The next I-frame payload, holding only the blocks of ``regions``
+        (see ``IntraPayload.sparse``), then a seek to the payload's end.
+
+        The source must be seekable. The reader holds no bytes here, since
+        it never reads past a frame, so the source stands at the payload.
+        A payload that the source's length, taken once per stream, cannot
+        hold is truncation before anything is allocated or read, wherever
+        in the payload the source ends. Each read loops on short reads and
+        asks for at most ``_READ_CAP`` bytes.
+        """
+        src = self._src
+        start = src.tell()
+        if self._size is None:
+            self._size = src.seek(0, io.SEEK_END)
+        end = start + IntraPayload.byte_size(width, height)
+        if end > self._size:
+            raise _truncated("intra payload", frame_index)
+
+        def read_into(offset: int, view: memoryview) -> None:
+            src.seek(start + offset)
+            while view:
+                got = src.readinto(view[:_READ_CAP])
+                if not got:
+                    raise _truncated("intra payload", frame_index)
+                view = view[got:]
+
+        payload = IntraPayload.sparse(width, height, regions, read_into)
+        src.seek(end)
+        return payload
 
     def window(self, n: int) -> tuple[bytes, int]:
         """(buffer, start): the unconsumed bytes are buffer[start:], at
@@ -436,7 +484,8 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
 
 
 def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[FrameFeatures]]:
-    """Parse an MBFS byte source (bytes or a binary file object).
+    """Parse an MBFS byte source (bytes, a binary file object, or a
+    ``Demand`` over a seekable one).
 
     Returns (header, background or None, frame iterator). Frames are
     parsed and validated lazily as the iterator is consumed; errors are
@@ -446,12 +495,18 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     A file object is streamed, never read whole, and never read past the
     frame being parsed: besides the frames it has yielded, the reader holds
     at most one P-frame (up to 7 bytes per macroblock) and one I-frame
-    payload, however long the stream is. Each
-    I-frame payload is a bytes object of its own, which the frame's
-    ``IntraPayload`` arrays view, so frames stay valid after the iterator
-    moves on.
+    payload, however long the stream is. Each I-frame payload owns its
+    blocks, so frames stay valid after the iterator moves on.
+
+    Without a ``Demand``, or when its ``regions()`` is None, an I-frame
+    payload is read whole and every mode byte in it is checked. Otherwise
+    it holds only the bands of block rows that cover the demanded regions
+    (``_Reader.sparse``): a block outside them is never read, so its mode
+    is never checked, while truncation anywhere in the payload is still
+    caught at that I-frame.
     """
-    reader = _Reader(source)
+    demand = source if isinstance(source, Demand) else None
+    reader = _Reader(source.file if demand else source)
 
     raw = reader.read(_HEADER.size, "header", None)
     magic, version, width, height, fps, gop_len, frame_count, flags = _HEADER.unpack(raw)
@@ -493,9 +548,13 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
                 grid = _parse_pframe(reader, header.mb_rows, header.mb_cols, frame_index)
                 yield FrameFeatures(frame_index, "P", mb_grid=grid)
             else:
-                raw = reader.read(intra_size, "intra payload", frame_index)
+                regions = demand.regions() if demand else None
                 try:
-                    payload = IntraPayload.from_bytes(raw, width, height)
+                    if regions is None:
+                        raw = reader.read(intra_size, "intra payload", frame_index)
+                        payload = IntraPayload.from_bytes(raw, width, height)
+                    else:
+                        payload = reader.sparse(width, height, regions, frame_index)
                 except IntraFormatError as err:
                     raise StreamFormatError(f"frame {frame_index}: {err}") from err
                 yield FrameFeatures(frame_index, "I", intra_payload=payload)

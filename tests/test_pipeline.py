@@ -829,6 +829,31 @@ class TestCli:
         assert message == f"mbtrack: error: {bad}: Not a directory"
         assert not any(path.exists() for path in others)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["track", "--input", "s.mbfs", "--out", "y", "--events", "./y"],
+         "--out and --events name the same path: ./y"),
+        (["track", "--input", "s.mbfs", "--out", "x", "--overlay", "x"],
+         "--out and --overlay name the same path: x"),
+        (["synth", "--script", "scene.json", "--out", "p", "--gt", "p"],
+         "--out and --gt name the same path: p"),
+        (["track", "--input", "s.mbfs", "--out", "s.mbfs"],
+         "--input and --out name the same path: s.mbfs"),
+    ], ids=["out-events", "out-overlay", "synth-out-gt", "input-out"])
+    def test_two_paths_that_name_one_file_are_a_usage_error(self, tmp_path, capsys,
+                                                            monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        script = single_object_scene(frame_count=16)
+        (tmp_path / "scene.json").write_text(json.dumps(script.to_dict()))
+        data = synthesize(script)[0]
+        (tmp_path / "s.mbfs").write_bytes(data)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"mbtrack: error: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.mbfs", "scene.json"]
+        assert (tmp_path / "s.mbfs").read_bytes() == data
+
     @pytest.mark.parametrize("lines, message", [
         (['{"frame_index": 0}'], "line 1 has no 'object_id'"),
         (["not json"], "line 1 is not JSON: Expecting value"),
