@@ -27,11 +27,13 @@ groups views its span of them.
 
 Real entities whose blobs collide are frozen into one ``OcclusionGroup``
 and tracked as its region. When that region splits, each piece is
-observed as a fragment; once two or more are promoted, the pipeline
-recovers their identities by hue (``occlusion``) at the next I-frame. A
-blob over two fragments ends the split for all of them: an occlusion is
-tracked whole or as its fragments, never both. ``EntityTracker.step`` and
-``resolve_identities`` hold the frame they run for and return its events.
+observed as a fragment; once two or more are promoted, their identities
+are recovered by hue at the next I-frame. A blob over two fragments ends
+the split for all of them: an occlusion is tracked whole or as its
+fragments, never both. ``EntityTracker.step`` takes a P-frame's groups
+and ``EntityTracker.observe_iframe`` an I-frame's hues, which set the
+hue priors and resolve every confirmed split; each holds the frame it
+runs for and returns its events.
 """
 
 from __future__ import annotations
@@ -260,10 +262,10 @@ class EntityTracker:
     """Per-P-frame entity state machine over filtered block groups.
 
     Owns candidates, real objects, and occlusion groups, which own their
-    frozen members. ``step`` consumes one P-frame's active groups; identity
-    resolution after a confirmed disocclusion is driven externally (it needs
-    decoded pixels) via ``resolve_identities``. Each holds its frame while it
-    runs and returns the events that call produced.
+    frozen members. ``step`` consumes one P-frame's active groups;
+    ``observe_iframe`` consumes what an I-frame's decoded pixels found, and
+    is the only call that changes state at an I-frame. Each holds its frame
+    while it runs and returns the events that call produced.
 
     Entity and occlusion ids come from one counter, so a tracked unit is
     keyed by its id alone, whichever kind it is.
@@ -499,20 +501,49 @@ class EntityTracker:
             del self.entities[f.id]
             self._emit("occluded_single", occlusion_id=o.id, fragment_id=f.id)
 
-    # -- identity resolution (called by the pipeline at I-frames) ----------
+    # -- one I-frame ------------------------------------------------------
 
-    def resolve_identities(self, o: OcclusionGroup, assignment: dict[int, int],
-                           frame_index: int) -> list[TrackEvent]:
-        """Apply a fragment->member id mapping after a confirmed disocclusion
-        at I-frame ``frame_index``; return the events it produced.
+    def observe_iframe(self, frame_index: int, hues: dict[int, "HueHistogram"],
+                       match) -> list[TrackEvent]:
+        """Apply what I-frame ``frame_index``'s pixels found; return its events.
 
-        Matched members resume as real objects carrying the fragment's
-        region, and its hue when it has one; unmatched fragments keep their
-        provisional ids as new objects; unmatched members are dropped with a
-        ``member_missing`` event, never to emit again.
+        ``hues`` maps each real entity the I-frame refined to its blob's
+        hue, its new ``prior_hue``. Then every confirmed split resolves, in
+        id order: ``match``, with the contract of
+        ``occlusion.match_identities``, pairs its fragments to its members
+        by hue. Matched members resume as real objects with the fragment's
+        region and hue; unmatched fragments keep their ids as new objects;
+        unmatched members are dropped with a ``member_missing`` event. A
+        fragment's hue can only come from this call: it is a candidate,
+        never refined, until its split is confirmed at a P-frame.
         """
         self._frame, self._events = frame_index, []
+        for eid, hue in hues.items():
+            self.entities[eid].prior_hue = hue
+        for oid in sorted(self.occlusions):
+            if self.occlusions[oid].confirmed_split:
+                self._resolve_identities(self.occlusions[oid], match)
+        return self._events
+
+    def _resolve_identities(self, o: OcclusionGroup, match) -> None:
         frags = self.fragments(o.id)
+        posteriors = {f.id: f.prior_hue for f in frags if f.prior_hue is not None}
+        priors = {mid: m.prior_hue for mid, m in o.members.items() if m.prior_hue is not None}
+        assignment, chosen = match(priors, posteriors)
+
+        # Hue capture can fail on either side (prior never taken, or the
+        # fragment's mask came up empty). Leftovers pair by id order; that
+        # is the only deterministic choice left.
+        leftover_frags = [f.id for f in frags if f.id not in assignment]
+        leftover_members = sorted(m for m in o.members if m not in assignment.values())
+        for fid, mid in zip(leftover_frags, leftover_members):
+            assignment[fid] = mid
+            self._emit("identity_by_exclusion", fragment_id=fid, object_id=mid)
+        self._emit("identity_assigned", occlusion_id=o.id,
+                   assignment={str(f): m for f, m in sorted(assignment.items())},
+                   distances=[{"fragment_id": f, "object_id": m, "distance": d}
+                              for d, f, m in chosen])
+
         for frag_id, member_id in sorted(assignment.items()):
             frag = self.entities.pop(frag_id)
             member = o.members.pop(member_id)
@@ -530,4 +561,3 @@ class EntityTracker:
             self._emit("member_missing", object_id=mid, occlusion_id=o.id)
         del self.occlusions[o.id]
         self._emit("occlusion_closed", occlusion_id=o.id)
-        return self._events

@@ -596,16 +596,11 @@ def decode_full(payload: IntraPayload) -> np.ndarray:
     return _decode_regions(payload, [(0, 0, nbx, nby)], None)[0]
 
 
-def blocks_for_rect(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """Inclusive block index range (bx0, bx1, by0, by1) covering a pixel rect."""
-    x, y, w, h = rect
-    return (x // BLOCK, (x + w - 1) // BLOCK, y // BLOCK, (y + h - 1) // BLOCK)
-
-
 def block_region(rect: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """The (bx0, by0, nbx, nby) block region covering a pixel rect."""
-    bx0, bx1, by0, by1 = blocks_for_rect(rect)
-    return bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1
+    x, y, w, h = rect
+    bx0, by0 = x // BLOCK, y // BLOCK
+    return bx0, by0, (x + w - 1) // BLOCK - bx0 + 1, (y + h - 1) // BLOCK - by0 + 1
 
 
 def decode_regions_partial(payload: IntraPayload, rects: list[tuple[int, int, int, int]],

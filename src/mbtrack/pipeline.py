@@ -4,8 +4,9 @@ Per P-frame: cluster non-skip macroblocks, filter implausible groups,
 and advance the entity state machine. Per I-frame: partially decode a
 predicted region per tracked object, re-measure its blob against the
 reference background, rewrite the GOP's P-frame blobs by interpolation,
-refresh appearance priors, and resolve any pending post-occlusion
-identities.
+and measure each refined object's hue. The entity tracker takes those
+hues in one call (``EntityTracker.observe_iframe``), which refreshes the
+appearance priors and resolves any pending post-occlusion identities.
 
 ``Tracker`` runs one pass: ``feed(frame)`` returns the records the frame
 released, ``finish()`` the rest. ``live`` is only a flush policy over
@@ -176,13 +177,13 @@ class Tracker:
         for oid in sorted(self.tracker.occlusions):
             if self.tracker.occlusions[oid].confirmed_split:
                 self._emit("identity_unresolved", occlusion_id=oid)
-        for uid, state, _, _ in self._tracked():
+        for uid, state, _ in self._tracked():
             if state == "Candidate":
                 self._emit("candidate_dropped_eos", object_id=uid)
         return self._release(None)
 
     def _lap(self, stage: str) -> None:
-        """Charge the time since the last lap, or since ``feed`` began, to ``stage``."""
+        """Charge the time since the last lap, or since ``_clock`` was set, to ``stage``."""
         now = time.perf_counter()
         self.timers[stage] += now - self._clock
         self._clock = now
@@ -193,16 +194,16 @@ class Tracker:
     # -- units and records ---------------------------------------------------
 
     def _tracked(self):
-        """(id, record state, entity or None, region) of every id the tracker
-        follows: its entities, then its occlusions that have not split."""
+        """(id, record state, region) of every id the tracker follows: its
+        entities, then its occlusions that have not split."""
         tr = self.tracker
         for eid in sorted(tr.entities):
             e = tr.entities[eid]
-            yield eid, _STATE[e.label], e, e.region
+            yield eid, _STATE[e.label], e.region
         for oid in sorted(tr.occlusions):
             o = tr.occlusions[oid]
             if not o.confirmed_split:  # fragments are real objects now; they emit
-                yield oid, "Occluded", None, o.region
+                yield oid, "Occluded", o.region
 
     def _commit(self, unit: _Unit, rec: TrackRecord) -> None:
         self.pending.append(rec)
@@ -257,7 +258,7 @@ class Tracker:
         candidate only holds its region."""
         i = self.last_index
         units = {}
-        for uid, state, _, region in self._tracked():
+        for uid, state, region in self._tracked():
             unit = units[uid] = self.units.get(uid) or _Unit()
             if state == "Candidate":
                 unit.held.append((i, region))
@@ -275,18 +276,23 @@ class Tracker:
         """The (bx0, by0, nbx, nby) block regions that the next I-frame will
         decode, or None when it decodes the whole frame: under full decode,
         and at the first I-frame of a stream with no background chunk.
-        The plan is kept for that I-frame's ``feed``, which decodes it."""
-        if self.cfg.full_decode or self.background is None:
-            return None
-        self._planned = self._plan()
-        return [block_region(rect) for rect in self._planned[1]]
+        The plan is kept for that I-frame's ``feed``, which decodes it. The
+        reader asks as it reaches the I-frame: the time up to the call is
+        parse time, the planning is decode time."""
+        self._lap("parse")
+        regions = None
+        if not (self.cfg.full_decode or self.background is None):
+            self._planned = self._plan()
+            regions = [block_region(rect) for rect in self._planned[1]]
+        self._lap("partial_decode")
+        return regions
 
     def _plan(self):
-        """(id, state, entity, unit) of every unit the next I-frame refines,
-        and the rect decoded for each. Every unit's rect is known before any
+        """(id, state, unit) of every unit the next I-frame refines, and the
+        rect decoded for each. Every unit's rect is known before any
         refinement runs: ``refine_rect`` reads only unit state."""
-        plans = [(uid, state, e, self.units[uid])
-                 for uid, state, e, _ in self._tracked() if state != "Candidate"]
+        plans = [(uid, state, self.units[uid])
+                 for uid, state, _ in self._tracked() if state != "Candidate"]
         frame_w, frame_h = self.header.width_px, self.header.height_px
         return plans, [refine_rect(u.blobs, u.anchor, frame_w, frame_h) for *_, u in plans]
 
@@ -308,13 +314,26 @@ class Tracker:
                      for x, y, w, h in rects]
         self._lap("partial_decode")
 
+        hues = {}
         for plan, tile in zip(plans, tiles):
-            self._refine_unit(*plan, tile)
+            hue = self._refine_unit(*plan, tile)
+            if hue is not None:
+                hues[plan[0]] = hue
 
-        self._resolve_pending_identities()
+        events = self.tracker.observe_iframe(self.last_index, hues, match_identities)
+        self.events.extend(events)
+        for ev in events:
+            if ev.kind == "identity_assigned":
+                # The fragment's unit carries on under the member's id.
+                for fid, mid in ev.data["assignment"].items():
+                    unit = self.units[mid] = self.units.pop(int(fid))
+                    for rec in unit.records.values():
+                        rec.object_id = mid
         self._lap("occlusion")
 
-    def _refine_unit(self, uid, state, entity, unit: _Unit, tile) -> None:
+    def _refine_unit(self, uid, state, unit: _Unit, tile):
+        """Refine one unit's blob from its tile and rewrite its GOP; return
+        the blob's hue if the unit is a real entity that refined, else None."""
         i = self.last_index
         result = refine_object(tile, self.background, self.cfg.refine,
                                unit.blobs, unit.anchor, i)
@@ -336,48 +355,10 @@ class Tracker:
         unit.blobs = []
         self._lap("interpolate")
 
-        if entity is not None and result.refined:
-            entity.prior_hue = hue_histogram(tile, result.mask)
+        hue = hue_histogram(tile, result.mask) if state == "Real" and result.refined else None
         # Hue exists for identity priors, so it counts as occlusion work.
         self._lap("occlusion")
-
-    def _resolve_pending_identities(self) -> None:
-        """Resolve every confirmed split. A fragment's hue is its
-        ``prior_hue``, which only this I-frame's refinement can have set: a
-        fragment is a candidate, never refined, until its split is confirmed
-        at a P-frame, and every confirmed split resolves at the next I-frame.
-        An occlusion's members stay frozen until it resolves."""
-        tr = self.tracker
-        for oid in sorted(tr.occlusions):
-            o = tr.occlusions[oid]
-            if not o.confirmed_split:
-                continue
-            frags = tr.fragments(oid)
-            posteriors = {f.id: f.prior_hue for f in frags if f.prior_hue is not None}
-            priors = {mid: m.prior_hue for mid, m in o.members.items()
-                      if m.prior_hue is not None}
-            assignment, chosen = match_identities(priors, posteriors)
-
-            # Hue capture can fail on either side (prior never taken, or the
-            # fragment's mask came up empty). Leftovers pair by id order;
-            # that is the only deterministic choice left.
-            leftover_frags = [f.id for f in frags if f.id not in assignment]
-            leftover_members = sorted(m for m in o.members if m not in assignment.values())
-            for fid, mid in zip(leftover_frags, leftover_members):
-                assignment[fid] = mid
-                self._emit("identity_by_exclusion", fragment_id=fid, object_id=mid)
-
-            # The fragment's unit carries on under the member's id.
-            for fid, mid in sorted(assignment.items()):
-                unit = self.units[mid] = self.units.pop(fid)
-                for rec in unit.records.values():
-                    rec.object_id = mid
-
-            self._emit("identity_assigned", occlusion_id=oid,
-                       assignment={str(f): m for f, m in sorted(assignment.items())},
-                       distances=[{"fragment_id": f, "object_id": m, "distance": d}
-                                  for d, f, m in chosen])
-            self.events.extend(tr.resolve_identities(o, assignment, self.last_index))
+        return hue
 
 
 def run_tracker(source, config: TrackerConfig | None = None,
@@ -404,31 +385,21 @@ def run_tracker(source, config: TrackerConfig | None = None,
             if on_emit is not None:
                 on_emit(after_frame, batch)
 
-    def regions():
-        # The reader asks as it reaches each I-frame, inside the parse lap
-        # below. Planning the decode is decode work, so its time moves to
-        # partial_decode.
-        t0 = time.perf_counter()
-        demand = tracker.iframe_regions()
-        spent = time.perf_counter() - t0
-        tracker.timers["partial_decode"] += spent
-        tracker.timers["parse"] -= spent
-        return demand
-
     with open_source(source) as source:
         t_start = time.perf_counter()
         if isinstance(source, (bytes, bytearray)) or getattr(source, "seekable", lambda: False)():
             # The frames are read lazily, so the tracker made below exists
             # by the time the reader asks for the first I-frame's regions.
-            source = Demand(source, regions)
+            source = Demand(source, lambda: tracker.iframe_regions())
         header, background, frames = read_stream(source)
-        parse_s = time.perf_counter() - t_start
         tracker = Tracker(header, background, config)
-        tracker.timers["parse"] += parse_s
+        tracker._clock = t_start
+        tracker._lap("parse")
         while True:
-            t0 = time.perf_counter()
+            # on_emit's time, between feed's last lap and here, is no stage's.
+            tracker._clock = time.perf_counter()
             frame = next(frames, None)
-            tracker.timers["parse"] += time.perf_counter() - t0
+            tracker._lap("parse")
             if frame is None:
                 break
             collect(frame.frame_index, tracker.feed(frame))

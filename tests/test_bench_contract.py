@@ -41,6 +41,10 @@ def test_traced_crossing_enters_every_lanes_span(bench_modules):
     entered = set(recorder.names)
     assert set(workload.must_run) <= entered, sorted(set(workload.must_run) - entered)
     assert recorder.counts["intra.blocks"] > 0
+    # The tracker calls the matcher it is handed once per resolved split,
+    # so the patched name still sees every call.
+    resolved = [e for e in result.events if e.kind == "identity_assigned"]
+    assert resolved and recorder.names.count("occlusion.match") == len(resolved)
 
 
 def test_synthesize_encodes_each_frame_through_the_names_synth_patches(bench_modules):

@@ -14,6 +14,7 @@ from mbtrack.filtering import (
     EntityTracker,
     Label,
     PsmfConfig,
+    TrackEvent,
     classify_entity,
     cluster_blocks,
     default_omega,
@@ -501,8 +502,11 @@ class TestEntityTracker:
 
     def test_unmatched_fragment_becomes_a_new_object(self):
         tr, o, frags = disoccluded(members=2, fragments=3)
-        events = tr.resolve_identities(o, {frags[0]: 1, frags[1]: 2}, 8)
+        events = tr.observe_iframe(8, {}, fixed_match({frags[0]: 1, frags[1]: 2}))
         assert [(e.kind, e.data) for e in events] == [
+            ("identity_assigned", {"occlusion_id": o.id,
+                                   "assignment": {str(frags[0]): 1, str(frags[1]): 2},
+                                   "distances": []}),
             ("new_object_from_fragment", {"object_id": frags[2], "occlusion_id": o.id}),
             ("occlusion_closed", {"occlusion_id": o.id}),
         ]
@@ -514,8 +518,11 @@ class TestEntityTracker:
 
     def test_unmatched_member_goes_missing(self):
         tr, o, frags = disoccluded(members=3, fragments=2)
-        events = tr.resolve_identities(o, {frags[0]: 2, frags[1]: 3}, 8)
+        events = tr.observe_iframe(8, {}, fixed_match({frags[0]: 2, frags[1]: 3}))
         assert [(e.kind, e.data) for e in events] == [
+            ("identity_assigned", {"occlusion_id": o.id,
+                                   "assignment": {str(frags[0]): 2, str(frags[1]): 3},
+                                   "distances": []}),
             ("member_missing", {"object_id": 1, "occlusion_id": o.id}),
             ("occlusion_closed", {"occlusion_id": o.id}),
         ]
@@ -535,15 +542,74 @@ class TestEntityTracker:
                                                   row_cells(0, 3, y=6))]
 
         before = tr.step(groups(7), 7)
-        closing = tr.resolve_identities(o, {frags[0]: 1, frags[1]: 2}, 8)
+        closing = tr.observe_iframe(8, {}, fixed_match({frags[0]: 1, frags[1]: 2}))
         after = tr.step(groups(9), 9)
         seed = max(tr.entities)
         assert [(e.frame_index, e.kind, e.data) for e in before] == [
             (7, "seed", {"object_id": seed})]
         assert [(e.frame_index, e.kind, e.data) for e in closing] == [
+            (8, "identity_assigned", {"occlusion_id": o.id,
+                                      "assignment": {str(frags[0]): 1, str(frags[1]): 2},
+                                      "distances": []}),
             (8, "occlusion_closed", {"occlusion_id": o.id})]
         assert [(e.frame_index, e.kind) for e in after] == [(9, "classified")]
         assert after[0].data["object_id"] == seed
+
+
+    def test_one_call_resolves_every_split_in_id_order(self):
+        # Occlusion 6 (members 1, 2) splits into fragments 8-10, occlusion 7
+        # (members 3-5) into fragments 11 and 12. The matcher pairs one
+        # fragment of each by hue; the rest pair by id order.
+        tr = EntityTracker(PsmfConfig(psi=2))
+        pairs = [row_cells(0, 4), row_cells(6, 10)]
+        triple = [row_cells(6 * k, 6 * k + 4, y=6) for k in range(3)]
+        for f in (1, 2):
+            tr.step([group(c, f) for c in pairs + triple], f)
+        hue = lambda k: HueHistogram(np.eye(HUE_BINS)[k], 1)
+        assert tr.observe_iframe(3, {k: hue(k) for k in range(1, 6)}, None) == []
+        tr.step([group(row_cells(0, 10), 4), group(row_cells(0, 16, y=6), 4)], 4)
+        assert {i: list(o.members) for i, o in tr.occlusions.items()} == {
+            6: [1, 2], 7: [3, 4, 5]}
+        pieces = [row_cells(0, 2), row_cells(3, 5), row_cells(6, 10),
+                  row_cells(0, 4, y=6), row_cells(6, 16, y=6)]
+        for f in (5, 6):
+            tr.step([group(c, f) for c in pieces], f)
+        assert all(o.confirmed_split for o in tr.occlusions.values())
+
+        calls = []
+
+        def match(priors, posteriors):
+            calls.append((priors, posteriors))
+            fid, mid = [(9, 1), (12, 5)][len(calls) - 1]
+            return {fid: mid}, [(0.5, fid, mid)]
+
+        hues = {k: hue(k) for k in range(8, 13)}
+        events = tr.observe_iframe(8, hues, match)
+        assert [(e.kind, e.data) for e in events] == [
+            ("identity_by_exclusion", {"fragment_id": 8, "object_id": 2}),
+            ("identity_assigned", {"occlusion_id": 6, "assignment": {"8": 2, "9": 1},
+                                   "distances": [{"fragment_id": 9, "object_id": 1,
+                                                  "distance": 0.5}]}),
+            ("new_object_from_fragment", {"object_id": 10, "occlusion_id": 6}),
+            ("occlusion_closed", {"occlusion_id": 6}),
+            ("identity_by_exclusion", {"fragment_id": 11, "object_id": 3}),
+            ("identity_assigned", {"occlusion_id": 7, "assignment": {"11": 3, "12": 5},
+                                   "distances": [{"fragment_id": 12, "object_id": 5,
+                                                  "distance": 0.5}]}),
+            ("member_missing", {"object_id": 4, "occlusion_id": 7}),
+            ("occlusion_closed", {"occlusion_id": 7}),
+        ]
+        assert all(e.frame_index == 8 for e in events)
+        assert calls == [({1: hue(1), 2: hue(2)}, {k: hues[k] for k in (8, 9, 10)}),
+                         ({3: hue(3), 4: hue(4), 5: hue(5)}, {k: hues[k] for k in (11, 12)})]
+        assert tr.occlusions == {} and sorted(tr.entities) == [1, 2, 3, 5, 10]
+        assert [tr.entities[m].prior_hue for m in (1, 2, 3, 5)] == [
+            hues[9], hues[8], hues[11], hues[12]]
+
+
+def fixed_match(pairs):
+    """A matcher that pairs ``pairs`` whatever the hues, and reports no distances."""
+    return lambda priors, posteriors: (dict(pairs), [])
 
 
 def disoccluded(members, fragments):
@@ -567,12 +633,12 @@ def disoccluded(members, fragments):
 # -- the tracker against the reference ------------------------------------------
 
 # Every kind an EntityTracker emits: from ``step``, and from
-# ``resolve_identities``, which the pipeline calls at I-frames.
+# ``observe_iframe``, which the pipeline calls at I-frames.
 TRACKER_KINDS = {
     "seed", "merged", "classified", "stale_retired", "reunion", "occlusion_begin",
     "occlusion_extend", "occlusion_merge", "prior_capture_failed", "region_split",
-    "disocclusion", "occluded_single", "new_object_from_fragment", "member_missing",
-    "occlusion_closed",
+    "disocclusion", "occluded_single", "identity_by_exclusion", "identity_assigned",
+    "new_object_from_fragment", "member_missing", "occlusion_closed",
 }
 
 SWEEP_SEEDS = 100
@@ -660,10 +726,12 @@ def run_against_reference(seed):
     side by side, asserting equal events and state after every step and
     every emulated I-frame; return the events of each step and I-frame.
 
-    At an I-frame each split occlusion is resolved as the pipeline would,
-    with fragments paired to a random subset of its frozen members, and
-    real entities take a hue prior at random (the rest keep theirs, or
-    none, so some later freeze finds no prior).
+    At an I-frame real entities take a hue at random (the rest keep
+    theirs, or none, so some later freeze finds no prior), and each split
+    occlusion is resolved with its fragments matched to a random subset of
+    its frozen members. The reference is given the same hues and resolves
+    as ``reference_pipeline`` does: leftovers pair by id order, and each
+    matched member takes its fragment's hue.
     """
     config, gop, groups_by_frame, rng = random_traffic(seed)
     new, ref = EntityTracker(config), reference_filtering.EntityTracker(config)
@@ -672,19 +740,44 @@ def run_against_reference(seed):
         if f % gop:
             got, want = new.step(groups_by_frame[f], f), ref.step(groups_by_frame[f], f)
         else:
-            got, want = [], []
-            for oid in [oid for oid, o in sorted(new.occlusions.items()) if o.confirmed_split]:
-                o = new.occlusions[oid]
-                members = list(o.members)
-                rng.shuffle(members)
-                frags = [fr.id for fr in new.fragments(oid)]
-                pairs = int(rng.integers(0, min(len(frags), len(members)) + 1))
-                assignment = dict(zip(frags, members[:pairs]))
-                got += new.resolve_identities(o, assignment, f)
-                ref.resolve_identities(ref.occlusions[oid], assignment, f, want)
-            for eid, e in sorted(new.entities.items()):
-                if e.label is Label.REAL and rng.random() < 0.7:
-                    e.prior_hue = ref.entities[eid].prior_hue = HUE
+            hues = {eid: HUE for eid, e in sorted(new.entities.items())
+                    if e.label is Label.REAL and rng.random() < 0.7}
+            for eid in hues:
+                ref.entities[eid].prior_hue = HUE
+            matched = {}
+            for oid, o in sorted(new.occlusions.items()):
+                if o.confirmed_split:
+                    members = list(o.members)
+                    rng.shuffle(members)
+                    frags = [fr.id for fr in new.fragments(oid)]
+                    pairs = int(rng.integers(0, min(len(frags), len(members)) + 1))
+                    matched[oid] = dict(zip(frags, members[:pairs]))
+            queue = iter(matched.values())
+
+            def match(priors, posteriors):
+                pairs = next(queue)
+                return dict(pairs), [(0.0, fid, mid) for fid, mid in sorted(pairs.items())]
+
+            got, want = new.observe_iframe(f, hues, match), []
+            for oid, pairs in matched.items():
+                o, assignment = ref.occlusions[oid], dict(pairs)
+                frags = sorted(fid for fid in o.fragment_ids
+                               if fid in ref.entities and fid not in assignment)
+                members = sorted(m for m in o.member_object_ids
+                                 if m in ref.frozen and m not in assignment.values())
+                for fid, mid in zip(frags, members):
+                    assignment[fid] = mid
+                    want.append(TrackEvent(f, "identity_by_exclusion",
+                                           {"fragment_id": fid, "object_id": mid}))
+                want.append(TrackEvent(f, "identity_assigned", {
+                    "occlusion_id": oid,
+                    "assignment": {str(fid): mid for fid, mid in sorted(assignment.items())},
+                    "distances": [{"fragment_id": fid, "object_id": mid, "distance": 0.0}
+                                  for fid, mid in sorted(pairs.items())]}))
+                ref.resolve_identities(o, assignment, f, want)
+                for fid, mid in assignment.items():
+                    if fid in hues:
+                        ref.entities[mid].prior_hue = hues[fid]
         # Compared as emitted: the reference's region_split payload is the
         # occlusion's own list, which later steps edit.
         assert [e.to_json_dict() for e in got] == [e.to_json_dict() for e in want], f

@@ -17,7 +17,7 @@ from mbtrack.intra import (
     IntraFormatError,
     IntraPayload,
     PixelTile,
-    blocks_for_rect,
+    block_region,
     decode_full,
     decode_region_partial,
     decode_regions_partial,
@@ -127,7 +127,8 @@ class TestBlockGeometry:
         ((0, 0, 32, 16), (0, 7, 0, 3)),
     ])
     def test_inclusive_block_ranges(self, rect, expected):
-        assert blocks_for_rect(rect) == expected
+        bx0, by0, nbx, nby = block_region(rect)
+        assert (bx0, bx0 + nbx - 1, by0, by0 + nby - 1) == expected
 
     def test_stats_are_pure_geometry(self):
         assert DecodeStats(4, 64).ratio == pytest.approx(0.0625)
@@ -199,13 +200,13 @@ def reference_decode(payload, rect, background):
     outside them from ``background``. Returns (tile pixels, DecodeStats).
     """
     x, y, w, h = rect
-    bx0, bx1, by0, by1 = blocks_for_rect(rect)
-    region = np.zeros(((by1 - by0 + 1) * BLOCK, (bx1 - bx0 + 1) * BLOCK, 3), dtype=np.int32)
+    bx0, by0, nbx, nby = block_region(rect)
+    region = np.zeros((nby * BLOCK, nbx * BLOCK, 3), dtype=np.int32)
     bg = background.astype(np.int32)
     for p in range(3):
-        for by in range(by0, by1 + 1):
+        for by in range(by0, by0 + nby):
             ly, gy = (by - by0) * BLOCK, by * BLOCK
-            for bx in range(bx0, bx1 + 1):
+            for bx in range(bx0, bx0 + nbx):
                 lx, gx = (bx - bx0) * BLOCK, bx * BLOCK
                 pred = 128
                 if payload.modes[p, by, bx] != MODE_CONST:
@@ -223,7 +224,7 @@ def reference_decode(payload, rect, background):
                 region[ly : ly + BLOCK, lx : lx + BLOCK, p] = np.clip(blk, 0, 255)
     oy, ox = y - by0 * BLOCK, x - bx0 * BLOCK
     tile = region[oy : oy + h, ox : ox + w].astype(np.uint8)
-    return tile, DecodeStats((bx1 - bx0 + 1) * (by1 - by0 + 1), payload.blocks_per_plane)
+    return tile, DecodeStats(nbx * nby, payload.blocks_per_plane)
 
 
 @st.composite
@@ -272,8 +273,8 @@ class TestAgainstReference:
         frame = decode_full(payload)
         # Put the row above and the column left of the rect's blocks on
         # background, then re-encode: the substituted context is now right.
-        bx0, bx1, by0, by1 = blocks_for_rect(rect)
-        x0, x1, y0, y1 = bx0 * BLOCK, (bx1 + 1) * BLOCK, by0 * BLOCK, (by1 + 1) * BLOCK
+        bx0, by0, nbx, nby = block_region(rect)
+        x0, x1, y0, y1 = bx0 * BLOCK, (bx0 + nbx) * BLOCK, by0 * BLOCK, (by0 + nby) * BLOCK
         if y0 > 0:
             frame[y0 - 1, x0:x1] = background[y0 - 1, x0:x1]
         if x0 > 0:
@@ -354,8 +355,8 @@ class TestPathChoice:
         background = rng.integers(0, 256, image.shape, dtype=np.uint8)
         # Put the rect's context row and column on background, so the
         # substituted context is the coded one, and encode again.
-        bx0, bx1, by0, by1 = blocks_for_rect(rect)
-        x0, x1, y0, y1 = bx0 * BLOCK, (bx1 + 1) * BLOCK, by0 * BLOCK, (by1 + 1) * BLOCK
+        bx0, by0, nbx, nby = block_region(rect)
+        x0, x1, y0, y1 = bx0 * BLOCK, (bx0 + nbx) * BLOCK, by0 * BLOCK, (by0 + nby) * BLOCK
         if y0 > 0:
             image[y0 - 1, x0:x1] = background[y0 - 1, x0:x1]
         if x0 > 0:
