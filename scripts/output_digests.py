@@ -21,12 +21,14 @@ difference. Either way it ends by printing to stderr how many events of
 each kind the matrix emitted, so that a reader can see which kinds the
 events digests cover.
 
-``run_tracker`` reads a seekable source, bytes included, sparsely: each
-I-frame only in the block rows it will decode. So every run of a
-benchmark workload's stream is also tracked from an unseekable buffered
-pipe (``Pipe`` of ``tests/test_stream.py``), which is read whole, and
-the script exits 1 if those digests differ from the seekable run's. The
-whole-read path under tracking then stays covered as well.
+``run_tracker`` always reads through a ``Demand``, which reads a
+seekable source, bytes included, sparsely: each I-frame only in the
+block rows it will decode. So every run of a benchmark workload's stream
+is also tracked from an unseekable buffered pipe (``Pipe`` of
+``tests/test_stream.py``), whose ``Demand`` the reader reads whole
+without asking for regions, and the script exits 1 if those digests
+differ from the seekable run's. The whole-read path under tracking then
+stays covered as well.
 
 The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
 and ``tests/test_pipeline.py`` of the checkout this script sits in, so

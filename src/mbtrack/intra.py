@@ -127,9 +127,11 @@ class IntraPayload:
     modes:     (3, H/4, W/4) uint8, plane order R, G, B
     residuals: (3, H/4, W/4, 4, 4) int16
 
-    A payload that ``encode_iframe`` made or ``from_bytes`` parsed keeps
-    its blocks in the wire layout, and ``modes`` and ``residuals`` are
-    views of them, so ``wire`` serializes it without a copy.
+    Every payload keeps its blocks in the wire layout, and ``modes`` and
+    ``residuals`` are views of them, so ``wire`` serializes it without a
+    copy. ``encode_iframe`` writes that layout, ``from_bytes`` views the
+    bytes it parses and ``sparse`` reads into it; ``__init__``, for
+    payloads made by hand, copies its arrays into it once.
 
     ``mask`` is None for a payload that holds the whole frame. A payload
     read by ``sparse`` holds only the blocks its (H/4, W/4) ``mask``
@@ -137,8 +139,6 @@ class IntraPayload:
     whatever the allocator left there. It decodes only regions inside the
     mask, and has no wire form and no equality.
     """
-
-    mask = None
 
     def __init__(self, modes, residuals, width_px: int, height_px: int):
         if width_px % BLOCK or height_px % BLOCK or width_px <= 0 or height_px <= 0:
@@ -151,25 +151,27 @@ class IntraPayload:
             raise IntraFormatError(f"modes shape {modes.shape} != {(3, nby, nbx)}")
         if residuals.shape != (3, nby, nbx, BLOCK, BLOCK):
             raise IntraFormatError(f"residuals shape {residuals.shape} is wrong")
-        if modes.max(initial=0) > MODE_NEIGHBOR_DC:
-            raise IntraFormatError("unknown prediction mode in payload")
-        if np.any(modes[:, 0, 0] == MODE_NEIGHBOR_DC):
-            raise IntraFormatError("mode 1 requires at least one causal neighbor")
-        self.modes = modes
-        self.residuals = residuals
+        blocks = np.empty(3 * nby * nbx, dtype=_BLOCK_DTYPE)
+        blocks["mode"] = modes.reshape(-1)
+        blocks["residuals"] = residuals.reshape(-1, BLOCK * BLOCK)
+        self._view(blocks, width_px, height_px)
+
+    def _view(self, blocks: np.ndarray, width_px: int, height_px: int,
+              mask: np.ndarray | None = None) -> "IntraPayload":
+        """Make this payload view ``blocks``, its (3n,) wire layout, and
+        return it. With no ``mask`` it holds the whole frame, whose modes
+        are checked here; a sparse read checks each band as it reads it."""
+        nbx, nby = width_px // BLOCK, height_px // BLOCK
+        modes = blocks["mode"]
+        if mask is None:
+            _check_modes(modes.reshape(3, nbx * nby), origin=True)
+        self.modes = modes.reshape(3, nby, nbx)
+        self.residuals = blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
         self.width_px = width_px
         self.height_px = height_px
-        self._blocks = None  # the wire layout that modes and residuals view, if any
-
-    @classmethod
-    def _viewing(cls, blocks: np.ndarray, width_px: int, height_px: int) -> "IntraPayload":
-        """A payload whose arrays view ``blocks``, its (3n,) wire layout."""
-        nbx, nby = width_px // BLOCK, height_px // BLOCK
-        payload = cls(blocks["mode"].reshape(3, nby, nbx),
-                      blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK),
-                      width_px, height_px)
-        payload._blocks = blocks
-        return payload
+        self.mask = mask
+        self._blocks = blocks
+        return self
 
     @property
     def blocks_per_plane(self) -> int:
@@ -193,16 +195,10 @@ class IntraPayload:
 
     def wire(self) -> np.ndarray:
         """The serialized payload as a flat uint8 array: a view of the
-        payload's wire layout when it has one, else a new array."""
+        payload's wire layout."""
         if self.mask is not None:
             raise ValueError("a sparse intra payload does not hold the whole frame")
-        blocks = self._blocks
-        if blocks is None:
-            n = self.blocks_per_plane
-            blocks = np.empty(3 * n, dtype=_BLOCK_DTYPE)
-            blocks["mode"] = self.modes.reshape(3 * n)
-            blocks["residuals"] = self.residuals.reshape(3 * n, 16)
-        return blocks.view(np.uint8)
+        return self._blocks.view(np.uint8)
 
     def to_bytes(self) -> bytes:
         return self.wire().tobytes()
@@ -216,16 +212,14 @@ class IntraPayload:
         I-frame, 1.9 MB at 640x480, and the allocator tends to map a fresh
         copy of that size and page-fault it in again on every frame.
         """
-        nbx = width_px // BLOCK
-        nby = height_px // BLOCK
-        n = nbx * nby
-        expected = 3 * n * _BLOCK_DTYPE.itemsize
+        n = 3 * (width_px // BLOCK) * (height_px // BLOCK)
+        expected = n * _BLOCK_DTYPE.itemsize
         if len(data) != expected:
             raise IntraFormatError(
                 f"intra payload is {len(data)} bytes, expected {expected}"
             )
-        return cls._viewing(np.frombuffer(data, dtype=_BLOCK_DTYPE, count=3 * n),
-                            width_px, height_px)
+        blocks = np.frombuffer(data, dtype=_BLOCK_DTYPE, count=n)
+        return cls.__new__(cls)._view(blocks, width_px, height_px)
 
     @classmethod
     def sparse(cls, width_px: int, height_px: int, regions, read_into) -> "IntraPayload":
@@ -240,9 +234,9 @@ class IntraPayload:
         in raster order, from its first row at that row's leftmost
         demanded column to its last row at that row's rightmost one, so
         the rows between are read whole. The modes of each band are
-        checked as it is read, while its bytes are in cache, as
-        ``__init__`` checks a whole payload's, block (0, 0) included when
-        a band holds it; blocks outside the bands are never read nor
+        checked as it is read, while its bytes are in cache, by the rule
+        a whole payload's are checked by, block (0, 0) included when a
+        band holds it; blocks outside the bands are never read nor
         checked. The blocks are allocated uninitialised: pages that no band
         touches stay out of the resident set, and the 1.9 MB of a 640x480
         frame are not zeroed, which costs more than the reads themselves.
@@ -271,20 +265,20 @@ class IntraPayload:
             for first, end in spans:
                 at = (plane * n + first) * size
                 read_into(at, wire[at : at + (end - first) * size])
-                if modes[plane, first:end].max() > MODE_NEIGHBOR_DC:
-                    raise IntraFormatError("unknown prediction mode in payload")
+                _check_modes(modes[plane, first:end], origin=first == 0)
         for first, end in spans:
             mask[first:end] = True
-        if mask[0] and np.any(modes[:, 0] == MODE_NEIGHBOR_DC):
-            raise IntraFormatError("mode 1 requires at least one causal neighbor")
+        return cls.__new__(cls)._view(blocks, width_px, height_px, mask.reshape(nby, nbx))
 
-        payload = cls.__new__(cls)  # not __init__: its mode scan reads the whole frame
-        payload.modes = modes.reshape(3, nby, nbx)
-        payload.residuals = blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
-        payload.width_px, payload.height_px = width_px, height_px
-        payload.mask = mask.reshape(nby, nbx)
-        payload._blocks = blocks
-        return payload
+
+def _check_modes(modes: np.ndarray, origin: bool) -> None:
+    """The mode rule on runs of blocks in raster order, along the last
+    axis of ``modes``: every mode is 0 or 1, and the first block of each
+    run, when ``origin`` says it is block (0, 0), is mode 0."""
+    if modes.max(initial=0) > MODE_NEIGHBOR_DC:
+        raise IntraFormatError("unknown prediction mode in payload")
+    if origin and np.any(modes[..., 0] == MODE_NEIGHBOR_DC):
+        raise IntraFormatError("mode 1 requires at least one causal neighbor")
 
 
 def _check_image(image) -> np.ndarray:
@@ -348,7 +342,7 @@ def encode_iframe(image) -> IntraPayload:
     for r in range(BLOCK):
         for s in range(BLOCK):
             np.subtract(blocks[:, :, r, :, s], pred, out=residuals[..., r, s])
-    return IntraPayload._viewing(wire, w, h)
+    return IntraPayload.__new__(IntraPayload)._view(wire, w, h)
 
 
 def _start_predictors(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,

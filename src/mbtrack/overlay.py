@@ -91,7 +91,7 @@ def draw_label(image: np.ndarray, x: int, y: int, text: str,
         cx += 4 * scale
 
 
-def render_overlays(source, records, out_dir, limit: int | None = None) -> list[str]:
+def render_overlays(source, records, out_dir) -> list[str]:
     """Write one annotated PPM per frame. Returns the file paths.
 
     source: bytes, a path, or a binary file object; a path or file object
@@ -108,8 +108,6 @@ def render_overlays(source, records, out_dir, limit: int | None = None) -> list[
         background = background_chunk.rgb if background_chunk is not None else None
         paths = []
         for frame in frames:
-            if limit is not None and frame.frame_index >= limit:
-                break
             if frame.kind == "I":
                 image = decode_full(frame.intra_payload)
                 if background is None:

@@ -368,14 +368,14 @@ def run_tracker(source, config: TrackerConfig | None = None,
     source: bytes, a path, or a binary file object. A path or file object
     is streamed frame by frame, never read whole, so apart from the records
     and events it returns, memory does not grow with the length of the
-    stream. A seekable source, bytes included, is read through a
-    ``Demand`` that asks the tracker for each I-frame's regions
-    (``Tracker.iframe_regions``), so only the block rows it will decode
-    are read; an unseekable one, such as a pipe, is read whole. Returns
-    records, events, and run metrics. ``on_emit(after_frame, batch)``
-    observes each release of buffered records as it happens, so a
-    ``StreamError`` raised later leaves every earlier batch with the
-    caller.
+    stream. The source is read through a ``Demand`` that asks the tracker
+    for each I-frame's regions (``Tracker.iframe_regions``), so of bytes
+    or a file only the block rows it will decode are read; the reader
+    reads a source that cannot seek, such as a pipe, whole and never
+    asks. Returns records, events, and run metrics.
+    ``on_emit(after_frame, batch)`` observes each release of buffered
+    records as it happens, so a ``StreamError`` raised later leaves every
+    earlier batch with the caller.
     """
     records: list[TrackRecord] = []
 
@@ -387,11 +387,10 @@ def run_tracker(source, config: TrackerConfig | None = None,
 
     with open_source(source) as source:
         t_start = time.perf_counter()
-        if isinstance(source, (bytes, bytearray)) or getattr(source, "seekable", lambda: False)():
-            # The frames are read lazily, so the tracker made below exists
-            # by the time the reader asks for the first I-frame's regions.
-            source = Demand(source, lambda: tracker.iframe_regions())
-        header, background, frames = read_stream(source)
+        # The frames are read lazily, so the tracker made below exists by
+        # the time the reader asks for the first I-frame's regions.
+        header, background, frames = read_stream(
+            Demand(source, lambda: tracker.iframe_regions()))
         tracker = Tracker(header, background, config)
         tracker._clock = t_start
         tracker._lap("parse")

@@ -21,8 +21,7 @@ from scipy import ndimage
 
 from .filtering import CELL_BITS, CELL_MASK
 from .intra import BLOCK, PixelTile
-
-MB = 16
+from .stream import MB
 
 
 @dataclass(frozen=True)

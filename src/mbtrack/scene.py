@@ -361,8 +361,7 @@ def load_scene_script(path) -> SceneScript:
         return SceneScript.from_dict(json.load(f))
 
 
-def encode_p_frame(current: np.ndarray, previous: np.ndarray,
-                   deadzone: int = DEADZONE) -> MacroblockGrid:
+def encode_p_frame(current: np.ndarray, previous: np.ndarray) -> MacroblockGrid:
     """Macroblock features for one frame against its predecessor.
 
     Skip when every pixel of the macroblock is unchanged. For coded
@@ -404,7 +403,7 @@ def encode_p_frame(current: np.ndarray, previous: np.ndarray,
         diff = np.maximum(np.maximum(diff[:, :, 0], diff[:, :, 1]),
                           np.maximum(diff[:, :, 2], diff[:, :, 3]))
         # A subblock's 4 pixels are 12 bytes of a row: 3 uint32 words of bools.
-        moved = (diff > deadzone).view(np.uint32).reshape(-1, 16, 3)
+        moved = (diff > DEADZONE).view(np.uint32).reshape(-1, 16, 3)
         sub = (moved[..., 0] | moved[..., 1] | moved[..., 2]) != 0  # (k, 16), raster order
         mask[my, mx] = np.packbits(sub, axis=1, bitorder="little").view("<u2")[:, 0]
 

@@ -298,13 +298,14 @@ def stream_to_bytes(header: StreamHeader, background: BackgroundChunk | None,
 
 @dataclass(frozen=True)
 class Demand:
-    """A seekable byte source (bytes or a binary file object), and what
-    of each I-frame its reader's caller will decode.
+    """A byte source (bytes or a binary file object), and what of each
+    I-frame its reader's caller will decode.
 
     ``regions()`` returns the (bx0, by0, nbx, nby) block regions of the
     next I-frame that will be decoded, or None for the whole frame. The
     reader calls it as it reaches each I-frame payload, so it may answer
-    from state that the frames before have built.
+    from state that the frames before have built. A source that cannot
+    seek is read whole, and ``regions`` is never called.
     """
 
     file: object
@@ -323,31 +324,25 @@ class _Reader:
     """Forward-only reader over bytes or a binary file object.
 
     Bytes are read through ``io.BytesIO``, so both take one path. The
-    source is read in pieces, and never past the bytes a caller asks for:
-    ``window`` pulls only up to the end it is given, so nothing is left
-    over when a frame ends. A whole I-frame payload is one ``read`` from
-    the source into a bytes object of its own, with no copy; ``sparse``
-    reads only some of its blocks from a seekable source and seeks over
-    the rest. The lookahead is at most one P-frame, so memory does not
-    grow with the length of the stream.
-
-    A P-frame is read through ``window``: its first window is the frame's
-    flag bytes, and ``_parse_pframe`` scans each window with one regex
-    split, then pulls the next one up to the frame's end as far as the
-    coded records found so far make it known. So every byte in the buffer
-    belongs to the frame being parsed, and the scan can run to the
-    buffer's end.
+    reader holds no bytes of its own: ``pull(n)`` asks the source for n
+    bytes at most, and every structure's length is known before it is
+    pulled (a P-frame's as far as its records so far make it
+    known, see ``_parse_pframe``). So the reader never reads past the
+    frame being parsed, and nothing is left over when a frame ends. A
+    whole I-frame payload is one ``read`` from the source into a bytes
+    object of its own, with no copy; ``sparse`` reads only some of its
+    blocks from a seekable source and seeks over the rest. Whether the
+    source can seek is asked once, when the reader is made.
     """
 
     def __init__(self, source):
         if isinstance(source, (bytes, bytearray)):
             source = io.BytesIO(source)
         self._src = source
-        self._buf = b""
-        self._pos = 0
+        self.seekable = getattr(source, "seekable", lambda: False)()
         self._size = None  # the seekable source's length, once ``sparse`` needs it
 
-    def _pull(self, n: int) -> bytes:
+    def pull(self, n: int) -> bytes:
         """Up to n bytes from the source; fewer only at its end.
         Each read asks for at most ``_READ_CAP`` bytes."""
         parts = []
@@ -361,13 +356,7 @@ class _Reader:
 
     def read(self, n: int, what: str, frame_index: int | None) -> bytes:
         """Exactly the next n bytes, as a bytes object of their own."""
-        buf, pos = self._buf, self._pos
-        if len(buf) - pos >= n:
-            self._pos = pos + n
-            return buf[pos : pos + n]
-        data = buf[pos:]
-        self._buf, self._pos = b"", 0
-        data += self._pull(n - len(data))  # b"" + x is x itself: no copy
+        data = self.pull(n)
         if len(data) != n:
             raise _truncated(what, frame_index)
         return data
@@ -376,12 +365,11 @@ class _Reader:
         """The next I-frame payload, holding only the blocks of ``regions``
         (see ``IntraPayload.sparse``), then a seek to the payload's end.
 
-        The source must be seekable. The reader holds no bytes here, since
-        it never reads past a frame, so the source stands at the payload.
-        A payload that the source's length, taken once per stream, cannot
-        hold is truncation before anything is allocated or read, wherever
-        in the payload the source ends. Each read loops on short reads and
-        asks for at most ``_READ_CAP`` bytes.
+        The source must be seekable; since the reader holds no bytes, it
+        stands at the payload. A payload that the source's length, taken
+        once per stream, cannot hold is truncation before anything is
+        allocated or read, wherever in the payload the source ends. Each
+        read loops on short reads and asks for at most ``_READ_CAP`` bytes.
         """
         src = self._src
         start = src.tell()
@@ -403,18 +391,6 @@ class _Reader:
         src.seek(end)
         return payload
 
-    def window(self, n: int) -> tuple[bytes, int]:
-        """(buffer, start): the unconsumed bytes are buffer[start:], at
-        least n of them unless the source ends first, and no more than n."""
-        avail = len(self._buf) - self._pos
-        if avail < n:
-            self._buf = self._buf[self._pos :] + self._pull(n - avail)
-            self._pos = 0
-        return self._buf, self._pos
-
-    def advance(self, n: int) -> None:
-        self._pos += n
-
 
 def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> MacroblockGrid:
     """Parse one P-frame's records with one regex scan per window.
@@ -424,12 +400,12 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
     after it always starts a match, which takes its payload with it, so
     the cut follows the record grammar and payload zeros are never read
     as flags. The first window is the frame's n flag bytes; each coded
-    record found moves the frame's end 6 bytes on, and the window is
-    pulled up to that end and scanned again from the end of the last
-    complete record. A 0x00 left in the tail is a record the window cut:
-    it counts toward the end, and the next scan reads it whole. Bytes are
-    requested up to that end only, so the reader never takes bytes of the
-    next frame, and its buffer never holds any.
+    record found moves the frame's end 6 bytes on, and the bytes up to
+    that end are pulled onto the window, which is scanned again from the
+    end of the last complete record. A 0x00 left in the tail is a record
+    the window cut: it counts toward the end, and the next scan reads it
+    whole. Bytes are pulled up to that end only, so the reader never
+    takes bytes of the next frame.
 
     The skip runs joined by 0x00 are the frame's flag bytes in raster
     order; one ``translate`` checks them all. Errors are the ones a
@@ -439,23 +415,24 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
     """
     n = rows * cols
     size = _MB_PAYLOAD.itemsize
-    buf, start = reader.window(n)
+    buf = reader.pull(n)
     runs, pays = [], []  # skip runs and payloads, each run ending at a coded flag
-    scanned = 0  # offset from start of the first byte not yet cut into records
+    scanned = 0  # offset of the first byte not yet cut into records
     while True:
-        parts = _CODED.split(memoryview(buf)[start + scanned :])
+        parts = _CODED.split(memoryview(buf)[scanned:])
         tail = parts.pop()
         runs += parts[0::2]
         pays += parts[1::2]
         cut = tail.find(_MB_CODED)  # a record the window cut
         end = n + size * (len(pays) + (cut >= 0))  # the frame's length as far as is known
-        have = len(buf) - start
-        if have >= end:
+        if len(buf) >= end:
             break
-        scanned = have - len(tail)
-        buf, start = reader.window(end)
-        if len(buf) - start == have:  # the source ended
+        more = reader.pull(end - len(buf))
+        if not more:  # the source ended
             break
+        scanned = len(buf) - len(tail)
+        # A new object, not an in-place append: runs and pays view the old one.
+        buf = buf + more
 
     if cut >= 0:
         tail = tail[: cut + 1]  # the rest is the cut record's payload
@@ -467,9 +444,8 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
             f"frame {frame_index}: macroblock ({mx}, {my}) has reserved"
             f" flag bits {bad[0]:#04x}"
         )
-    if have < end:
+    if len(buf) < end:
         raise _truncated("macroblock record", frame_index)
-    reader.advance(end)
 
     skip = np.frombuffer(flags, dtype=bool)
     mask = np.zeros(n, dtype=np.uint16)
@@ -485,7 +461,7 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
 
 def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[FrameFeatures]]:
     """Parse an MBFS byte source (bytes, a binary file object, or a
-    ``Demand`` over a seekable one).
+    ``Demand`` over either).
 
     Returns (header, background or None, frame iterator). Frames are
     parsed and validated lazily as the iterator is consumed; errors are
@@ -493,13 +469,17 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     never yields a partial frame.
 
     A file object is streamed, never read whole, and never read past the
-    frame being parsed: besides the frames it has yielded, the reader holds
-    at most one P-frame (up to 7 bytes per macroblock) and one I-frame
-    payload, however long the stream is. Each I-frame payload owns its
-    blocks, so frames stay valid after the iterator moves on.
+    frame being parsed: the reader pulls each structure exactly and holds
+    no bytes between frames, so besides the frames it has yielded it
+    holds at most the P-frame (up to 7 bytes per macroblock) or I-frame
+    payload being parsed, however long the stream is. Each I-frame
+    payload owns its blocks, so frames stay valid after the iterator
+    moves on.
 
-    Without a ``Demand``, or when its ``regions()`` is None, an I-frame
-    payload is read whole and every mode byte in it is checked. Otherwise
+    Without a ``Demand``, over a source that cannot seek, or when its
+    ``regions()`` is None, an I-frame payload is read whole and every
+    mode byte in it is checked; ``regions()`` is called only for a
+    seekable source, once per I-frame as the reader reaches it. Otherwise
     it holds only the bands of block rows that cover the demanded regions
     (``_Reader.sparse``): a block outside them is never read, so its mode
     is never checked, while truncation anywhere in the payload is still
@@ -507,6 +487,8 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     """
     demand = source if isinstance(source, Demand) else None
     reader = _Reader(source.file if demand else source)
+    if not reader.seekable:
+        demand = None  # read whole: a sparse read seeks over the blocks it skips
 
     raw = reader.read(_HEADER.size, "header", None)
     magic, version, width, height, fps, gop_len, frame_count, flags = _HEADER.unpack(raw)

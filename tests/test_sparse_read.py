@@ -28,6 +28,7 @@ from mbtrack.cli import main
 from mbtrack.pipeline import Tracker, run_tracker
 from mbtrack.scene import NoiseSpec, SceneScript, synthesize
 from mbtrack.stream import (
+    Demand,
     StreamFormatError,
     StreamTruncatedError,
     _serialize_pframe,
@@ -197,6 +198,21 @@ class TestTrackerDemand:
         spy = RangeSpy(data)
         assert as_json(piped) == as_json(run_tracker(spy))
         assert sum(b - a for a, b in spy.ranges) < len(data)
+
+    def test_a_demand_over_an_unseekable_source_reads_it_whole(self):
+        """The reader never asks a pipe for regions: it reads every
+        I-frame whole, as from the bare pipe."""
+        data = single_object_stream()
+
+        def regions():
+            raise AssertionError("regions asked of an unseekable source")
+
+        with io.BufferedReader(Pipe(data)) as pipe:
+            demanded = list(read_stream(Demand(pipe, regions))[2])
+        with io.BufferedReader(Pipe(data)) as pipe:
+            assert demanded == list(read_stream(pipe)[2])
+        iframes = [f.intra_payload for f in demanded if f.kind == "I"]
+        assert iframes and all(payload.mask is None for payload in iframes)
 
 
 def test_a_noise_only_scene_reads_under_a_tenth_of_its_iframe_bytes():

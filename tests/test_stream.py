@@ -20,6 +20,7 @@ from mbtrack.stream import (
     FLAG_HAS_BACKGROUND,
     MAGIC,
     BackgroundChunk,
+    Demand,
     FrameFeatures,
     MacroblockGrid,
     StreamError,
@@ -212,15 +213,20 @@ class TestReaderValidation:
         with pytest.raises(StreamFormatError):
             next(it)
 
+    @pytest.mark.parametrize("wrap", [
+        io.BytesIO,  # read whole
+        lambda data: Demand(io.BytesIO(data), lambda: [(0, 0, 1, 1)]),  # a band at (0, 0)
+    ], ids=["whole", "sparse"])
     @pytest.mark.parametrize("mode,message", [
         (7, "unknown prediction mode"),
         (1, "mode 1 requires at least one causal neighbor"),
     ])
-    def test_bad_intra_mode_is_a_typed_error_naming_the_frame(self, mode, message):
+    def test_bad_intra_mode_is_a_typed_error_naming_the_frame(self, mode, message, wrap):
+        """One mode rule on both read paths."""
         header, bg, frames = make_stream(width=32, height=32, frame_count=2)
         data = bytearray(stream_to_bytes(header, bg, frames))
         data[HEADER_SIZE + 5] = mode  # mode byte of block (0, 0), plane R, frame 0
-        _, _, it = read_stream(io.BytesIO(bytes(data)))
+        _, _, it = read_stream(wrap(bytes(data)))
         with pytest.raises(StreamFormatError, match=f"frame 0: {message}") as err:
             next(it)
         assert isinstance(err.value.__cause__, IntraFormatError)
@@ -286,11 +292,14 @@ class TestStreaming:
             end += 5 + (len(_serialize_pframe(frame.mb_grid)) if frame.kind == "P"
                         else IntraPayload.byte_size(64, 48))
             ends.append(end)
-        with io.BytesIO(stream_to_bytes(header, bg, frames) + b"tail") as f:
-            _, _, it = read_stream(f)
-            for frame, end in zip(it, ends):
-                assert f.tell() == end, frame.frame_index
-            assert f.read() == b"tail"
+        data = stream_to_bytes(header, bg, frames) + b"tail"
+        # Read whole, and sparsely, which seeks to each I-frame payload's end.
+        for demand in (None, lambda: [(1, 1, 2, 2)]):
+            with io.BytesIO(data) as f:
+                _, _, it = read_stream(f if demand is None else Demand(f, demand))
+                for frame, end in zip(it, ends):
+                    assert f.tell() == end, (demand, frame.frame_index)
+                assert f.read() == b"tail"
 
     def test_kept_iframes_survive_the_reader_moving_on(self):
         header, bg, frames = make_stream(frame_count=9, gop_len=4, seed=2)
