@@ -513,21 +513,22 @@ class EntityTracker:
         ``occlusion.match_identities``, pairs its fragments to its members
         by hue. Matched members resume as real objects with the fragment's
         region and hue; unmatched fragments keep their ids as new objects;
-        unmatched members are dropped with a ``member_missing`` event. A
-        fragment's hue can only come from this call: it is a candidate,
-        never refined, until its split is confirmed at a P-frame.
+        unmatched members are dropped with a ``member_missing`` event. The
+        posteriors are this call's hues: a fragment is a candidate, never
+        refined, until its split is confirmed at a P-frame, and an earlier
+        resolution in this call may have set its ``prior_hue`` already.
         """
         self._frame, self._events = frame_index, []
         for eid, hue in hues.items():
             self.entities[eid].prior_hue = hue
         for oid in sorted(self.occlusions):
             if self.occlusions[oid].confirmed_split:
-                self._resolve_identities(self.occlusions[oid], match)
+                self._resolve_identities(self.occlusions[oid], hues, match)
         return self._events
 
-    def _resolve_identities(self, o: OcclusionGroup, match) -> None:
+    def _resolve_identities(self, o: OcclusionGroup, hues, match) -> None:
         frags = self.fragments(o.id)
-        posteriors = {f.id: f.prior_hue for f in frags if f.prior_hue is not None}
+        posteriors = {f.id: hues[f.id] for f in frags if f.id in hues}
         priors = {mid: m.prior_hue for mid, m in o.members.items() if m.prior_hue is not None}
         assignment, chosen = match(priors, posteriors)
 
@@ -550,8 +551,8 @@ class EntityTracker:
             member.label = Label.REAL
             member.region = frag.region
             member.virtual_streak = frag.virtual_streak
-            if frag.prior_hue is not None:
-                member.prior_hue = frag.prior_hue
+            if frag_id in hues:
+                member.prior_hue = hues[frag_id]
             self.entities[member.id] = member
         for f in frags:
             if f.id not in assignment:

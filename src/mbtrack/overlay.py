@@ -98,7 +98,7 @@ def render_overlays(source, records, out_dir) -> list[str]:
     is streamed, never read whole.
     """
     with open_source(source) as source:
-        header, background_chunk, frames = read_stream(source)
+        _, background_chunk, frames = read_stream(source)
 
         by_frame = defaultdict(list)
         for r in records:
@@ -114,10 +114,8 @@ def render_overlays(source, records, out_dir) -> list[str]:
                     # A copy: the boxes drawn on this frame must not show
                     # on the P-frames drawn over it.
                     background = image.copy()
-            else:
-                base = background if background is not None else np.zeros(
-                    (header.height_px, header.width_px, 3), dtype=np.uint8)
-                image = base.copy()
+            else:  # frame 0 is an I-frame, so background is set by now
+                image = background.copy()
 
             for rec in sorted(by_frame.get(frame.frame_index, []),
                               key=lambda r: r.object_id):

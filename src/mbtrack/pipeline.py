@@ -8,6 +8,10 @@ and measure each refined object's hue. The entity tracker takes those
 hues in one call (``EntityTracker.observe_iframe``), which refreshes the
 appearance priors and resolves any pending post-occlusion identities.
 
+The entity tracker makes every lifecycle decision, and the pipeline
+follows its state, not its events. The one event it reads is
+``identity_assigned``: a rename leaves no trace in state.
+
 ``Tracker`` runs one pass: ``feed(frame)`` returns the records the frame
 released, ``finish()`` the rest. ``live`` is only a flush policy over
 the same processing. By default output is GOP-delayed: records for a
@@ -112,8 +116,7 @@ class _Unit:
 
     A candidate's unit holds only ``held``, its region at each P-frame.
     Most candidates retire as noise, so their blobs and records are built
-    only if they are promoted: then ``anchor``, ``blobs`` and, unless it is
-    a fragment, its records are built from ``held``.
+    only once they are promoted (``Tracker._pframe``).
     """
 
     anchor: tuple[int, BlobFeature, bool] | None = None  # (frame, blob, refined) to
@@ -121,7 +124,7 @@ class _Unit:
     blobs: list[tuple[int, BlobFeature]] = field(default_factory=list)  # this GOP's
     records: dict[int, TrackRecord] = field(default_factory=dict)  # unreleased, by frame
     held: list[tuple[int, np.ndarray]] = field(default_factory=list)  # a candidate's
-    # (frame, region keys), until it classifies
+    # (frame, region keys), until it is promoted
 
 
 class Tracker:
@@ -226,43 +229,33 @@ class Tracker:
     # -- P-frame -------------------------------------------------------------
 
     def _pframe(self, frame) -> None:
+        """Step the tracker, then give the units to the ids it follows and
+        record each one's macroblock blob here; a candidate only holds its
+        region. A unit that holds frames on an id that is no longer a
+        candidate was promoted at this step: its held frames become its
+        blobs, anchor and Candidate records, unless it is a fragment, whose
+        past the occlusion's records cover."""
         # What follows the step is emit time, charged by feed after the release.
+        i = self.last_index
         groups = cluster_blocks(frame)
         self._lap("cluster")
         active = spatial_filter(groups, enabled=self.cfg.psmf.enable_spatial_filter)
         self._lap("filter")
-        step_events = self.tracker.step(active, self.last_index)
+        self.events.extend(self.tracker.step(active, i))
         self._lap("step")
-        self.events.extend(step_events)
-        for ev in step_events:
-            if ev.kind == "classified" and ev.data["label"] == Label.REAL.value:
-                uid = ev.data["object_id"]
-                unit = self.units[uid]
-                unit.blobs = [(f, BlobFeature.from_grid_region(r)) for f, r in unit.held]
-                unit.anchor = (*unit.blobs[0], False)
-                if not ev.data["is_fragment"]:
-                    for f, blob in unit.blobs:
-                        self._commit(unit, TrackRecord.from_blob(f, uid, blob, "Candidate"))
-                # else the occlusion's records already cover these frames
-                unit.held = []
-            elif ev.kind == "disocclusion":
-                # Each fragment starts afresh, anchored where it stands now: the
-                # occlusion's records covered its past.
-                for fid in ev.data["fragment_ids"]:
-                    self.units[fid] = _Unit()
-        self._observe()
-
-    def _observe(self) -> None:
-        """Give the units to the tracker's ids as they stand after the step at
-        this P-frame, and record each one's macroblock blob there; a
-        candidate only holds its region."""
-        i = self.last_index
         units = {}
         for uid, state, region in self._tracked():
             unit = units[uid] = self.units.get(uid) or _Unit()
             if state == "Candidate":
                 unit.held.append((i, region))
                 continue
+            if unit.held:  # promoted at this step
+                if self.tracker.entities[uid].fragment_of is None:
+                    unit.blobs = [(f, BlobFeature.from_grid_region(r)) for f, r in unit.held]
+                    unit.anchor = (*unit.blobs[0], False)
+                    for f, blob in unit.blobs:
+                        self._commit(unit, TrackRecord.from_blob(f, uid, blob, "Candidate"))
+                unit.held = []  # a fragment's unit is then empty, as a fresh one
             blob = BlobFeature.from_grid_region(region)
             if unit.anchor is None:
                 unit.anchor = (i, blob, False)

@@ -59,6 +59,7 @@ from .stream import (
     BackgroundChunk,
     FrameFeatures,
     MacroblockGrid,
+    StreamFormatError,
     StreamHeader,
     FLAG_HAS_BACKGROUND,
     write_stream,
@@ -227,38 +228,26 @@ class SceneScript:
         return script
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width, "height": self.height,
-            "frame_count": self.frame_count, "fps": self.fps,
-            "gop_len": self.gop_len, "background": self.background,
-            "objects": [
-                {
-                    "id": o.id, "w": o.w, "h": o.h, "fill": o.fill,
-                    "path": [
-                        {k: v for k, v in
-                         (("frame", wp.frame), ("cx", wp.cx), ("cy", wp.cy),
-                          ("h", wp.h), ("w", wp.w)) if v is not None}
-                        for wp in o.path
-                    ],
-                }
-                for o in self.objects
-            ],
-            "noise": {"p_isolated": self.noise.p_isolated,
-                      "p_cluster": self.noise.p_cluster,
-                      "rng_seed": self.noise.rng_seed},
-        }
+        """The script as ``from_dict`` reads it: its dataclasses' fields,
+        less the waypoint sizes left to the object."""
+        return asdict(self, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
+
+    def header(self) -> StreamHeader:
+        """The header of the stream ``synthesize_to`` writes for this script."""
+        return StreamHeader(width_px=self.width, height_px=self.height, fps=self.fps,
+                            gop_len=self.gop_len, frame_count=self.frame_count,
+                            flags=FLAG_HAS_BACKGROUND)
 
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        if self.width <= 0 or self.width % MB or self.height <= 0 or self.height % MB:
-            raise ValueError(f"canvas {self.width}x{self.height} must be positive multiples of {MB}")
-        if not (2 <= self.gop_len <= 10):
-            raise ValueError("gop_len must be in 2..10")
-        if self.frame_count < 1:
-            raise ValueError("frame_count must be positive")
-        if not (0 < self.fps <= 255):
-            raise ValueError("fps out of range")
+        """Raise ``ValueError`` for a script that cannot be rendered. The
+        canvas size, fps, ``gop_len`` and ``frame_count`` rules are the
+        stream header's (``StreamHeader.validate``)."""
+        try:
+            self.header().validate()
+        except StreamFormatError as exc:
+            raise ValueError(str(exc)) from None
         _check_paint(self.background, "scene script", "background", BACKGROUND_TYPES)
         for p in (self.noise.p_isolated, self.noise.p_cluster):
             if not (0.0 <= p <= 1.0):
@@ -513,14 +502,9 @@ def synthesize_to(script: SceneScript, sink: BinaryIO) -> list[GroundTruthRecord
     seed) yields byte-identical streams.
     """
     script.validate()
-    header = StreamHeader(
-        width_px=script.width, height_px=script.height, fps=script.fps,
-        gop_len=script.gop_len, frame_count=script.frame_count,
-        flags=FLAG_HAS_BACKGROUND,
-    )
     background = script.render_background()
     truth: list[GroundTruthRecord] = []
-    write_stream(header, BackgroundChunk(rgb=background),
+    write_stream(script.header(), BackgroundChunk(rgb=background),
                  _encode_frames(script, background, truth), sink)
     return truth
 

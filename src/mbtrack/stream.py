@@ -105,9 +105,9 @@ class StreamHeader:
     def validate(self) -> None:
         if self.version != FORMAT_VERSION:
             raise StreamFormatError(f"unsupported version {self.version}")
-        for name, v in (("width", self.width_px), ("height", self.height_px)):
-            if v <= 0 or v % MB:
-                raise StreamFormatError(f"{name} {v} is not a positive multiple of {MB}")
+        w, h = self.width_px, self.height_px
+        if w <= 0 or w % MB or h <= 0 or h % MB:
+            raise StreamFormatError(f"canvas {w}x{h} must be positive multiples of {MB}")
         if not (0 < self.fps <= 255):
             raise StreamFormatError(f"fps {self.fps} out of range")
         if not (2 <= self.gop_len <= 10):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbtrack.cli import main
-from mbtrack.filtering import PsmfConfig
+from mbtrack.filtering import EntityTracker, PsmfConfig, TrackEvent
 from mbtrack.pipeline import (
     Tracker,
     TrackerConfig,
@@ -418,6 +418,17 @@ class TestTracker:
         tracker.finish()
         assert set(tracker.units) == live
         assert tracker.events and not tracker.pending
+
+    def test_units_follow_tracker_state_not_step_event_payloads(self, monkeypatch):
+        # Promotions, fragments included, are read from the tracker's state:
+        # with every step event's payload emptied, the records stay the same.
+        streams = [synthesize(s)[0] for s in
+                   [crossing_scene(), *map(seeded_crossing_scene, range(8))]]
+        want = [as_dicts(run_tracker(data).records) for data in streams]
+        step = EntityTracker.step
+        monkeypatch.setattr(EntityTracker, "step", lambda self, *args: [
+            TrackEvent(e.frame_index, e.kind) for e in step(self, *args)])
+        assert [as_dicts(run_tracker(data).records) for data in streams] == want
 
     @pytest.mark.parametrize("live", [False, True], ids=["gop", "live"])
     def test_stream_error_leaves_every_released_batch_with_the_caller(self, live):

@@ -68,6 +68,7 @@ class TestScriptSchema:
         (lambda d: d.update(gop_len=1), "gop_len"),
         (lambda d: d.update(frame_count=0), "frame_count"),
         (lambda d: d["objects"].append(d["objects"][0]), "duplicate"),
+        (lambda d: d.update(fps=0), "fps"),
     ])
     def test_validation_failures(self, mutate, msg):
         d = small_script().to_dict()
