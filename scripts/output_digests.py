@@ -30,9 +30,9 @@ without asking for regions, and the script exits 1 if those digests
 differ from the seekable run's. The whole-read path under tracking then
 stays covered as well.
 
-The scenes come from ``bench/workloads.py``, ``tests/test_acceptance.py``
-and ``tests/test_pipeline.py`` of the checkout this script sits in, so
-both trees are fed the same streams; only ``mbtrack`` comes from
+The scenes come from the scene catalogue, ``tests/scenes.py``, and the
+workloads from ``bench/workloads.py``, of the checkout this script sits
+in, so both trees are fed the same streams; only ``mbtrack`` comes from
 PYTHONPATH. The ``lanes-noisy`` stream is also tracked rewritten without
 its background chunk, so that the tracker takes its background from the
 first I-frame's full decode. The ``scale`` scene tracks 48 objects at
@@ -58,72 +58,18 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 from mbtrack.filtering import PsmfConfig  # noqa: E402
 from mbtrack.pipeline import TrackerConfig, evaluate, run_tracker  # noqa: E402
-from mbtrack.scene import (  # noqa: E402
-    NoiseSpec, SceneObject, SceneScript, Waypoint, synthesize)
-from mbtrack.stream import FLAG_HAS_BACKGROUND, read_stream, stream_to_bytes  # noqa: E402
-from test_acceptance import GRAY_BG, RED, crossing_script, noise_script  # noqa: E402
-from test_pipeline import crossing_scene  # noqa: E402
+from mbtrack.scene import synthesize  # noqa: E402
+from mbtrack.stream import read_stream  # noqa: E402
+from scenes import (  # noqa: E402
+    NOISE_SEED, criterion_4_script, crossing_scene, crossing_script, edges_script,
+    lanes_script, noise_script, pair_script, scale_script, without_background)
 from test_stream import Pipe  # noqa: E402
-from workloads import (  # noqa: E402
-    LANE_NOISE, NOISE_SEED, WORKLOADS, _checker, lanes_script, pair_script)
-
-
-def criterion_4_script() -> SceneScript:
-    """The scene ``test_criterion_4_single_object_scene`` builds in its body."""
-    obj = SceneObject(id=1, w=48, h=96, fill=RED, path=[
-        Waypoint(0, 40, 120), Waypoint(100, 240, 120),
-        Waypoint(200, 40, 120), Waypoint(239, 118, 120),
-    ])
-    return SceneScript(width=320, height=240, frame_count=240, gop_len=8,
-                       background=GRAY_BG, objects=[obj])
-
-
-def scale_script() -> SceneScript:
-    """1280x720, GOP 8: 48 checkers of 32 px in an 8x6 grid, each moving
-    160 px right over 120 frames, with the lanes noise of seed 101."""
-    objs = []
-    for k in range(48):
-        cx, cy = 32 + 144 * (k % 8), 48 + 120 * (k // 8)
-        objs.append(SceneObject(id=k + 1, w=32, h=32, fill=_checker(k / 48), path=[
-            Waypoint(0, cx, cy), Waypoint(119, cx + 160, cy)]))
-    return SceneScript(width=1280, height=720, frame_count=120, gop_len=8,
-                       background=GRAY_BG, objects=objs,
-                       noise=NoiseSpec(rng_seed=NOISE_SEED, **LANE_NOISE))
-
-
-def edges_script() -> SceneScript:
-    """320x240, GOP 8, 160 frames, lanes noise of seed 101: objects that
-    grow in from the left and top edges, cross the frame and shrink out
-    through the right and bottom edges, and one that runs from the
-    top-left corner to the bottom-right one."""
-    last = 159
-    across = SceneObject(id=1, w=48, h=48, fill=_checker(0.0), path=[
-        Waypoint(0, 8, 60, w=16), Waypoint(16, 24, 60), Waypoint(last - 16, 296, 60),
-        Waypoint(last, 312, 60, w=16)])
-    down = SceneObject(id=2, w=48, h=48, fill=_checker(0.6), path=[
-        Waypoint(8, 100, 8, h=16), Waypoint(24, 100, 24), Waypoint(140, 100, 216),
-        Waypoint(156, 100, 232, h=16)])
-    corner = SceneObject(id=3, w=64, h=48, fill=_checker(0.3), path=[
-        Waypoint(20, 32, 24), Waypoint(150, 288, 216)])
-    return SceneScript(width=320, height=240, frame_count=last + 1, gop_len=8,
-                       background=GRAY_BG, objects=[across, down, corner],
-                       noise=NoiseSpec(rng_seed=NOISE_SEED, **LANE_NOISE))
+from workloads import WORKLOADS  # noqa: E402
 
 
 def synthesized(script):
     """A thunk for the (stream bytes, truth) of the script thunk ``script``."""
     return lambda: synthesize(script())
-
-
-def without_background(script):
-    """``synthesized``, with the stream rewritten without its background
-    chunk and with its header's background flag cleared."""
-    def make():
-        data, truth = synthesize(script())
-        header, _, frames = read_stream(data)
-        bare = replace(header, flags=header.flags & ~FLAG_HAS_BACKGROUND)
-        return stream_to_bytes(bare, None, frames), truth
-    return make
 
 
 def runs():
@@ -167,7 +113,8 @@ def runs():
     lanes = WORKLOADS["lanes-noisy"]
     for full in (False, True):
         yield (f"{lanes.name}-no-background/{'full' if full else 'partial'}",
-               without_background(lanes.script), TrackerConfig(full_decode=full), True)
+               lambda: without_background(lanes.script()), TrackerConfig(full_decode=full),
+               True)
     for full in (False, True):
         yield (f"scale/{'full' if full else 'partial'}", synthesized(scale_script),
                TrackerConfig(full_decode=full), False)

@@ -64,7 +64,7 @@ def _check_output_dir(parser, path) -> None:
 
 
 def _cmd_synth(args, parser) -> int:
-    _check_distinct(parser, {"--out": args.out, "--gt": args.gt})
+    _check_distinct(parser, {"--script": args.script, "--out": args.out, "--gt": args.gt})
     _check_outputs(parser, args.out, args.gt)
     try:
         script = load_scene_script(args.script)
@@ -111,8 +111,9 @@ def _cmd_track(args, parser) -> int:
         parser.error(str(exc))
     # Every output's path and directory is checked, and every input opened,
     # before any tracking or output.
-    _check_distinct(parser, {"--input": args.input, "--out": args.out, "--events": args.events,
-                             "--metrics": args.metrics, "--overlay": args.overlay})
+    _check_distinct(parser, {"--input": args.input, "--gt": args.gt, "--out": args.out,
+                             "--events": args.events, "--metrics": args.metrics,
+                             "--overlay": args.overlay})
     _check_outputs(parser, args.out, args.events, args.metrics)
     if args.overlay:
         _check_output_dir(parser, args.overlay)

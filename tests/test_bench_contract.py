@@ -15,7 +15,7 @@ import pytest
 from mbtrack.pipeline import run_tracker
 from mbtrack.scene import synthesize
 
-from test_pipeline import crossing_scene
+from scenes import crossing_scene
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

@@ -1,15 +1,10 @@
 """End-to-end tracking runs, emission contract, evaluation, CLI round trips."""
 
-import colorsys
-import importlib.util
 import io
 import json
 import os
-import random
-import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,21 +32,15 @@ from mbtrack.scene import (
     Waypoint,
     load_ground_truth,
     synthesize,
+    write_ground_truth,
 )
 from mbtrack.overlay import render_overlays
-from mbtrack.stream import FLAG_HAS_BACKGROUND, StreamError, read_stream, stream_to_bytes
+from mbtrack.stream import StreamError, read_stream
 
 from reference_pipeline import reference_run
-
-CHECKER = {"type": "checker", "colors": [[200, 30, 30], [150, 20, 20]], "tile": 8}
-
-
-def single_object_scene(frame_count=80, speed_px=2.0):
-    travel = speed_px * (frame_count - 1)
-    obj = SceneObject(id=1, w=48, h=48, fill=CHECKER,
-                      path=[Waypoint(0, 40, 80), Waypoint(frame_count - 1, 40 + travel, 80)])
-    return SceneScript(width=320, height=160, frame_count=frame_count,
-                       gop_len=8, objects=[obj])
+from scenes import (BLUE, NOISE_SEED, RED, crossing_scene, lanes_script,
+                    random_crossing_script, seeded_crossing_scene, single_object_scene,
+                    without_background)
 
 
 @pytest.fixture(scope="module")
@@ -244,17 +233,6 @@ class TestEmissionContract:
         assert len(built) == len(result.records)
 
 
-def crossing_scene():
-    """Two 40x80 checkers that cross mid-frame, with light feature noise."""
-    blue = {"type": "checker", "colors": [[30, 30, 200], [20, 20, 150]], "tile": 8}
-    a = SceneObject(id=1, w=40, h=80, fill=CHECKER,
-                    path=[Waypoint(0, 60, 120), Waypoint(159, 258, 120)])
-    b = SceneObject(id=2, w=40, h=80, fill=blue,
-                    path=[Waypoint(0, 258, 120), Waypoint(159, 60, 120)])
-    return SceneScript(width=320, height=240, frame_count=160, gop_len=8, objects=[a, b],
-                       noise=NoiseSpec(p_isolated=0.02, p_cluster=0.005, rng_seed=201))
-
-
 class TestOneDecodePerIFrame:
     def spy_run(self, monkeypatch, config):
         from mbtrack import pipeline
@@ -298,59 +276,14 @@ class TestFullDecodeMode:
         assert partial.metrics["blocks_decoded_ratio"] < 0.5
 
 
-def checker(hue):
-    """Two-tone 8 px checker of one hue."""
-    tones = [colorsys.hsv_to_rgb(hue, 0.85, v) for v in (0.8, 0.6)]
-    return {"type": "checker", "tile": 8,
-            "colors": [[round(255 * c) for c in rgb] for rgb in tones]}
-
-
-def crossing_script(between, choose):
-    """2-4 objects crossing a 240x128 canvas in both directions, each
-    appearing and vanishing at its own frame, over feature noise.
-
-    ``between(a, b)`` draws an integer in [a, b] and ``choose(options)``
-    one of the options, so a hypothesis draw and a seeded generator give
-    scenes of one shape."""
-    n = between(2, 4)
-    frames = between(48, 96)
-    objs = []
-    for k in range(n):
-        w, h = choose([32, 40, 48]), choose([32, 40, 48])
-        y = between(32, 96)
-        x0, x1 = (32, 208) if k % 2 == 0 else (208, 32)
-        first, last = between(0, 12), between(frames * 2 // 3, frames - 1)
-        objs.append(SceneObject(id=k + 1, w=w, h=h, fill=checker(k / n),
-                                path=[Waypoint(first, x0, y), Waypoint(last, x1, y)]))
-    noise = NoiseSpec(p_isolated=choose([0.01, 0.02, 0.05]),
-                      p_cluster=choose([0.005, 0.05, 0.3]),
-                      rng_seed=between(0, 2**16))
-    return SceneScript(width=240, height=128, frame_count=frames, gop_len=8,
-                       objects=objs, noise=noise)
-
-
 @st.composite
 def crossing_scenes(draw):
-    return crossing_script(lambda a, b: draw(st.integers(a, b)),
-                           lambda options: draw(st.sampled_from(options)))
-
-
-def seeded_crossing_scene(seed):
-    rng = random.Random(seed)
-    return crossing_script(rng.randint, rng.choice)
+    return random_crossing_script(lambda a, b: draw(st.integers(a, b)),
+                                  lambda options: draw(st.sampled_from(options)))
 
 
 def as_dicts(items):
     return [x.to_json_dict() for x in items]
-
-
-def lanes_scene(frames):
-    """The benchmark's lanes-noisy scene (``bench/workloads.py``) at any length."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(workloads)
-    return workloads.lanes_script(workloads.NOISE_SEED, frames)
 
 
 def assert_matches_reference(data, config):
@@ -391,10 +324,9 @@ class TestTracker:
     def test_stream_ending_before_identities_resolve_matches_the_reference(self, live):
         # The pair separates at frame 76 and the stream ends at 78, before
         # the I-frame at 80 that would resolve their identities.
-        blue = {"type": "checker", "colors": [[30, 30, 200], [20, 20, 150]], "tile": 8}
-        a = SceneObject(id=1, w=40, h=80, fill=CHECKER,
+        a = SceneObject(id=1, w=40, h=80, fill=RED,
                         path=[Waypoint(0, 60, 120), Waypoint(78, 216, 120)])
-        b = SceneObject(id=2, w=40, h=80, fill=blue,
+        b = SceneObject(id=2, w=40, h=80, fill=BLUE,
                         path=[Waypoint(0, 258, 120), Waypoint(78, 102, 120)])
         data, _ = synthesize(SceneScript(width=320, height=240, frame_count=79, gop_len=8,
                                          objects=[a, b]))
@@ -403,7 +335,7 @@ class TestTracker:
                 if e.kind in ("disocclusion", "identity_unresolved")] == [
             (76, "disocclusion"), (78, "identity_unresolved")]
 
-    @pytest.mark.parametrize("script", [crossing_scene, lambda: lanes_scene(800)],
+    @pytest.mark.parametrize("script", [crossing_scene, lambda: lanes_script(NOISE_SEED, 800)],
                              ids=["crossing", "lanes-800"])
     def test_units_live_exactly_as_long_as_tracker_ids(self, script):
         data, _ = synthesize(script())
@@ -544,9 +476,7 @@ class TestOverlay:
         # The first I-frame's decode becomes the P-frames' background; the
         # boxes drawn on frame 0 must not show on frame 1.
         script = SceneScript(width=64, height=48, frame_count=3, gop_len=4, objects=[])
-        header, _, frames = read_stream(synthesize(script)[0])
-        data = stream_to_bytes(replace(header, flags=header.flags & ~FLAG_HAS_BACKGROUND),
-                               None, frames)
+        data, _ = without_background(script)
         drawn = render_overlays(data, [rec(0, 1, 32.0, 24.0, h=20.0, w=30.0)], tmp_path / "a")
         bare = render_overlays(data, [], tmp_path / "b")
         assert Path(drawn[0]).read_bytes() != Path(bare[0]).read_bytes()
@@ -662,7 +592,7 @@ class TestCli:
         (lambda d: d.update(background={"type": "flat", "color": [-1, 0, 0]}),
          "scene script has a bad background 'color': [-1, 0, 0]"
          " (want an RGB colour in 0..255)"),
-        (lambda d: d["objects"][0].update(fill=dict(CHECKER, tile=0)),
+        (lambda d: d["objects"][0].update(fill=dict(RED, tile=0)),
          "object 1 has a bad fill 'tile': 0 (want at least 1 px)"),
         (lambda d: d.update(noise={"rng_seed": -5}), "noise rng_seed -5 must be at least 0"),
     ], ids=["no-width", "60px-canvas", "waypoint-without-cy", "null-width", "text-cx",
@@ -849,21 +779,26 @@ class TestCli:
          "--out and --gt name the same path: p"),
         (["track", "--input", "s.mbfs", "--out", "s.mbfs"],
          "--input and --out name the same path: s.mbfs"),
-    ], ids=["out-events", "out-overlay", "synth-out-gt", "input-out"])
+        (["synth", "--script", "scene.json", "--out", "scene.json"],
+         "--script and --out name the same path: scene.json"),
+        (["track", "--input", "s.mbfs", "--out", "gt.jsonl", "--gt", "gt.jsonl"],
+         "--gt and --out name the same path: gt.jsonl"),
+    ], ids=["out-events", "out-overlay", "synth-out-gt", "input-out", "script-out", "gt-out"])
     def test_two_paths_that_name_one_file_are_a_usage_error(self, tmp_path, capsys,
                                                             monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         script = single_object_scene(frame_count=16)
         (tmp_path / "scene.json").write_text(json.dumps(script.to_dict()))
-        data = synthesize(script)[0]
+        data, truth = synthesize(script)
         (tmp_path / "s.mbfs").write_bytes(data)
+        write_ground_truth(truth, tmp_path / "gt.jsonl")
+        inputs = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"mbtrack: error: {message}"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.mbfs", "scene.json"]
-        assert (tmp_path / "s.mbfs").read_bytes() == data
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
     @pytest.mark.parametrize("lines, message", [
         (['{"frame_index": 0}'], "line 1 has no 'object_id'"),

@@ -26,7 +26,7 @@ from mbtrack.intra import (
 )
 from mbtrack.cli import main
 from mbtrack.pipeline import Tracker, run_tracker
-from mbtrack.scene import NoiseSpec, SceneScript, synthesize
+from mbtrack.scene import synthesize
 from mbtrack.stream import (
     Demand,
     StreamFormatError,
@@ -35,7 +35,7 @@ from mbtrack.stream import (
     read_stream,
 )
 
-from test_pipeline import crossing_scene, single_object_scene
+from scenes import NOISE_SEED, crossing_scene, lanes_script, single_object_scene
 from test_stream import HEADER_SIZE, Pipe
 
 FRAME = 16  # an I-frame at which the single object is tracked
@@ -216,12 +216,10 @@ class TestTrackerDemand:
 
 
 def test_a_noise_only_scene_reads_under_a_tenth_of_its_iframe_bytes():
-    """640x480, no objects, the benchmark's lane noise: a few noise
-    clusters get tracked, so some I-frame bytes are read, few of them."""
-    script = SceneScript(width=640, height=480, frame_count=200, gop_len=8,
-                         background={"type": "flat", "color": [128, 128, 128]},
-                         noise=NoiseSpec(rng_seed=101, p_isolated=0.02, p_cluster=0.5))
-    data, _ = synthesize(script)
+    """The benchmark's noise-only scene, 640x480 with lane noise and no
+    objects: a few noise clusters get tracked, so some I-frame bytes are
+    read, few of them."""
+    data, _ = synthesize(lanes_script(NOISE_SEED, objects=False))
     spy = RangeSpy(data)
     result = run_tracker(spy)
     assert result.metrics["blocks_decoded_ratio"] > 0

@@ -34,6 +34,8 @@ from mbtrack.stream import (
     write_stream,
 )
 
+from scenes import BLUE, RED
+
 HEADER_SIZE = struct.calcsize("<4sHHHBBIH")
 
 
@@ -344,10 +346,6 @@ class TestHugeDimensions:
         _, _, it = read_stream(spy)
         assert list(it) == frames
         assert max(spy.asked) == 100
-
-
-RED = {"type": "checker", "colors": [[200, 30, 30], [150, 20, 20]], "tile": 8}
-BLUE = {"type": "checker", "colors": [[30, 30, 200], [20, 20, 150]], "tile": 8}
 
 
 @functools.lru_cache(maxsize=None)
