@@ -31,16 +31,19 @@ predictor of n = 8 neighbours is (D + p_up + p_left) >> 1 and one of
 n = 4 neighbours is D + p_nb: exact integer identities, since nested
 floor divisions by powers of two collapse into one. So the wave moves
 one int32 per block and plane, and the pixels are rebuilt once, after
-it, a band of block rows at a time so that no integer copy of the whole
-rect's residuals raises peak memory. A rebuilt pixel outside 0..255
-means the payload clips; that rect alone is then decoded again by the
-clamped wave, which carries pixels and clamps every block as it goes.
+it, a band of block rows at a time straight into the rect's planes, so
+that beside them no integer copy of the whole rect's residuals or
+predictors, nor a block-layout copy of its pixels, raises peak memory. A
+rebuilt pixel outside 0..255 means the payload clips; that rect alone is
+then decoded again by the clamped wave, which carries pixels and clamps
+every block as it goes.
 
 Decoded pixels land in channel planes, one (h, w) array per colour, as
 the payload keeps them and as H.264 keeps each colour component in its
 own sample array. A block row of 4 uint8 pixels is one uint32 word in
 the block layout and in the plane layout alike, so one copy of words
-moves a rect's blocks into its planes. Every decode entry point returns
+moves blocks into planes: each rebuilt band as it passes the 0..255
+check, or the clamped wave's whole rect. Every decode entry point returns
 the (h, w, 3) view of the planes, ``planes.transpose(1, 2, 0)``: the
 same shape and values as an interleaved image, whose per-channel reads
 (``pixels[:, :, c]``) are contiguous rows.
@@ -383,49 +386,67 @@ def _start_predictors(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: 
     return core
 
 
-def _as_planes(blocks: np.ndarray) -> np.ndarray:
-    """The (h, w, 3) image of (3, nby, nbx, 4, 4) uint8 ``blocks``, as a
-    view of new (3, h, w) channel planes.
+def _plane_words(planes: np.ndarray) -> np.ndarray:
+    """The uint32 words of (3, h, w) uint8 channel ``planes``, as a
+    (3, h/4, w/4, 4) view indexed like the words of (3, h/4, w/4, 4, 4)
+    uint8 blocks, ``blocks.view(np.uint32)[..., 0]``.
 
     A block row of 4 uint8 pixels is one uint32 word in the block layout
     and in the plane layout alike, so one copy of words moves every pixel:
     word (plane, block row, pixel row, block column) of the planes is word
-    (plane, block row, block column, pixel row) of the blocks. ``blocks``
-    may be a view whose last axis is contiguous.
+    (plane, block row, block column, pixel row) of the blocks.
     """
+    _, h, w = planes.shape
+    return planes.view(np.uint32).reshape(3, h // BLOCK, BLOCK, w // BLOCK).transpose(0, 1, 3, 2)
+
+
+def _as_planes(blocks: np.ndarray) -> np.ndarray:
+    """The (h, w, 3) image of (3, nby, nbx, 4, 4) uint8 ``blocks``, as a
+    view of new (3, h, w) channel planes. ``blocks`` may be a view whose
+    last axis is contiguous."""
     _, nby, nbx = blocks.shape[:3]
     planes = np.empty((3, nby * BLOCK, nbx * BLOCK), dtype=np.uint8)
-    planes.view(np.uint32).reshape(3, nby, BLOCK, nbx)[...] = (
-        blocks.view(np.uint32)[..., 0].transpose(0, 1, 3, 2))
+    _plane_words(planes)[...] = blocks.view(np.uint32)[..., 0]
     return planes.transpose(1, 2, 0)
 
 
 def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.ndarray | None:
     """Pixels of one rect from its final predictors ``core`` (3, nby, nbx).
 
-    The pixels are residual plus predictor, ``_REBUILD_BLOCKS`` blocks per
-    plane at a time, so the int16 sums never cover the whole rect (at
-    640x480 they would add 1.8 MB to the peak), then moved from the block
-    layout into channel planes by one copy of uint32 block rows
-    (``_as_planes``). Returns the (h, w, 3) view of the planes, or None
-    when a pixel leaves 0..255.
+    The rect's channel planes are allocated first. The pixels are then
+    residual plus predictor, ``_REBUILD_BLOCKS`` blocks per plane at a
+    time, and each band, once its pixels pass the 0..255 check, is cast
+    to uint8 and moved into the planes by one copy of uint32 block rows
+    (``_plane_words``). So beside the planes only one band's int16 sums
+    and predictors and uint8 pixels are ever held, never a rect-sized
+    block array or predictor copy. Returns the (h, w, 3) view of the
+    planes, or None when a pixel leaves 0..255.
     """
     nby, nbx = core.shape[1:]
     res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
+    planes = np.empty((3, nby * BLOCK, nbx * BLOCK), dtype=np.uint8)
+    words = _plane_words(planes)
     # int16 sums: the first block in wave order with a pixel outside
     # 0..255 has the codec's predictor, in 0..255, so its sum wraps, if at
     # all, only past 32767 to a negative value, and as uint16 that pixel
     # is > 255. Predictors after it may be wrong and wrap anywhere; the
-    # rect is decoded again then anyway.
-    core = core.astype(np.int16)[..., None, None]
-    blocks = np.empty((3, nby, nbx, BLOCK, BLOCK), dtype=np.uint8)
-    step = max(1, _REBUILD_BLOCKS // nbx)
+    # rect is decoded again then anyway. Every band reuses one band's
+    # buffers: no band pays for new arrays, and no band's sums are made
+    # while the last band's are still held.
+    step = min(nby, max(1, _REBUILD_BLOCKS // nbx))
+    pred = np.empty((3, step, nbx, 1, 1), dtype=np.int16)
+    sums = np.empty((3, step, nbx, BLOCK, BLOCK), dtype=np.int16)
+    pixels = np.empty(sums.shape, dtype=np.uint8)
     for i in range(0, nby, step):
-        blk = res[:, i : i + step] + core[:, i : i + step]
-        if blk.view(np.uint16).max() > 255:
+        n = min(step, nby - i)
+        p, s, px = pred[:, :n], sums[:, :n], pixels[:, :n]
+        p[..., 0, 0] = core[:, i : i + n]
+        np.add(res[:, i : i + n], p, out=s)
+        if s.view(np.uint16).max() > 255:
             return None
-        blocks[:, i : i + step] = blk
-    return _as_planes(blocks)
+        np.copyto(px, s, casting="unsafe")
+        words[:, i : i + n] = px.view(np.uint32)[..., 0]
+    return planes.transpose(1, 2, 0)
 
 
 def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, int]],

@@ -118,7 +118,13 @@ class StreamHeader:
 
 @dataclass(frozen=True)
 class BackgroundChunk:
-    """Reference background image shipped ahead of the frames."""
+    """Reference background image shipped ahead of the frames.
+
+    ``read_stream`` gives ``rgb`` as a view of the bytes it read for the
+    chunk, read-only as an I-frame payload's blocks are: one frame-sized
+    buffer, not a copy beside it. Code that must write a reference takes
+    its own copy.
+    """
 
     rgb: np.ndarray  # (H, W, 3) uint8
 
@@ -474,7 +480,8 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     holds at most the P-frame (up to 7 bytes per macroblock) or I-frame
     payload being parsed, however long the stream is. Each I-frame
     payload owns its blocks, so frames stay valid after the iterator
-    moves on.
+    moves on. The background chunk's ``rgb`` is a read-only view of the
+    bytes read for it, as a whole I-frame payload's blocks are of theirs.
 
     Without a ``Demand``, over a source that cannot seek, or when its
     ``regions()`` is None, an I-frame payload is read whole and every
@@ -504,9 +511,7 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
         if tag != b"B":
             raise StreamFormatError(f"expected background chunk, found tag {tag!r}")
         raw = reader.read(width * height * 3, "background chunk", None)
-        background = BackgroundChunk(
-            rgb=np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
-        )
+        background = BackgroundChunk(np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3))
 
     def frames() -> Iterator[FrameFeatures]:
         intra_size = IntraPayload.byte_size(width, height)

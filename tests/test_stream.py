@@ -3,6 +3,7 @@
 import functools
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,34 @@ class TestRoundTrip:
         assert bg2 is not None
         assert np.array_equal(bg2.rgb, bg.rgb)
         assert stream_to_bytes(h2, bg2, got) == data
+
+    @pytest.mark.parametrize("source", ["bytes", "file", "pipe"])
+    def test_background_chunk_is_a_read_only_view_of_the_bytes_read(self, source, tmp_path):
+        header, bg, frames = make_stream(seed=3, background=True)
+        data = stream_to_bytes(header, bg, frames)
+        path = tmp_path / "s.mbfs"
+        path.write_bytes(data)
+        with open(path, "rb") as f:
+            src = {"bytes": data, "file": f, "pipe": Pipe(data)}[source]
+            _, bg2, it = read_stream(src)
+            assert list(it) == frames
+        assert bg2 == bg
+        assert not bg2.rgb.flags.writeable
+        assert not bg2.rgb.flags.owndata
+
+    def test_reading_the_background_chunk_holds_one_copy_of_it(self):
+        # A 640x480 chunk is 921,600 bytes; copied out of the bytes read
+        # for it, the read peaked at two.
+        rgb = np.random.default_rng(1).integers(0, 256, (480, 640, 3), dtype=np.uint8)
+        data = _HEADER.pack(MAGIC, 1, 640, 480, 25, 8, 1, FLAG_HAS_BACKGROUND) + b"B" + rgb.tobytes()
+        tracemalloc.start()
+        try:
+            _, bg, _ = read_stream(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(bg.rgb, rgb)
+        assert peak <= 1.1 * rgb.nbytes
 
     def test_skip_only_pframe_is_one_byte_per_block(self):
         header, bg, frames = make_stream(width=64, height=32, frame_count=2, gop_len=4)
