@@ -5,8 +5,10 @@ While two or more confirmed objects overlap, the entity tracker
 (``filtering.EntityTracker``) follows them as one occlusion group and
 keeps each member's last 64-bin hue histogram as its prior. When the
 group has split into fragments that re-confirm as objects, this module
-histograms each fragment and matches the posteriors to the priors by
-smallest Euclidean distance, so the original ids resume.
+matches the fragments' histograms, the posteriors, to the priors by
+smallest Euclidean distance, so the original ids resume. A histogram
+keeps its pixels until something reads it, so only the histograms a
+match reads are ever binned.
 
 Hue is the standard hexagonal-projection angle in [0, 360): gray pixels
 (max channel == min channel) carry no hue and are excluded. Histograms
@@ -15,7 +17,6 @@ are normalized to sum to 1 over the counted pixels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,14 +27,45 @@ if TYPE_CHECKING:
 HUE_BINS = 64
 
 
-@dataclass(frozen=True)
 class HueHistogram:
-    bins: np.ndarray  # (64,) float64, sums to 1 unless no pixel had hue
-    valid_pixel_count: int
+    """A 64-bin hue histogram, normalized over its ``valid_pixel_count``
+    coloured pixels.
 
-    def __post_init__(self):
-        if self.bins.shape != (HUE_BINS,):
-            raise ValueError(f"expected {HUE_BINS} bins, got {self.bins.shape}")
+    ``HueHistogram(bins, valid_pixel_count)`` holds given bins. One made
+    by ``hue_histogram`` holds its pixels instead, and bins them the
+    first time ``bins``, ``valid_pixel_count``, ``distance`` or ``==``
+    reads it, then drops them: the pipeline takes a histogram of every
+    refined real object at each I-frame, but only the resolution of an
+    occlusion reads one.
+    """
+
+    __slots__ = ("_bins", "_count", "_pixels")
+
+    def __init__(self, bins: np.ndarray, valid_pixel_count: int):
+        if bins.shape != (HUE_BINS,):
+            raise ValueError(f"expected {HUE_BINS} bins, got {bins.shape}")
+        self._bins, self._count, self._pixels = bins, valid_pixel_count, None
+
+    @classmethod
+    def _of_pixels(cls, r: np.ndarray, g: np.ndarray, b: np.ndarray) -> "HueHistogram":
+        hist = cls.__new__(cls)
+        hist._pixels = (r, g, b)
+        return hist
+
+    def _binned(self) -> "HueHistogram":
+        if self._pixels is not None:
+            self._bins, self._count = bin_hues(*self._pixels)
+            self._pixels = None
+        return self
+
+    @property
+    def bins(self) -> np.ndarray:
+        """(64,) float64, sums to 1 unless no pixel had hue."""
+        return self._binned()._bins
+
+    @property
+    def valid_pixel_count(self) -> int:
+        return self._binned()._count
 
     def distance(self, other: "HueHistogram") -> float:
         return float(np.linalg.norm(self.bins - other.bins))
@@ -48,23 +80,30 @@ class HueHistogram:
 
 
 def hue_histogram(tile: "PixelTile", mask: np.ndarray) -> HueHistogram:
-    """Histogram the hue of the tile pixels selected by ``mask``.
+    """The hue histogram of the tile pixels selected by ``mask``.
 
-    mask is a (h, w) boolean array in tile coordinates. Gray pixels are
-    skipped; if nothing remains the histogram is all zeros.
+    mask is a (h, w) boolean array in tile coordinates. The histogram
+    owns copies of the selected pixels, one array per channel, never a
+    view of the tile, and bins them when it is first read (``bin_hues``).
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != tile.pixels.shape[:2]:
         raise ValueError("mask shape does not match tile")
     px = tile.pixels
-    # One channel plane at a time: a 1-D gather per plane, and max/min
-    # as elementwise ufuncs instead of reductions over a 3-long axis.
-    r, g, b = (px[:, :, c][mask] for c in range(3))
+    # One channel plane at a time: a 1-D gather per plane.
+    return HueHistogram._of_pixels(*(px[:, :, c][mask] for c in range(3)))
+
+
+def bin_hues(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(bins, valid_pixel_count) of the pixels whose uint8 channels are
+    ``r``, ``g`` and ``b``. Gray pixels are skipped; if nothing remains
+    the bins are all zeros."""
+    # max/min as elementwise ufuncs instead of reductions over a 3-long axis.
     mx = np.maximum(np.maximum(r, g), b)
     mn = np.minimum(np.minimum(r, g), b)
     colored = mx != mn
     if not colored.any():
-        return HueHistogram(np.zeros(HUE_BINS), 0)
+        return np.zeros(HUE_BINS), 0
     r, g, b, mx = r[colored], g[colored], b[colored], mx[colored]
     chroma = (mx - mn[colored]).astype(np.float64)
     # First channel attaining the max decides the sector.
@@ -81,7 +120,7 @@ def hue_histogram(tile: "PixelTile", mask: np.ndarray) -> HueHistogram:
     np.clip(idx, 0, HUE_BINS - 1, out=idx)
     bins = np.bincount(idx, minlength=HUE_BINS).astype(np.float64)
     n = int(bins.sum())
-    return HueHistogram(bins / n, n)
+    return bins / n, n
 
 
 def greedy_pairs(scored):

@@ -4,9 +4,11 @@ Per P-frame: cluster non-skip macroblocks, filter implausible groups,
 and advance the entity state machine. Per I-frame: partially decode a
 predicted region per tracked object, re-measure its blob against the
 reference background, rewrite the GOP's P-frame blobs by interpolation,
-and measure each refined object's hue. The entity tracker takes those
-hues in one call (``EntityTracker.observe_iframe``), which refreshes the
-appearance priors and resolves any pending post-occlusion identities.
+and take each refined real object's hue histogram, which holds the
+blob's masked pixels until something reads it. The entity tracker takes
+those hues in one call (``EntityTracker.observe_iframe``), which
+refreshes the appearance priors and resolves any pending post-occlusion
+identities; only the histograms such a resolution reads are binned.
 
 The entity tracker makes every lifecycle decision, and the pipeline
 follows its state, not its events. The one event it reads is
@@ -326,7 +328,8 @@ class Tracker:
 
     def _refine_unit(self, uid, state, unit: _Unit, tile):
         """Refine one unit's blob from its tile and rewrite its GOP; return
-        the blob's hue if the unit is a real entity that refined, else None."""
+        the blob's (not yet binned) hue if the unit is a real entity that
+        refined, else None."""
         i = self.last_index
         result = refine_object(tile, self.background, self.cfg.refine,
                                unit.blobs, unit.anchor, i)
@@ -349,7 +352,8 @@ class Tracker:
         self._lap("interpolate")
 
         hue = hue_histogram(tile, result.mask) if state == "Real" and result.refined else None
-        # Hue exists for identity priors, so it counts as occlusion work.
+        # Hue exists for identity priors, so it counts as occlusion work, as
+        # does the binning that a match in observe_iframe does on reading it.
         self._lap("occlusion")
         return hue
 

@@ -480,8 +480,10 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     holds at most the P-frame (up to 7 bytes per macroblock) or I-frame
     payload being parsed, however long the stream is. Each I-frame
     payload owns its blocks, so frames stay valid after the iterator
-    moves on. The background chunk's ``rgb`` is a read-only view of the
-    bytes read for it, as a whole I-frame payload's blocks are of theirs.
+    moves on, and the iterator keeps none it has yielded: an I-frame its
+    caller drops is freed before the next one is read. The background
+    chunk's ``rgb`` is a read-only view of the bytes read for it, as a
+    whole I-frame payload's blocks are of theirs.
 
     Without a ``Demand``, over a source that cannot seek, or when its
     ``regions()`` is None, an I-frame payload is read whole and every
@@ -513,8 +515,21 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
         raw = reader.read(width * height * 3, "background chunk", None)
         background = BackgroundChunk(np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3))
 
+    intra_size = IntraPayload.byte_size(width, height)
+
+    def intra_payload(frame_index: int) -> IntraPayload:
+        regions = demand.regions() if demand else None
+        try:
+            if regions is None:
+                return IntraPayload.from_bytes(
+                    reader.read(intra_size, "intra payload", frame_index), width, height)
+            return reader.sparse(width, height, regions, frame_index)
+        except IntraFormatError as err:
+            raise StreamFormatError(f"frame {frame_index}: {err}") from err
+
     def frames() -> Iterator[FrameFeatures]:
-        intra_size = IntraPayload.byte_size(width, height)
+        # No local holds a frame's data across a yield: a frame the caller
+        # has dropped is freed before the next one is read.
         for expected in range(frame_count):
             prefix = reader.read(_FRAME_PREFIX.size, "frame prefix", expected)
             tag, frame_index = _FRAME_PREFIX.unpack(prefix)
@@ -532,19 +547,10 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
                     f" requires {want!r}"
                 )
             if kind == "P":
-                grid = _parse_pframe(reader, header.mb_rows, header.mb_cols, frame_index)
-                yield FrameFeatures(frame_index, "P", mb_grid=grid)
+                yield FrameFeatures(frame_index, "P", mb_grid=_parse_pframe(
+                    reader, header.mb_rows, header.mb_cols, frame_index))
             else:
-                regions = demand.regions() if demand else None
-                try:
-                    if regions is None:
-                        raw = reader.read(intra_size, "intra payload", frame_index)
-                        payload = IntraPayload.from_bytes(raw, width, height)
-                    else:
-                        payload = reader.sparse(width, height, regions, frame_index)
-                except IntraFormatError as err:
-                    raise StreamFormatError(f"frame {frame_index}: {err}") from err
-                yield FrameFeatures(frame_index, "I", intra_payload=payload)
+                yield FrameFeatures(frame_index, "I", intra_payload=intra_payload(frame_index))
 
     return header, background, frames()
 

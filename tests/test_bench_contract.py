@@ -30,9 +30,12 @@ def bench_modules(monkeypatch):
         sys.modules.pop(name, None)
 
 
-def test_traced_crossing_enters_every_lanes_span(bench_modules):
+@pytest.mark.parametrize("name", ["lanes-noisy", "noise-only", "pair-full-decode"])
+def test_traced_crossing_enters_every_must_run_span(bench_modules, name):
+    """Each workload's configuration, on the crossing scene, enters every
+    span its traced run must record."""
     spans, workloads = bench_modules
-    workload = workloads.WORKLOADS["lanes-noisy"]
+    workload = workloads.WORKLOADS[name]
     data, _ = synthesize(crossing_scene())
     recorder = spans.SpanRecorder()
     with recorder.install():

@@ -1,11 +1,14 @@
 """Hue histograms and identity matching."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layouts import LAYOUTS, in_layout
+from mbtrack import occlusion
 from mbtrack.intra import PixelTile
 from mbtrack.occlusion import (
     HUE_BINS,
@@ -148,7 +151,13 @@ class TestHueAgainstReference:
     @given(hue_cases())
     def test_histogram_matches_reference(self, case):
         tile, mask = case
-        assert hue_histogram(tile, mask) == reference_hue_histogram(tile, mask)
+        expected = reference_hue_histogram(PixelTile(tile.rect, tile.pixels.copy()), mask)
+        hist = hue_histogram(tile, mask)
+        tile.pixels[:] = 255 - tile.pixels  # the histogram owns its pixels
+        with mock.patch.object(occlusion, "bin_hues", wraps=occlusion.bin_hues) as binning:
+            assert hist.bins is hist.bins
+            assert hist == expected
+        assert binning.call_count == 1
 
     def test_every_red_sector_ratio_matches_reference(self):
         # Red is the max: hue6 = (g - b) / chroma, in [-1, 1], where the

@@ -38,7 +38,7 @@ from mbtrack.overlay import render_overlays
 from mbtrack.stream import StreamError, read_stream
 
 from reference_pipeline import reference_run
-from scenes import (BLUE, NOISE_SEED, RED, crossing_scene, lanes_script,
+from scenes import (BLUE, NOISE_SEED, RED, crossing_scene, lanes_script, pair_script,
                     random_crossing_script, seeded_crossing_scene, single_object_scene,
                     without_background)
 
@@ -262,6 +262,53 @@ class TestOneDecodePerIFrame:
         _, calls = self.spy_run(monkeypatch, TrackerConfig(full_decode=True))
         assert len(calls) == len(range(0, 160, 8))
         assert all(rects == [(0, 0, 320, 240)] for _, rects in calls)
+
+
+class TestHueOnDemand:
+    """Every refined real unit gets a hue histogram at each I-frame, but
+    only the histograms an identity match reads are binned."""
+
+    def spy_run(self, monkeypatch, script, config):
+        from mbtrack import occlusion, pipeline
+
+        made, read, binned = [], set(), []
+        hue, match, bin_hues = (pipeline.hue_histogram, pipeline.match_identities,
+                                occlusion.bin_hues)
+
+        def spy_hue(tile, mask):
+            made.append(hue(tile, mask))
+            return made[-1]
+
+        def spy_match(priors, posteriors):
+            if priors and posteriors:  # a distance per pair reads every histogram
+                read.update(id(h) for h in (*priors.values(), *posteriors.values()))
+            return match(priors, posteriors)
+
+        def spy_bin(*channels):
+            binned.append(1)
+            return bin_hues(*channels)
+
+        monkeypatch.setattr(pipeline, "hue_histogram", spy_hue)
+        monkeypatch.setattr(pipeline, "match_identities", spy_match)
+        monkeypatch.setattr(occlusion, "bin_hues", spy_bin)
+        data, _ = synthesize(script)
+        return run_tracker(data, config), made, read, len(binned)
+
+    def test_full_decode_pair_bins_nothing(self, monkeypatch):
+        result, made, read, binned = self.spy_run(
+            monkeypatch, pair_script(0), TrackerConfig(full_decode=True))
+        # One histogram per refined real unit: its record at the I-frame.
+        assert len(made) == sum(1 for r in result.records
+                                if r.frame_index % 8 == 0 and r.state == "Real" and r.refined)
+        assert made and not read and binned == 0
+
+    def test_a_crossing_bins_only_what_the_match_reads(self, monkeypatch):
+        result, made, read, binned = self.spy_run(monkeypatch, crossing_scene(),
+                                                  TrackerConfig())
+        assert any(e.kind == "identity_assigned" for e in result.events)
+        # Reading bins a histogram once, and a match cannot read one unbinned.
+        assert read <= {id(h) for h in made}
+        assert 0 < binned == len(read) < len(made)
 
 
 class TestFullDecodeMode:

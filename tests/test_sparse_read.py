@@ -11,6 +11,7 @@ sparse payload refuses to decode a region it did not read.
 import functools
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ class TestTrackerDemand:
             assert demanded == list(read_stream(pipe)[2])
         iframes = [f.intra_payload for f in demanded if f.kind == "I"]
         assert iframes and all(payload.mask is None for payload in iframes)
+
+
+@pytest.mark.parametrize("regions", [None, [(0, 0, 4, 4)]], ids=["whole", "sparse"])
+def test_a_dropped_iframe_is_freed_before_the_next_is_read(regions):
+    """The reader keeps no I-frame it has yielded: once the caller drops
+    one, its payload is gone by the time the next I-frame is read."""
+    payloads = []  # a weakref to the payload of each I-frame yielded so far
+
+    def demand():
+        assert [ref() for ref in payloads] == [None] * len(payloads)
+        return regions
+
+    for frame in read_stream(Demand(io.BytesIO(single_object_stream()), demand))[2]:
+        if frame.kind == "I":
+            payloads.append(weakref.ref(frame.intra_payload))
+    assert len(payloads) == 5
 
 
 def test_a_noise_only_scene_reads_under_a_tenth_of_its_iframe_bytes():
