@@ -5,12 +5,15 @@ For each run it prints the sha256 of the records JSONL, the events JSONL
 and the sequence of ``on_emit`` batches, as one JSON object keyed by run
 name; the benchmark workloads also get the sha256 of ``evaluate``'s JSON.
 Every run is made in GOP and in live mode. Each stream the matrix builds
-also gets a parse digest, under ``<run>/parse``: the sha256 of every
-P-frame's ``skip``, ``coeff_mask`` and ``mv_qpel`` bytes as
-``read_stream`` gives them. Records and events never read ``mv_qpel`` and
-read ``coeff_mask`` only as nonzero, so only the parse digest sees a
-payload decoded into the wrong field. Run it once per tree and compare
-the two outputs:
+also gets two parse digests, under ``<run>/parse``, of the stream read
+whole by ``read_stream``: ``pframes``, the sha256 of every P-frame's
+``skip``, ``coeff_mask`` and ``mv_qpel`` bytes, and ``iframes``, the
+sha256 of every I-frame's pixels as ``decode_full`` gives them. Records
+and events never read ``mv_qpel`` and read ``coeff_mask`` only as
+nonzero, and read I-frame pixels only through what refinement derives
+from them, so only the parse digests see a payload decoded into the wrong
+field or a decoder that gets some pixels wrong. Run it once per tree and
+compare the two outputs:
 
     PYTHONPATH=<old tree>/src python3 scripts/output_digests.py > digests.json
     PYTHONPATH=<new tree>/src python3 scripts/output_digests.py --against digests.json
@@ -57,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 from mbtrack.filtering import PsmfConfig  # noqa: E402
+from mbtrack.intra import decode_full  # noqa: E402
 from mbtrack.pipeline import TrackerConfig, evaluate, run_tracker  # noqa: E402
 from mbtrack.scene import synthesize  # noqa: E402
 from mbtrack.stream import read_stream  # noqa: E402
@@ -152,15 +156,18 @@ def digest(data, truth, config: TrackerConfig, evaluated: bool, kinds: Counter) 
     return out
 
 
-def parse_digest(data: bytes) -> str:
-    """sha256 over every P-frame's skip, coeff_mask and mv_qpel bytes."""
-    h = hashlib.sha256()
+def parse_digests(data: bytes) -> dict:
+    """sha256 over every P-frame's skip, coeff_mask and mv_qpel bytes, and
+    over every I-frame's fully decoded pixels, with the stream read whole."""
+    pframes, iframes = hashlib.sha256(), hashlib.sha256()
     for frame in read_stream(data)[2]:
         if frame.kind == "P":
             grid = frame.mb_grid
             for a in (grid.skip, grid.coeff_mask, grid.mv_qpel):
-                h.update(a.tobytes())
-    return h.hexdigest()
+                pframes.update(a.tobytes())
+        else:
+            iframes.update(decode_full(frame.intra_payload).tobytes())
+    return {"pframes": pframes.hexdigest(), "iframes": iframes.hexdigest()}
 
 
 def main() -> int:
@@ -173,7 +180,7 @@ def main() -> int:
     piped_differ = []  # workload runs whose digests differ when read from a pipe
     for name, stream, config, evaluated in runs():
         data, truth = stream()
-        out[f"{name}/parse"] = {"pframes": parse_digest(data)}
+        out[f"{name}/parse"] = parse_digests(data)
         for live in (False, True):
             run = f"{name}/{'live' if live else 'gop'}"
             run_config = replace(config, live=live)

@@ -1,16 +1,19 @@
 """Lossless DC-predicted intra codec for 4x4 blocks.
 
-Each plane (R, G, B) is split into 4x4 blocks, each coded with one of:
+Each plane (R, G, B) is split into 4x4 blocks, whose mode is fixed by
+position, as H.264's Intra_4x4_DC falls back to 128 where no neighbour is:
 
-    mode 0: predictor is the constant 128 (only legal choice for the
-            top-left block, which has no causal neighbors)
-    mode 1: predictor is the rounded mean of up to 8 causal neighbor
-            pixels: the 4 pixels directly above the block's top row and
-            the 4 pixels directly left of its left column, whichever exist
+    mode 0: block (0, 0), which has no causal neighbours: predictor 128
+    mode 1: every other block: predictor is the rounded mean of up to 8
+            causal neighbour pixels: the 4 pixels directly above the
+            block's top row and the 4 directly left of its left column,
+            whichever exist
 
 Residuals are stored as int16, so reconstruction is exact. Serialized
 block layout is [mode u8][16 x residual i16 LE] with blocks in raster
-order, and planes follow each other in R, G, B order.
+order, and planes follow each other in R, G, B order. Mode bytes are
+checked where a payload is made (``_check_modes``); the decoder never
+reads them.
 
 Decoded pixels are clamped to 0..255, and later blocks predict from the
 clamped pixels. ``encode_iframe`` codes uint8 frames losslessly, so its
@@ -127,7 +130,8 @@ class PixelTile:
 class IntraPayload:
     """Coded representation of one full RGB frame.
 
-    modes:     (3, H/4, W/4) uint8, plane order R, G, B
+    modes:     (3, H/4, W/4) uint8, plane order R, G, B: 0 at block
+               (0, 0), 1 elsewhere
     residuals: (3, H/4, W/4, 4, 4) int16
 
     Every payload keeps its blocks in the wire layout, and ``modes`` and
@@ -276,12 +280,19 @@ class IntraPayload:
 
 def _check_modes(modes: np.ndarray, origin: bool) -> None:
     """The mode rule on runs of blocks in raster order, along the last
-    axis of ``modes``: every mode is 0 or 1, and the first block of each
-    run, when ``origin`` says it is block (0, 0), is mode 0."""
-    if modes.max(initial=0) > MODE_NEIGHBOR_DC:
-        raise IntraFormatError("unknown prediction mode in payload")
-    if origin and np.any(modes[..., 0] == MODE_NEIGHBOR_DC):
-        raise IntraFormatError("mode 1 requires at least one causal neighbor")
+    axis of ``modes``: every block is mode 1 but the first of each run
+    where ``origin`` says it is block (0, 0), which is mode 0. A valid run
+    costs a max and a min, which copy nothing; only a bad one is read
+    again, to name its fault."""
+    one = MODE_NEIGHBOR_DC
+    rest = modes[..., 1:] if origin else modes
+    if (rest.max(initial=one) != one or rest.min(initial=one) != one
+            or origin and modes[..., 0].any()):
+        if modes.max() > MODE_NEIGHBOR_DC:
+            raise IntraFormatError("unknown prediction mode in payload")
+        if origin and np.any(modes[..., 0] == MODE_NEIGHBOR_DC):
+            raise IntraFormatError("mode 1 requires at least one causal neighbor")
+        raise IntraFormatError("mode 0 is legal only at block (0, 0)")
 
 
 def _check_image(image) -> np.ndarray:
@@ -474,43 +485,28 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
     above and left of it, so no region's block ever reads them, nor
     another region's planes.
 
-    ``_decode_blocks_clamped`` decodes a region instead when a mode-0
-    block lies anywhere in it but at the frame's origin (``encode_iframe``
-    never writes one; such a block ignores its neighbours, which the
-    recurrence would need a per-block mask for) or when a rebuilt pixel
-    leaves 0..255. Every pixel is checked, so the result is exact: if no
-    rebuilt pixel leaves 0..255, then by induction in wave order no pixel
-    clipped and every predictor was the codec's; if one does, the first
-    such pixel in wave order was rebuilt from the codec's predictor, so
-    the check sees it whatever the predictors after it hold.
+    ``_decode_blocks_clamped`` decodes a region again when a rebuilt
+    pixel of it leaves 0..255. Every pixel is checked, so the result is
+    exact: if no rebuilt pixel leaves 0..255, then by induction in wave
+    order no pixel clipped and every predictor was the codec's; if one
+    does, the first such pixel in wave order was rebuilt from the codec's
+    predictor, so the check sees it whatever the predictors after it hold.
 
     Returns one (4*nby, 4*nbx, 3) uint8 image per region, in order, each
     a view of its own (3, 4*nby, 4*nbx) channel planes.
     """
-    out: list[np.ndarray | None] = [None] * len(regions)
-    fast = []
-    for k, (bx0, by0, nbx, nby) in enumerate(regions):
+    for region in regions:
+        bx0, by0, nbx, nby = region
         if payload.mask is not None and not payload.mask[by0 : by0 + nby, bx0 : bx0 + nbx].all():
-            raise ValueError(f"block region {regions[k]} is not all in the sparse payload")
-        modes = payload.modes[:, by0 : by0 + nby, bx0 : bx0 + nbx]
-        origin = bx0 == 0 and by0 == 0
-        if origin and np.any(modes[:, 0, 0] != MODE_CONST):
-            raise IntraFormatError("block (0, 0): mode 1 with no causal neighbors")
-        if np.count_nonzero(modes == MODE_CONST) == (3 if origin else 0):
-            fast.append(k)
-        else:
-            out[k] = _decode_blocks_clamped(payload, *regions[k], background)
-    if not fast:
-        return out
+            raise ValueError(f"block region {region} is not all in the sparse payload")
 
     # Rows and columns each region's wave covers, below and right of (0, 0).
-    rows = max(regions[k][3] - (regions[k][1] == 0) for k in fast)
-    cols = max(regions[k][2] - (regions[k][0] == 0) for k in fast)
-    skew = np.zeros((rows + cols + 1, rows + 1, 3 * len(fast)), dtype=np.int32)
+    rows = max((nby - (by0 == 0) for _, by0, _, nby in regions), default=0)
+    cols = max((nbx - (bx0 == 0) for bx0, _, nbx, _ in regions), default=0)
+    skew = np.zeros((rows + cols + 1, rows + 1, 3 * len(regions)), dtype=np.int32)
     s0, s1, s2 = skew.strides
     cores = []
-    for j, k in enumerate(fast):
-        bx0, by0, nbx, nby = regions[k]
+    for j, (bx0, by0, nbx, nby) in enumerate(regions):
         r, c = int(by0 > 0), int(bx0 > 0)
         core = np.ndarray((3, nby, nbx), np.int32, skew, (r + c) * s0 + r * s1 + 3 * j * s2,
                           (s2, s0 + s1, s0))
@@ -527,26 +523,28 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
         p += skew[e - 1, lo:hi]
         p >>= 1
 
-    for k, core in zip(fast, cores):
-        bx0, by0 = regions[k][:2]
-        out[k] = _rebuild(payload, core, bx0, by0)
-        if out[k] is None:
-            out[k] = _decode_blocks_clamped(payload, *regions[k], background)
+    out = []
+    for region, core in zip(regions, cores):
+        pixels = _rebuild(payload, core, *region[:2])
+        out.append(_decode_blocks_clamped(payload, *region, background)
+                   if pixels is None else pixels)
     return out
 
 
 def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
                            background: np.ndarray | None) -> np.ndarray:
-    """One region of ``_decode_regions`` for any payload: the wave carries
-    pixels and clamps every block as it goes, so it is exact where pixels
-    clip.
+    """One region of ``_decode_regions`` whose rebuilt pixels left
+    0..255: the wave carries pixels and clamps every block as it goes, so
+    it is exact where pixels clip.
 
     The work array holds the rect's blocks padded by one block row above
     and one block column to the left. The padding blocks' last pixel row
     and column hold the ``background`` pixels just above and just left of
     the rect, so a block on the rect's edge reads its context like any
     other block. At the frame's top or left edge the padding stays zero
-    and the neighbour count leaves it out, as the codec defines.
+    and the neighbour count leaves it out, as the codec defines; block
+    (0, 0) of the frame, which has no neighbours, is the one block whose
+    predictor is 128.
 
     Blocks are decoded one anti-diagonal ``i + j = d`` at a time (see the
     module docstring). In a row-major array of row width r, consecutive
@@ -569,12 +567,11 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
         work[:, 1:, 0, :, -1] = background[y0 : y0 + h, x0 - 1].T.reshape(3, nby, BLOCK)
     else:
         count[:, 1] -= BLOCK
-    # count is 0 only at block (0, 0), whose mode ``_decode_regions`` checked.
+    # count is 0 only at block (0, 0) of the frame, whose predictor is set below.
     count = np.maximum(count, 1).reshape(-1)
     work_flat = work.reshape(3, -1, BLOCK, BLOCK)
 
     frame_row = payload.width_px // BLOCK
-    modes = payload.modes.reshape(3, -1)
     residuals = payload.residuals.reshape(3, -1, BLOCK, BLOCK)
     # A one-block-wide frame has one block per diagonal; any step will do.
     frame_step = max(frame_row - 1, 1)
@@ -593,7 +590,9 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
         s = (work_flat[:, up, -1].sum(axis=-1, dtype=np.int32)
              + work_flat[:, left, :, -1].sum(axis=-1, dtype=np.int32))
         n = count[cur]
-        pred = np.where(modes[:, src] == MODE_CONST, 128, (s + n // 2) // n)
+        pred = (s + n // 2) // n
+        if d == 0 and bx0 == by0 == 0:
+            pred[:] = 128
         blk = residuals[:, src].astype(np.int32)
         blk += pred[:, :, None, None]
         # In-place bounds, not np.clip, whose Python wrapper costs more

@@ -25,7 +25,6 @@ later rewrites and identity re-keying no longer reach them.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
@@ -46,7 +45,7 @@ from .intra import PixelTile, block_region, decode_full
 from .intra import decode_regions_partial as decode_region_partial
 from .occlusion import greedy_pairs, hue_histogram, match_identities
 from .refinement import BlobFeature, RefineConfig, refine_object, refine_rect
-from .scene import GroundTruthRecord
+from .scene import GroundTruthRecord, read_jsonl, write_jsonl
 from .stream import Demand, open_source, read_stream
 
 
@@ -500,28 +499,16 @@ def evaluate(records: list[TrackRecord], truth: list[GroundTruthRecord],
 
 
 def write_records_jsonl(records: list[TrackRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
+    write_jsonl(records, path)
 
 
 def write_events_jsonl(events: list[TrackEvent], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for e in events:
-            f.write(json.dumps(e.to_json_dict(), sort_keys=True) + "\n")
+    write_jsonl(events, path)
 
 
 def load_records_jsonl(path) -> list[TrackRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            out.append(TrackRecord(
-                frame_index=int(d["frame_index"]), object_id=int(d["object_id"]),
-                cx=float(d["cx"]), cy=float(d["cy"]), h=float(d["h"]), w=float(d["w"]),
-                state=str(d["state"]), refined=bool(d["refined"]),
-            ))
-    return out
+    """Read records JSONL (see ``scene.read_jsonl``)."""
+    return read_jsonl(path, lambda d: TrackRecord(
+        frame_index=int(d["frame_index"]), object_id=int(d["object_id"]),
+        cx=float(d["cx"]), cy=float(d["cy"]), h=float(d["h"]), w=float(d["w"]),
+        state=str(d["state"]), refined=bool(d["refined"])))

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, Iterator
 
@@ -137,16 +138,21 @@ def _need(d, key: str, where: str, kind=None, default=None):
     """``d[key]``, converted by ``kind`` when given (``list`` only checks
     the type), or ``default`` when the key is absent and a default is
     given. A missing key, or a value ``kind`` rejects, is a ValueError that
-    names the field and ``where`` it is."""
+    names the field and ``where`` it is; so is a number that is not finite,
+    such as the NaN and infinities that ``json.load`` reads."""
     if not isinstance(d, dict) or key not in d and default is None:
         raise ValueError(f"{where} has no {key!r}")
     value = d.get(key, default)
     if kind is list and not isinstance(value, list):
         raise ValueError(f"{where} has a non-list {key!r}: {value!r}")
+    if kind in (None, list):
+        return value
     try:
-        return value if kind in (None, list) else kind(value)
-    except (TypeError, ValueError):
+        if math.isfinite(float(value)):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{where} has a non-numeric {key!r}: {value!r}") from None
+    raise ValueError(f"{where} has a non-finite {key!r}: {value!r}")
 
 
 def _is_rgb(c) -> bool:
@@ -479,13 +485,14 @@ def _encode_frames(script: SceneScript, background: np.ndarray,
     canvases = [background.copy(), background.copy()]
     painted: list[list[tuple[slice, slice]]] = [[], []]
     patches: dict = {}
+    frame_kind = script.header().frame_kind
     for idx in range(script.frame_count):
         img = canvases[idx % 2]
         for region in painted[idx % 2]:
             img[region] = background[region]
         painted[idx % 2] = script._paint_objects(img, idx, patches)
         truth.extend(_truth_at(script, idx))
-        if idx % script.gop_len == 0:
+        if frame_kind(idx) == "I":
             yield FrameFeatures(idx, "I", intra_payload=encode_iframe(img))
         else:
             grid = encode_p_frame(img, canvases[(idx - 1) % 2])
@@ -517,15 +524,17 @@ def synthesize(script: SceneScript) -> tuple[bytes, list[GroundTruthRecord]]:
     return buf.getvalue(), truth
 
 
-def write_ground_truth(records: list[GroundTruthRecord], path) -> None:
+def write_jsonl(items, path) -> None:
+    """Write each item's ``to_json_dict()`` as one line of sorted-key JSON."""
     with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
+        for item in items:
+            f.write(json.dumps(item.to_json_dict(), sort_keys=True) + "\n")
 
 
-def load_ground_truth(path) -> list[GroundTruthRecord]:
-    """Read ground-truth JSONL; a malformed line raises ``ValueError`` naming
-    its line number and, if that is what is wrong, the missing field."""
+def read_jsonl(path, parse) -> list:
+    """``parse(d)`` of the JSON object ``d`` on each non-blank line of a
+    JSONL file. A malformed line raises ``ValueError`` naming its line
+    number and, if that is what is wrong, the missing field."""
     out = []
     with open(path, "r", encoding="utf-8") as f:
         for n, line in enumerate(f, 1):
@@ -536,12 +545,7 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
                 d = json.loads(line)
                 if not isinstance(d, dict):
                     raise TypeError("not a JSON object")
-                out.append(GroundTruthRecord(
-                    frame_index=int(d["frame_index"]), object_id=int(d["object_id"]),
-                    cx=float(d["cx"]), cy=float(d["cy"]),
-                    h=float(d["h"]), w=float(d["w"]),
-                    occluded=bool(d.get("occluded", False)),
-                ))
+                out.append(parse(d))
             except KeyError as exc:
                 raise ValueError(f"line {n} has no {exc}") from None
             except json.JSONDecodeError as exc:
@@ -549,3 +553,15 @@ def load_ground_truth(path) -> list[GroundTruthRecord]:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"line {n}: {exc}") from None
     return out
+
+
+def write_ground_truth(records: list[GroundTruthRecord], path) -> None:
+    write_jsonl(records, path)
+
+
+def load_ground_truth(path) -> list[GroundTruthRecord]:
+    """Read ground-truth JSONL (see ``read_jsonl``)."""
+    return read_jsonl(path, lambda d: GroundTruthRecord(
+        frame_index=int(d["frame_index"]), object_id=int(d["object_id"]),
+        cx=float(d["cx"]), cy=float(d["cy"]), h=float(d["h"]), w=float(d["w"]),
+        occluded=bool(d.get("occluded", False))))

@@ -102,6 +102,17 @@ class StreamHeader:
     def frame_kind(self, index: int) -> str:
         return "I" if index % self.gop_len == 0 else "P"
 
+    def check_frame(self, index: int, kind: str, expected: int) -> None:
+        """The frame-sequence rule, for writer and reader alike: frame
+        ``index`` of ``kind`` comes where frame ``expected`` is due, and
+        its kind follows the GOP structure."""
+        if index != expected:
+            raise StreamInvariantError(f"frame index {index} out of order (expected {expected})")
+        want = self.frame_kind(index)
+        if kind != want:
+            raise StreamInvariantError(
+                f"frame {index} is {kind!r} but GOP structure requires {want!r}")
+
     def validate(self) -> None:
         if self.version != FORMAT_VERSION:
             raise StreamFormatError(f"unsupported version {self.version}")
@@ -259,16 +270,7 @@ def write_stream(header: StreamHeader, background: BackgroundChunk | None,
 
     expected = 0
     for frame in frames:
-        if frame.frame_index != expected:
-            raise StreamInvariantError(
-                f"frame index {frame.frame_index} out of order (expected {expected})"
-            )
-        want_kind = header.frame_kind(frame.frame_index)
-        if frame.kind != want_kind:
-            raise StreamInvariantError(
-                f"frame {frame.frame_index} declared {frame.kind!r} but GOP structure"
-                f" requires {want_kind!r}"
-            )
+        header.check_frame(frame.frame_index, frame.kind, expected)
         frame.validate()
         put(_FRAME_PREFIX.pack(frame.kind.encode(), frame.frame_index))
         if frame.kind == "P":
@@ -536,16 +538,7 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
             kind = tag.decode("ascii", errors="replace")
             if kind not in ("I", "P"):
                 raise StreamFormatError(f"frame {expected}: unknown frame tag {tag!r}")
-            if frame_index != expected:
-                raise StreamInvariantError(
-                    f"frame index {frame_index} out of order (expected {expected})"
-                )
-            want = header.frame_kind(frame_index)
-            if kind != want:
-                raise StreamInvariantError(
-                    f"frame {frame_index} is tagged {kind!r} but GOP structure"
-                    f" requires {want!r}"
-                )
+            header.check_frame(frame_index, kind, expected)
             if kind == "P":
                 yield FrameFeatures(frame_index, "P", mb_grid=_parse_pframe(
                     reader, header.mb_rows, header.mb_cols, frame_index))

@@ -107,6 +107,26 @@ def edges_script() -> SceneScript:
                        noise=NoiseSpec(rng_seed=NOISE_SEED, **LANE_NOISE))
 
 
+def translated(script, dx, dy):
+    """``script`` with every object moved by (dx, dy) px on a canvas grown
+    by as much."""
+    return replace(script, width=script.width + dx, height=script.height + dy, objects=[
+        replace(o, path=[replace(p, cx=p.cx + dx, cy=p.cy + dy) for p in o.path])
+        for o in script.objects])
+
+
+def mirrored(script, axis):
+    """``script`` with every object mirrored across the canvas's middle:
+    cx -> width - cx for ``axis`` "x", cy -> height - cy for "y"."""
+    def flip(p):
+        if axis == "x":
+            return replace(p, cx=script.width - p.cx)
+        return replace(p, cy=script.height - p.cy)
+
+    return replace(script, objects=[replace(o, path=[flip(p) for p in o.path])
+                                    for o in script.objects])
+
+
 def without_background(script):
     """``synthesize(script)``, with the stream written without its background
     chunk and its header's background flag cleared."""

@@ -29,6 +29,14 @@ def uniform_image(h, w, value):
     return np.full((h, w, 3), value, dtype=np.uint8)
 
 
+def positional_modes(nby, nbx):
+    """The one legal mode map: mode 0 at each plane's block (0, 0), mode 1
+    everywhere else."""
+    modes = np.full((3, nby, nbx), MODE_NEIGHBOR_DC, dtype=np.uint8)
+    modes[:, 0, 0] = MODE_CONST
+    return modes
+
+
 class TestPredictionRules:
     def test_first_block_uses_constant_128(self):
         pay = encode_iframe(uniform_image(8, 8, 10))
@@ -113,6 +121,38 @@ class TestPayloadValidation:
         residuals = np.zeros((3, 1, 1, 4, 4), dtype=np.int16)
         with pytest.raises(IntraFormatError):
             IntraPayload(modes, residuals, 4, 4)
+
+    def test_constant_mode_rejected_off_the_origin(self):
+        modes = positional_modes(2, 3)
+        modes[1, 1, 2] = MODE_CONST
+        residuals = np.zeros((3, 2, 3, 4, 4), dtype=np.int16)
+        with pytest.raises(IntraFormatError, match="mode 0 is legal only at block"):
+            IntraPayload(modes, residuals, 12, 8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_every_mode_map_but_the_positional_one_is_rejected(self, nby, nbx, data):
+        want = positional_modes(nby, nbx)
+        modes = want.copy()
+        # A few blocks, often the origin, take any mode byte, or none do.
+        for _ in range(data.draw(st.integers(0, 3))):
+            p, y, x = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, nby - 1)),
+                       data.draw(st.integers(0, nbx - 1)))
+            if data.draw(st.booleans()):
+                y = x = 0
+            modes[p, y, x] = data.draw(st.sampled_from([0, 1, 2, 255]))
+        residuals = np.zeros((3, nby, nbx, BLOCK, BLOCK), dtype=np.int16)
+        width, height = nbx * BLOCK, nby * BLOCK
+        if np.array_equal(modes, want):
+            raw = IntraPayload(modes, residuals, width, height).to_bytes()
+            assert IntraPayload.from_bytes(raw, width, height).to_bytes() == raw
+            return
+        with pytest.raises(IntraFormatError):
+            IntraPayload(modes, residuals, width, height)
+        wire = IntraPayload(want, residuals, width, height).wire().copy()
+        wire[::33] = modes.reshape(-1)  # the mode byte of every block
+        with pytest.raises(IntraFormatError):
+            IntraPayload.from_bytes(wire.tobytes(), width, height)
 
     def test_tile_shape_must_match_rect(self):
         with pytest.raises(ValueError):
@@ -229,14 +269,14 @@ def reference_decode(payload, rect, background):
 
 @st.composite
 def coded_frames(draw):
-    """(payload, rect, background) with random size, modes and residuals.
+    """(payload, rect, background) with random size and residuals, and the
+    modes their positions fix.
 
     Residual magnitudes reach past 255, so reconstruction clips."""
     nby, nbx = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     limit = draw(st.sampled_from([0, 3, 60, 300, 32767]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    modes = rng.integers(0, 2, (3, nby, nbx)).astype(np.uint8)
-    modes[:, 0, 0] = MODE_CONST
+    modes = positional_modes(nby, nbx)
     residuals = rng.integers(-limit, limit, (3, nby, nbx, BLOCK, BLOCK), endpoint=True)
     height, width = nby * BLOCK, nbx * BLOCK
     payload = IntraPayload(modes, residuals.astype(np.int16), width, height)
@@ -282,17 +322,6 @@ class TestAgainstReference:
         tile, _ = decode_region_partial(encode_iframe(frame), rect, background)
         x, y, w, h = rect
         assert np.array_equal(tile.pixels, frame[y : y + h, x : x + w])
-
-    def test_neighbor_mode_at_origin_raises_in_both_entry_points(self):
-        pay = encode_iframe(uniform_image(8, 8, 50))
-        pay.modes[1, 0, 0] = 1  # bypasses the constructor's check
-        with pytest.raises(IntraFormatError):
-            decode_full(pay)
-        with pytest.raises(IntraFormatError):
-            decode_region_partial(pay, (0, 0, 4, 4), uniform_image(8, 8, 50))
-        # a rect away from block (0, 0) never predicts it
-        tile, _ = decode_region_partial(pay, (4, 4, 4, 4), uniform_image(8, 8, 50))
-        assert np.all(tile.pixels == 50)
 
 
 @st.composite
@@ -412,21 +441,6 @@ class TestPathChoice:
         tile, _ = decode_region_partial(payload, rect, background)
         assert np.array_equal(tile.pixels, reference_decode(payload, rect, background)[0])
 
-    @settings(max_examples=200, deadline=None)
-    @given(coded_frames())
-    def test_neighbor_mode_payloads_match_reference(self, case):
-        # coded_frames draws random mode maps, which send nearly every
-        # decode to the clamped wave; with mode 1 everywhere but the
-        # origin, the predictor wave runs, clipping or not.
-        payload, rect, background = case
-        payload.modes[:] = MODE_NEIGHBOR_DC
-        payload.modes[:, 0, 0] = MODE_CONST
-        full_rect = (0, 0, payload.width_px, payload.height_px)
-        assert np.array_equal(decode_full(payload),
-                              reference_decode(payload, full_rect, background)[0])
-        tile, _ = decode_region_partial(payload, rect, background)
-        assert np.array_equal(tile.pixels, reference_decode(payload, rect, background)[0])
-
 
 def reference_encode(image):
     """The encoder ``encode_iframe`` replaced: int32 plane copies, int64
@@ -517,13 +531,9 @@ class TestBatchDecode:
     """One wave over many rects gives each rect's own decode."""
 
     @settings(max_examples=200, deadline=None)
-    @given(coded_frames(), st.booleans(), st.data())
-    def test_batch_matches_per_rect_reference(self, case, neighbour_only, data):
+    @given(coded_frames(), st.data())
+    def test_batch_matches_per_rect_reference(self, case, data):
         payload, _, background = case
-        if neighbour_only:
-            # Mode 1 everywhere but the origin: every rect takes the wave.
-            payload.modes[:] = MODE_NEIGHBOR_DC
-            payload.modes[:, 0, 0] = MODE_CONST
         rects = edge_rects(data.draw, payload.width_px, payload.height_px)
         tiles, stats = decode_regions_partial(payload, rects, background)
         assert [t.rect for t in tiles] == rects
@@ -546,22 +556,41 @@ class TestBatchDecode:
         for (x, y, w, h), tile in zip(rects, tiles):
             assert np.array_equal(tile.pixels, image[y : y + h, x : x + w])
 
-    @pytest.mark.parametrize("fault", ["clip", "mode0"])
+    @pytest.mark.parametrize("fault", ["clip"])
     def test_only_the_bad_rect_reaches_the_clamped_wave(self, fault):
         rng = np.random.default_rng(7)
         image = rng.integers(0, 256, (64, 96, 3), dtype=np.uint8)
         payload = encode_iframe(image)
         bad = (44, 36, 20, 16)  # blocks (11, 9) to (15, 12)
-        if fault == "clip":
-            payload.residuals[1, 12, 15, 3, 3] += 300
-        else:
-            payload.modes[2, 10, 13] = MODE_CONST
+        payload.residuals[1, 12, 15, 3, 3] += 300  # the fault: the last block clips
         rects = [(0, 0, 40, 24), bad, (8, 52, 40, 12), (0, 0, 40, 24), (68, 0, 28, 64)]
         with clamped_wave_calls() as calls:
             tiles, _ = decode_regions_partial(payload, rects, image)
         assert [c[1:5] for c in calls] == [(11, 9, 5, 4)]
         for rect, tile in zip(rects, tiles):
             assert np.array_equal(tile.pixels, reference_decode(payload, rect, image)[0])
+
+    def test_a_mode0_block_inside_a_rect_is_rejected_when_read(self):
+        # Mode 0 at a block that has neighbours, inside the bad rect of the
+        # batch above: read whole, or by a band that holds the block, the
+        # payload is rejected before any decode.
+        image = np.random.default_rng(7).integers(0, 256, (64, 96, 3), dtype=np.uint8)
+        wire = encode_iframe(image).wire().copy()
+        at = ((2 * 16 + 10) * 24 + 13) * 33  # mode byte of block (13, 10), plane B
+        wire[at] = MODE_CONST
+        data = wire.tobytes()
+
+        def read_into(offset, view):
+            view[:] = data[offset : offset + len(view)]
+
+        with pytest.raises(IntraFormatError, match="mode 0 is legal only at block"):
+            IntraPayload.from_bytes(data, 96, 64)
+        with pytest.raises(IntraFormatError, match="mode 0 is legal only at block"):
+            IntraPayload.sparse(96, 64, [(11, 9, 5, 4)], read_into)
+        # A band that does not hold the block never reads it.
+        sparse = IntraPayload.sparse(96, 64, [(0, 0, 10, 6)], read_into)
+        tiles, _ = decode_regions_partial(sparse, [(0, 0, 40, 24)], image)
+        assert np.array_equal(tiles[0].pixels, image[:24, :40])
 
     def test_empty_batch_decodes_nothing(self):
         pay = encode_iframe(uniform_image(8, 8, 9))
@@ -572,9 +601,6 @@ class TestBatchDecode:
         bg = uniform_image(16, 16, 77)
         with pytest.raises(ValueError):
             decode_regions_partial(pay, [(0, 0, 4, 4), (12, 0, 8, 4)], bg)
-        pay.modes[0, 0, 0] = MODE_NEIGHBOR_DC  # bypasses the constructor's check
-        with pytest.raises(IntraFormatError):
-            decode_regions_partial(pay, [(4, 4, 4, 4), (0, 0, 4, 4)], bg)
 
 
 def row_major_decode_regions(payload, regions, background):

@@ -503,6 +503,17 @@ class TestSerialization:
         assert set(first) == {"frame_index", "object_id", "cx", "cy", "h", "w",
                               "state", "refined"}
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"frame_index": 0, "object_id": 1}'], "line 1 has no 'cx'"),
+        ([json.dumps(rec(0, 1, 5.0, 5.0).to_json_dict()), "", "not json"],
+         "line 3 is not JSON: Expecting value"),
+    ], ids=["missing-field", "not-json"])
+    def test_a_bad_records_line_is_named(self, tmp_path, lines, message):
+        p = tmp_path / "records.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_records_jsonl(p)
+
     def test_events_jsonl_shape(self, tmp_path, single_object_run):
         result, _ = single_object_run
         p = tmp_path / "events.jsonl"
@@ -642,10 +653,14 @@ class TestCli:
         (lambda d: d["objects"][0].update(fill=dict(RED, tile=0)),
          "object 1 has a bad fill 'tile': 0 (want at least 1 px)"),
         (lambda d: d.update(noise={"rng_seed": -5}), "noise rng_seed -5 must be at least 0"),
+        (lambda d: d["objects"][0].update(w=float("nan")), "object 1 has a non-finite 'w': nan"),
+        (lambda d: d["objects"][0]["path"][1].update(cy=float("-inf")),
+         "object 1 waypoint 1 has a non-finite 'cy': -inf"),
     ], ids=["no-width", "60px-canvas", "waypoint-without-cy", "null-width", "text-cx",
             "number-background", "number-fill", "number-objects", "number-path",
             "fill-without-colors", "background-without-color", "one-tile-colour",
-            "colour-300", "colour-minus-1", "tile-0", "negative-noise-seed"])
+            "colour-300", "colour-minus-1", "tile-0", "negative-noise-seed", "nan-width",
+            "minus-inf-cy"])
     def test_bad_scene_script_is_a_usage_error(self, tmp_path, capsys, edit, message):
         d = single_object_scene(frame_count=16).to_dict()
         edit(d)

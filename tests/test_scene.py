@@ -76,6 +76,21 @@ class TestScriptSchema:
         with pytest.raises(ValueError, match=msg):
             SceneScript.from_dict(d)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("where, key", [
+        ("object 1", "w"), ("object 1", "h"), ("object 1 waypoint 0", "cx"),
+        ("object 1 waypoint 0", "cy"), ("object 1 waypoint 0", "h"),
+        ("object 1 waypoint 0", "w"),
+    ], ids=["object-w", "object-h", "waypoint-cx", "waypoint-cy", "waypoint-h", "waypoint-w"])
+    def test_non_finite_numbers_rejected_at_load(self, where, key, value):
+        # Every comparison with NaN is false, so no later check would see it.
+        d = small_script().to_dict()
+        obj = d["objects"][0]
+        (obj if where == "object 1" else obj["path"][0])[key] = value
+        with pytest.raises(ValueError, match=f"^{where} has a non-finite '{key}': {value}$"):
+            SceneScript.from_dict(d)
+
     def test_waypoints_must_increase(self):
         obj = SceneObject(id=1, w=48, h=48, fill=SOLID,
                           path=[Waypoint(10, 60, 60), Waypoint(10, 80, 60)])

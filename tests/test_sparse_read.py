@@ -156,8 +156,9 @@ class TestTrackerDemand:
 
     @pytest.mark.parametrize("frame, plane, row, col, mode", [
         (FRAME, 0, 35, 0, 7),  # below the only rect
+        (FRAME, 2, 36, 5, 0),  # mode 0 off the origin, below the only rect
         (0, 0, 0, 0, 1),  # frame 0 demands nothing: block (0, 0) is never read
-    ], ids=["below-the-rect", "origin-of-frame-0"])
+    ], ids=["below-the-rect", "mode-0-below-the-rect", "origin-of-frame-0"])
     def test_bad_mode_outside_every_rect_leaves_the_records_unchanged(
             self, frame, plane, row, col, mode, monkeypatch):
         data = single_object_stream()

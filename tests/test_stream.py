@@ -166,18 +166,43 @@ class TestRoundTrip:
         assert len(data) == HEADER_SIZE + iframe_size + 5 + 8
 
 
-class TestWriterValidation:
-    def test_out_of_order_frames_rejected(self):
-        header, bg, frames = make_stream()
-        frames[1], frames[2] = frames[2], frames[1]
-        with pytest.raises(StreamInvariantError, match="out of order"):
-            stream_to_bytes(header, bg, frames)
+def read_with(data, at, patch):
+    """Every frame of stream ``data`` with ``patch`` written over its bytes at ``at``."""
+    buf = bytearray(data)
+    buf[at : at + len(patch)] = patch
+    return list(read_stream(bytes(buf))[2])
 
-    def test_kind_must_match_gop_structure(self):
+
+FRAME_1 = HEADER_SIZE + 5 + IntraPayload.byte_size(32, 32)  # frame 1's prefix in make_stream()
+
+
+class TestWriterValidation:
+    """The frame-sequence rule holds on both sides of the wire: the writer
+    refuses such frames, and the reader refuses such bytes."""
+
+    @pytest.mark.parametrize("side", ["writer", "reader"])
+    def test_out_of_order_frames_rejected(self, side):
         header, bg, frames = make_stream()
+        data = stream_to_bytes(header, bg, frames)
+        frames[1], frames[2] = frames[2], frames[1]
+        with pytest.raises(StreamInvariantError,
+                           match=r"frame index 2 out of order \(expected 1\)"):
+            if side == "writer":
+                stream_to_bytes(header, bg, frames)
+            else:
+                read_with(data, FRAME_1 + 1, struct.pack("<I", 2))
+
+    @pytest.mark.parametrize("side", ["writer", "reader"])
+    def test_kind_must_match_gop_structure(self, side):
+        header, bg, frames = make_stream()
+        data = stream_to_bytes(header, bg, frames)
         frames[1] = FrameFeatures(1, "I", intra_payload=frames[0].intra_payload)
-        with pytest.raises(StreamInvariantError, match="GOP structure"):
-            stream_to_bytes(header, bg, frames)
+        with pytest.raises(StreamInvariantError,
+                           match="frame 1 is 'I' but GOP structure requires 'P'"):
+            if side == "writer":
+                stream_to_bytes(header, bg, frames)
+            else:
+                read_with(data, FRAME_1, b"I")
 
     def test_frame_count_must_match_header(self):
         header, bg, frames = make_stream()
@@ -246,17 +271,20 @@ class TestReaderValidation:
 
     @pytest.mark.parametrize("wrap", [
         io.BytesIO,  # read whole
-        lambda data: Demand(io.BytesIO(data), lambda: [(0, 0, 1, 1)]),  # a band at (0, 0)
+        lambda data: Demand(io.BytesIO(data), lambda: [(0, 0, 2, 1)]),  # a band at (0, 0)
     ], ids=["whole", "sparse"])
-    @pytest.mark.parametrize("mode,message", [
-        (7, "unknown prediction mode"),
-        (1, "mode 1 requires at least one causal neighbor"),
+    @pytest.mark.parametrize("mode,message,block", [
+        (7, "unknown prediction mode", 0),
+        (1, "mode 1 requires at least one causal neighbor", 0),
+        (0, "mode 0 is legal only at block \\(0, 0\\)", 1),
     ])
-    def test_bad_intra_mode_is_a_typed_error_naming_the_frame(self, mode, message, wrap):
+    def test_bad_intra_mode_is_a_typed_error_naming_the_frame(self, mode, message, block,
+                                                              wrap):
         """One mode rule on both read paths."""
         header, bg, frames = make_stream(width=32, height=32, frame_count=2)
         data = bytearray(stream_to_bytes(header, bg, frames))
-        data[HEADER_SIZE + 5] = mode  # mode byte of block (0, 0), plane R, frame 0
+        # The mode byte of block (block, 0), plane R, frame 0.
+        data[HEADER_SIZE + 5 + block * 33] = mode
         _, _, it = read_stream(wrap(bytes(data)))
         with pytest.raises(StreamFormatError, match=f"frame 0: {message}") as err:
             next(it)
