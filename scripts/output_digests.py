@@ -5,15 +5,19 @@ For each run it prints the sha256 of the records JSONL, the events JSONL
 and the sequence of ``on_emit`` batches, as one JSON object keyed by run
 name; the benchmark workloads also get the sha256 of ``evaluate``'s JSON.
 Every run is made in GOP and in live mode. Each stream the matrix builds
-also gets two parse digests, under ``<run>/parse``, of the stream read
+also gets three parse digests, under ``<run>/parse``, of the stream read
 whole by ``read_stream``: ``pframes``, the sha256 of every P-frame's
-``skip``, ``coeff_mask`` and ``mv_qpel`` bytes, and ``iframes``, the
-sha256 of every I-frame's pixels as ``decode_full`` gives them. Records
-and events never read ``mv_qpel`` and read ``coeff_mask`` only as
-nonzero, and read I-frame pixels only through what refinement derives
-from them, so only the parse digests see a payload decoded into the wrong
-field or a decoder that gets some pixels wrong. Run it once per tree and
-compare the two outputs:
+``skip``, ``coeff_mask`` and ``mv_qpel`` bytes; ``groups``, the sha256
+of every P-frame's ``cluster_blocks`` output, each group's key bytes,
+size and coefficient flag; and ``iframes``, the sha256 of every I-frame's
+pixels as ``decode_full`` gives them. Records and events never read
+``mv_qpel`` and read ``coeff_mask`` only as nonzero, see groups only
+through the spatial filter, which drops most of them, and read I-frame
+pixels only through what refinement derives from them, so only the parse
+digests see a payload decoded into the wrong field, a clustering change
+the filter hides, or a decoder that gets some pixels wrong. The parse
+digests use the public API only, so they compare trees whose grids are
+built differently. Run it once per tree and compare the two outputs:
 
     PYTHONPATH=<old tree>/src python3 scripts/output_digests.py > digests.json
     PYTHONPATH=<new tree>/src python3 scripts/output_digests.py --against digests.json
@@ -59,7 +63,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
-from mbtrack.filtering import PsmfConfig  # noqa: E402
+from mbtrack.filtering import PsmfConfig, cluster_blocks  # noqa: E402
 from mbtrack.intra import decode_full  # noqa: E402
 from mbtrack.pipeline import TrackerConfig, evaluate, run_tracker  # noqa: E402
 from mbtrack.scene import synthesize  # noqa: E402
@@ -157,17 +161,23 @@ def digest(data, truth, config: TrackerConfig, evaluated: bool, kinds: Counter) 
 
 
 def parse_digests(data: bytes) -> dict:
-    """sha256 over every P-frame's skip, coeff_mask and mv_qpel bytes, and
-    over every I-frame's fully decoded pixels, with the stream read whole."""
-    pframes, iframes = hashlib.sha256(), hashlib.sha256()
+    """sha256 over every P-frame's skip, coeff_mask and mv_qpel bytes, over
+    every P-frame's block groups, and over every I-frame's fully decoded
+    pixels, with the stream read whole."""
+    pframes, groups, iframes = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for frame in read_stream(data)[2]:
         if frame.kind == "P":
             grid = frame.mb_grid
             for a in (grid.skip, grid.coeff_mask, grid.mv_qpel):
                 pframes.update(a.tobytes())
+            for g in cluster_blocks(frame):
+                groups.update(g.keys.astype("<i8").tobytes())
+                groups.update(f"{g.size} {int(g.has_nonzero_coeff)};".encode())
+            groups.update(b"\n")  # frame boundary
         else:
             iframes.update(decode_full(frame.intra_payload).tobytes())
-    return {"pframes": pframes.hexdigest(), "iframes": iframes.hexdigest()}
+    return {"pframes": pframes.hexdigest(), "groups": groups.hexdigest(),
+            "iframes": iframes.hexdigest()}
 
 
 def main() -> int:

@@ -22,7 +22,9 @@ this module; the observation clock only ticks on P-frames.
 
 A region, of a group, an entity or an occlusion, is one 1-D int64 array
 of cell keys ``my << CELL_BITS | mx``, which needs no grid width to build
-or read. ``cluster_blocks`` lays out a frame's keys once, and each of its
+or read, and which nothing writes. ``cluster_blocks`` reads a P-frame's
+coded cells from ``MacroblockGrid.coded()``, sparse for a parsed frame,
+lays out the frame's keys once in a read-only array, and each of its
 groups views its span of them.
 
 Real entities whose blobs collide are frozen into one ``OcclusionGroup``
@@ -52,7 +54,7 @@ if TYPE_CHECKING:
     from .occlusion import HueHistogram
     from .stream import FrameFeatures
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)  # bool: ndimage.label converts nothing
 
 CELL_BITS = 16  # a cell key is my << CELL_BITS | mx
 CELL_MASK = (1 << CELL_BITS) - 1
@@ -158,23 +160,26 @@ def cluster_blocks(frame: "FrameFeatures") -> list[BlockGroup]:
     """Cluster a P-frame's non-skip macroblocks into 8-connected groups.
 
     Groups come back in raster order of their first macroblock. The
-    frame's cell keys are gathered once from the grid shape's key table,
-    by group and in raster order within each group, and each group views
-    its span of them.
+    coded cells and their coefficient masks come from ``grid.coded()``,
+    which a parsed grid answers from its records, so only the labelling
+    reads the whole grid. The frame's cell keys are gathered once from
+    the grid shape's key table, by group and in raster order within each
+    group, into one read-only array that each group views its span of:
+    an array of keys never changes, so a region is the same region while
+    it is the same array object (``Tracker._pframe`` relies on it).
     """
     if frame.kind != "P" or frame.mb_grid is None:
         raise ValueError("cluster_blocks needs a P-frame with macroblock features")
     grid = frame.mb_grid
-    labels, count = ndimage.label(~grid.skip, structure=_EIGHT_CONNECTED)
-    if count == 0:
+    cells, masks = grid.coded()  # raster order
+    if not cells.size:
         return []
-    flat = labels.ravel()
-    cells = flat.nonzero()[0]  # raster order
-    cells = cells[flat[cells].argsort(kind="stable")]  # by label, raster order within
-    cell_labels = flat[cells]
+    labels, count = ndimage.label(~grid.skip, structure=_EIGHT_CONNECTED)
+    cell_labels = labels.ravel()[cells]
     has_coeff = np.zeros(count + 1, dtype=bool)
-    has_coeff[cell_labels[grid.coeff_mask.ravel()[cells] != 0]] = True
-    keys = _cell_keys(*labels.shape)[cells]
+    has_coeff[cell_labels[masks != 0]] = True
+    keys = _cell_keys(*grid.shape)[cells[cell_labels.argsort(kind="stable")]]
+    keys.flags.writeable = False
     # Connected and non-empty by construction: the constructor's checks are skipped.
     groups = []
     start = 0

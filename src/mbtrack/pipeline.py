@@ -126,6 +126,17 @@ class _Unit:
     records: dict[int, TrackRecord] = field(default_factory=dict)  # unreleased, by frame
     held: list[tuple[int, np.ndarray]] = field(default_factory=list)  # a candidate's
     # (frame, region keys), until it is promoted
+    built: tuple[np.ndarray, BlobFeature] | None = None  # the last region given a
+    # macroblock blob, and that blob
+
+    def blob_of(self, region: np.ndarray) -> BlobFeature:
+        """The macroblock blob of ``region``, built only when it is not the
+        array the last one was built from. Region arrays are never written
+        (``cluster_blocks``), and ``built`` keeps the last one alive, so the
+        same object is the same region."""
+        if self.built is None or self.built[0] is not region:
+            self.built = (region, BlobFeature.from_grid_region(region))
+        return self.built[1]
 
 
 class Tracker:
@@ -235,7 +246,10 @@ class Tracker:
         region. A unit that holds frames on an id that is no longer a
         candidate was promoted at this step: its held frames become its
         blobs, anchor and Candidate records, unless it is a fragment, whose
-        past the occlusion's records cover."""
+        past the occlusion's records cover. A blob is built only when the
+        unit's region is a new array (``_Unit.blob_of``): a unit without
+        support, or frozen in an occlusion, carries the same array, and
+        so the same blob, from frame to frame."""
         # What follows the step is emit time, charged by feed after the release.
         i = self.last_index
         groups = cluster_blocks(frame)
@@ -252,12 +266,12 @@ class Tracker:
                 continue
             if unit.held:  # promoted at this step
                 if self.tracker.entities[uid].fragment_of is None:
-                    unit.blobs = [(f, BlobFeature.from_grid_region(r)) for f, r in unit.held]
+                    unit.blobs = [(f, unit.blob_of(r)) for f, r in unit.held]
                     unit.anchor = (*unit.blobs[0], False)
                     for f, blob in unit.blobs:
                         self._commit(unit, TrackRecord.from_blob(f, uid, blob, "Candidate"))
                 unit.held = []  # a fragment's unit is then empty, as a fresh one
-            blob = BlobFeature.from_grid_region(region)
+            blob = unit.blob_of(region)
             if unit.anchor is None:
                 unit.anchor = (i, blob, False)
             unit.blobs.append((i, blob))

@@ -19,7 +19,12 @@ Structural rules: width and height are positive multiples of 16, gop_len
 is 2..10, frame i is an I-frame exactly when i % gop_len == 0, and
 frame_index values are contiguous from 0. A skip macroblock carries no
 coefficients and no motion, which the wire format makes unrepresentable;
-the API-level record type enforces it for in-memory construction.
+the writer checks it of an in-memory grid (``MacroblockGrid.validate``).
+
+A parsed P-frame is as sparse as its records: its grid keeps the flag
+bytes as a read-only ``skip`` and the coded macroblocks' raster indices
+and payloads, and makes the dense ``coeff_mask`` and ``mv_qpel`` only
+when something reads them.
 """
 
 from __future__ import annotations
@@ -146,20 +151,68 @@ class BackgroundChunk:
 
 
 class MacroblockGrid:
-    """Dense (rows, cols) macroblock feature arrays for one P-frame.
+    """The (rows, cols) macroblock features of one P-frame.
 
     skip:       bool
     coeff_mask: uint16
     mv_qpel:    int16, shape (rows, cols, 2), quarter-pel units
+
+    A grid built from dense arrays (the encoder, the noise injector,
+    tests) holds them as given, and its callers may write them. A grid
+    that ``read_stream`` parsed holds what the wire holds: ``skip`` as a
+    read-only view of the parsed flag bytes, and the coded macroblocks'
+    raster indices and payload records. Its ``coeff_mask`` and
+    ``mv_qpel`` are made dense, read-only, when first read; the tracker
+    reads neither, only ``coded()``.
     """
 
     def __init__(self, skip, coeff_mask, mv_qpel):
         self.skip = np.asarray(skip, dtype=bool)
-        self.coeff_mask = np.asarray(coeff_mask, dtype=np.uint16)
-        self.mv_qpel = np.asarray(mv_qpel, dtype=np.int16)
+        self._mask = np.asarray(coeff_mask, dtype=np.uint16)
+        self._mv = np.asarray(mv_qpel, dtype=np.int16)
+        self._coded = None  # a parsed grid's (raster indices, payload records)
         rows, cols = self.skip.shape
-        if self.coeff_mask.shape != (rows, cols) or self.mv_qpel.shape != (rows, cols, 2):
+        if self._mask.shape != (rows, cols) or self._mv.shape != (rows, cols, 2):
             raise ValueError("macroblock feature arrays disagree on grid shape")
+
+    @classmethod
+    def _parsed(cls, skip, index, payload) -> "MacroblockGrid":
+        """A parsed grid: read-only ``skip``, and the coded macroblocks'
+        raster indices with their ``_MB_PAYLOAD`` records."""
+        grid = cls.__new__(cls)
+        grid.skip, grid._mask, grid._mv, grid._coded = skip, None, None, (index, payload)
+        return grid
+
+    def _dense(self, name: str) -> np.ndarray:
+        """Payload field ``name`` as a read-only dense grid, zero at skip cells."""
+        index, payload = self._coded
+        values = payload[name]
+        out = np.zeros((self.skip.size, *values.shape[1:]), dtype=values.dtype)
+        out[index] = values
+        out.flags.writeable = False
+        return out.reshape(*self.skip.shape, *values.shape[1:])
+
+    @property
+    def coeff_mask(self) -> np.ndarray:
+        if self._mask is None:
+            self._mask = self._dense("coeff_mask")
+        return self._mask
+
+    @property
+    def mv_qpel(self) -> np.ndarray:
+        if self._mv is None:
+            self._mv = self._dense("mv")
+        return self._mv
+
+    def coded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The raster indices of the coded (non-skip) macroblocks, in raster
+        order, and their coefficient masks. A parsed grid answers from what
+        it parsed; a dense one from its arrays as they are now."""
+        if self._coded is not None:
+            index, payload = self._coded
+            return index, payload["coeff_mask"]
+        index = (~self.skip).ravel().nonzero()[0]
+        return index, self._mask.ravel()[index]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -420,6 +473,10 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
     record-by-record read raises: the first bad flag byte if it comes
     before the end of the data, else truncation. If the data ends inside
     a record, the bytes after its flag are payload, not flags.
+
+    The grid holds what the wire holds (``MacroblockGrid._parsed``): the
+    flag bytes, read-only, as ``skip``, and the coded records' raster
+    indices and payloads. No dense mask or motion grid is made here.
     """
     n = rows * cols
     size = _MB_PAYLOAD.itemsize
@@ -456,15 +513,11 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
         raise _truncated("macroblock record", frame_index)
 
     skip = np.frombuffer(flags, dtype=bool)
-    mask = np.zeros(n, dtype=np.uint16)
-    mv = np.zeros((n, 2), dtype=np.int16)
-    if pays:
-        coded = (~skip).nonzero()[0]
-        payload = np.frombuffer(b"".join(pays), dtype=_MB_PAYLOAD)
-        mask[coded] = payload["coeff_mask"]
-        mv[coded] = payload["mv"]
-    return MacroblockGrid(skip.reshape(rows, cols), mask.reshape(rows, cols),
-                          mv.reshape(rows, cols, 2))
+    skip.flags.writeable = False
+    index = (~skip).nonzero()[0]
+    index.flags.writeable = False
+    payload = np.frombuffer(b"".join(pays), dtype=_MB_PAYLOAD)
+    return MacroblockGrid._parsed(skip.reshape(rows, cols), index, payload)
 
 
 def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[FrameFeatures]]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mbtrack.filtering import cluster_blocks
 from mbtrack.intra import IntraFormatError, IntraPayload, encode_iframe
 from mbtrack.pipeline import run_tracker
 from mbtrack.scene import SceneObject, SceneScript, Waypoint, synthesize
@@ -732,3 +733,62 @@ class TestScanAtFrameScale:
             assert_scans_like_the_reference(stream, grid.shape, 1)
             assert "reserved" in outcome(
                 lambda: _parse_pframe(_Reader(stream), *grid.shape, 1))[1][1]
+
+
+# -- a parsed P-frame holds what the wire holds ----------------------------------
+
+def group_tuples(frame):
+    return [(g.keys.tolist(), g.size, g.has_nonzero_coeff) for g in cluster_blocks(frame)]
+
+
+# 1-row and 1-column grids beside square-ish ones; ``random_grids``' densities
+# include all skip and all coded.
+GRID_SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 12)),
+                        st.tuples(st.integers(1, 12), st.just(1)),
+                        st.tuples(st.integers(2, 8), st.integers(2, 8)))
+
+
+class TestParsedGrid:
+    def test_parsed_skip_is_read_only_and_a_built_grid_stays_writable(self):
+        header, bg, frames = make_stream(seed=5)
+        _, _, _, got = roundtrip(header, bg, frames)
+        grid = got[1].mb_grid
+        for array in (grid.skip, grid.coeff_mask, grid.mv_qpel):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        assert got == frames
+        built = frames[1].mb_grid
+        built.skip[0, 0] = False
+        built.coeff_mask[0, 0] = 7
+        built.mv_qpel[0, 0] = (1, -1)
+        assert built.coded()[1][0] == 7
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_written_grids_read_back_and_cluster_alike(self, data):
+        grid = data.draw(random_grids(shape=data.draw(GRID_SHAPES)))
+        stream, _ = pframe_stream(grid)
+        parsed = list(read_stream(stream)[2])[1]
+        assert np.array_equal(parsed.mb_grid.skip, grid.skip)
+        assert np.array_equal(parsed.mb_grid.coeff_mask, grid.coeff_mask)
+        assert np.array_equal(parsed.mb_grid.mv_qpel, grid.mv_qpel)
+        assert group_tuples(parsed) == group_tuples(FrameFeatures(1, "P", mb_grid=grid))
+
+    def test_parsing_a_1080p_pframe_makes_no_dense_grids(self):
+        # 8,160 macroblocks, six coded. Dense mask and motion grids alone
+        # would take 6 bytes per macroblock; the parse holds the frame's
+        # bytes and its flags, not those.
+        rows, cols = 68, 120
+        coded = {(3, 5): (0x0101, 1, -1), (3, 6): (0, 0, 0), (40, 100): (0x8000, 4, 4),
+                 (67, 119): (1, -8, 0), (0, 0): (0xFFFF, 0, 2), (20, 60): (2, 3, 3)}
+        grid = make_grid(rows, cols, coded)
+        body = _serialize_pframe(grid)
+        reader = _Reader(body)
+        tracemalloc.start()
+        try:
+            parsed = _parse_pframe(reader, rows, cols, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == grid
+        assert peak < 6 * rows * cols
