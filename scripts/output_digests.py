@@ -16,8 +16,10 @@ through the spatial filter, which drops most of them, and read I-frame
 pixels only through what refinement derives from them, so only the parse
 digests see a payload decoded into the wrong field, a clustering change
 the filter hides, or a decoder that gets some pixels wrong. The parse
-digests use the public API only, so they compare trees whose grids are
-built differently. Run it once per tree and compare the two outputs:
+digests are over the parsed arrays, read through the public API only,
+never over stream bytes, so they compare trees whose grids are built
+differently, or whose wire layouts differ. Run it once per tree and
+compare the two outputs:
 
     PYTHONPATH=<old tree>/src python3 scripts/output_digests.py > digests.json
     PYTHONPATH=<new tree>/src python3 scripts/output_digests.py --against digests.json
@@ -39,9 +41,10 @@ stays covered as well.
 
 The scenes come from the scene catalogue, ``tests/scenes.py``, and the
 workloads from ``bench/workloads.py``, of the checkout this script sits
-in, so both trees are fed the same streams; only ``mbtrack`` comes from
-PYTHONPATH. The ``lanes-noisy`` stream is also tracked rewritten without
-its background chunk, so that the tracker takes its background from the
+in, so both trees are fed the same scenes; only ``mbtrack`` comes from
+PYTHONPATH, and each tree synthesizes its streams with its own writer.
+The ``lanes-noisy`` stream is also tracked rewritten without its
+background chunk, so that the tracker takes its background from the
 first I-frame's full decode. The ``scale`` scene tracks 48 objects at
 once, so every P-frame meets many groups and many units. In the ``edges``
 scene objects enter through the frame's left and top edges and leave

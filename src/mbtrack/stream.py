@@ -9,9 +9,9 @@ Byte layout (all integers little-endian):
     frames, in display order, each starting with
              [tag 'P' or 'I'][frame_index u32]
 
-    P-frame  one record per macroblock in raster order:
-             [flags u8]                      bit 0 = skip
-             if not skip: [coeff_mask u16][mv_x i16][mv_y i16]
+    P-frame  a skip map, then the coded records, both in raster order:
+             [flags u8] per macroblock           bit 0 = skip
+             [coeff_mask u16][mv_x i16][mv_y i16] per 0x00 flag
     I-frame  an intra payload (see intra.py): planes R, G, B, each
              (W/4)*(H/4) blocks of [mode u8][16 x residual i16]
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import io
 import os
-import re
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator
@@ -42,19 +41,14 @@ import numpy as np
 from .intra import IntraFormatError, IntraPayload
 
 MAGIC = b"MBFS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 FLAG_HAS_BACKGROUND = 0x0001
 MB = 16  # macroblock edge in pixels
 
 _HEADER = struct.Struct("<4sHHHBBIH")
 _FRAME_PREFIX = struct.Struct("<cI")
-# A coded macroblock's record after its flag byte: [coeff_mask u16][mv_x i16][mv_y i16].
+# A coded macroblock's record: [coeff_mask u16][mv_x i16][mv_y i16].
 _MB_PAYLOAD = np.dtype([("coeff_mask", "<u2"), ("mv", "<i2", (2,))])
-_PAYLOAD_OFFSETS = np.arange(1, 1 + _MB_PAYLOAD.itemsize)
-_MB_CODED = b"\x00"
-# A coded record: its 0x00 flag, and its payload as the one group, so that
-# ``split`` gives skip runs and payloads, alternating.
-_CODED = re.compile(rb"\x00([\x00-\xff]{6})")
 # The most a reader asks of a file object at once. Above the largest
 # I-frame payload of common sizes (12.9 MB at 1920x1088), so a payload is
 # one read; a header claiming huge dimensions cannot make one huge request.
@@ -277,16 +271,10 @@ class FrameFeatures:
 def _serialize_pframe(grid: MacroblockGrid) -> bytes:
     skip = grid.skip.ravel()
     coded = np.flatnonzero(~skip)
-    sizes = np.where(skip, 1, 1 + _MB_PAYLOAD.itemsize)
-    starts = np.cumsum(sizes) - sizes  # flag byte of each record
-    out = np.ones(int(sizes.sum()), dtype=np.uint8)  # skip flags
-    out[starts[coded]] = 0
     payload = np.empty(coded.size, dtype=_MB_PAYLOAD)
     payload["coeff_mask"] = grid.coeff_mask.ravel()[coded]
     payload["mv"] = grid.mv_qpel.reshape(-1, 2)[coded]
-    payload_at = starts[coded][:, None] + _PAYLOAD_OFFSETS  # one row of 6 per record
-    out[payload_at] = payload.view(np.uint8).reshape(-1, _MB_PAYLOAD.itemsize)
-    return out.tobytes()
+    return skip.astype(np.uint8).tobytes() + payload.tobytes()
 
 
 def write_stream(header: StreamHeader, background: BackgroundChunk | None,
@@ -296,9 +284,11 @@ def write_stream(header: StreamHeader, background: BackgroundChunk | None,
     Frames are validated against the header as they are consumed: indices
     must run 0..frame_count-1 and each frame's kind must agree with the
     GOP structure. Each frame is written before the next is asked for, so
-    a generator of frames is streamed. The background and I-frame payloads
-    in the wire layout (see ``IntraPayload.wire``) are written as they
-    are, without a copy.
+    a generator of frames is streamed. A P-frame is written as its skip
+    map, one flag byte per macroblock, then one record per coded
+    macroblock, so a reader learns the records' length from the flags.
+    The background and I-frame payloads in the wire layout (see
+    ``IntraPayload.wire``) are written as they are, without a copy.
     """
     header.validate()
     if header.has_background != (background is not None):
@@ -387,13 +377,12 @@ class _Reader:
     Bytes are read through ``io.BytesIO``, so both take one path. The
     reader holds no bytes of its own: ``pull(n)`` asks the source for n
     bytes at most, and every structure's length is known before it is
-    pulled (a P-frame's as far as its records so far make it
-    known, see ``_parse_pframe``). So the reader never reads past the
-    frame being parsed, and nothing is left over when a frame ends. A
-    whole I-frame payload is one ``read`` from the source into a bytes
-    object of its own, with no copy; ``sparse`` reads only some of its
-    blocks from a seekable source and seeks over the rest. Whether the
-    source can seek is asked once, when the reader is made.
+    pulled (a P-frame's records from its flag bytes). So the reader never
+    reads past the frame being parsed, and nothing is left over when a
+    frame ends. A whole I-frame payload is one ``read`` from the source
+    into a bytes object of its own, with no copy; ``sparse`` reads only
+    some of its blocks from a seekable source and seeks over the rest.
+    Whether the source can seek is asked once, when the reader is made.
     """
 
     def __init__(self, source):
@@ -454,54 +443,21 @@ class _Reader:
 
 
 def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> MacroblockGrid:
-    """Parse one P-frame's records with one regex scan per window.
+    """Parse one P-frame in two reads whose lengths are known before they
+    are made: the n flag bytes, then one 6-byte record per coded flag.
 
-    ``_CODED.split`` cuts the bytes into skip runs and 6-byte payloads,
-    alternating. The scan runs left to right and a 0x00 with six bytes
-    after it always starts a match, which takes its payload with it, so
-    the cut follows the record grammar and payload zeros are never read
-    as flags. The first window is the frame's n flag bytes; each coded
-    record found moves the frame's end 6 bytes on, and the bytes up to
-    that end are pulled onto the window, which is scanned again from the
-    end of the last complete record. A 0x00 left in the tail is a record
-    the window cut: it counts toward the end, and the next scan reads it
-    whole. Bytes are pulled up to that end only, so the reader never
-    takes bytes of the next frame.
-
-    The skip runs joined by 0x00 are the frame's flag bytes in raster
-    order; one ``translate`` checks them all. Errors are the ones a
-    record-by-record read raises: the first bad flag byte if it comes
-    before the end of the data, else truncation. If the data ends inside
-    a record, the bytes after its flag are payload, not flags.
+    One ``translate`` checks the flags. Among the flag bytes present, the
+    first with a reserved bit is an error naming its macroblock, which
+    beats truncation; a frame that ends anywhere in its flags or records
+    is truncation. The reader never pulls past the frame.
 
     The grid holds what the wire holds (``MacroblockGrid._parsed``): the
     flag bytes, read-only, as ``skip``, and the coded records' raster
-    indices and payloads. No dense mask or motion grid is made here.
+    indices and payloads, a view of the bytes read for them. No dense
+    mask or motion grid is made here.
     """
     n = rows * cols
-    size = _MB_PAYLOAD.itemsize
-    buf = reader.pull(n)
-    runs, pays = [], []  # skip runs and payloads, each run ending at a coded flag
-    scanned = 0  # offset of the first byte not yet cut into records
-    while True:
-        parts = _CODED.split(memoryview(buf)[scanned:])
-        tail = parts.pop()
-        runs += parts[0::2]
-        pays += parts[1::2]
-        cut = tail.find(_MB_CODED)  # a record the window cut
-        end = n + size * (len(pays) + (cut >= 0))  # the frame's length as far as is known
-        if len(buf) >= end:
-            break
-        more = reader.pull(end - len(buf))
-        if not more:  # the source ended
-            break
-        scanned = len(buf) - len(tail)
-        # A new object, not an in-place append: runs and pays view the old one.
-        buf = buf + more
-
-    if cut >= 0:
-        tail = tail[: cut + 1]  # the rest is the cut record's payload
-    flags = bytearray(_MB_CODED).join([*runs, tail])
+    flags = reader.pull(n)
     bad = flags.translate(None, b"\x00\x01")  # reserved bits on a flag byte
     if bad:
         my, mx = divmod(flags.index(bad[0]), cols)
@@ -509,14 +465,15 @@ def _parse_pframe(reader: _Reader, rows: int, cols: int, frame_index: int) -> Ma
             f"frame {frame_index}: macroblock ({mx}, {my}) has reserved"
             f" flag bits {bad[0]:#04x}"
         )
-    if len(buf) < end:
+    if len(flags) < n:
         raise _truncated("macroblock record", frame_index)
 
     skip = np.frombuffer(flags, dtype=bool)
     skip.flags.writeable = False
     index = (~skip).nonzero()[0]
     index.flags.writeable = False
-    payload = np.frombuffer(b"".join(pays), dtype=_MB_PAYLOAD)
+    records = reader.read(_MB_PAYLOAD.itemsize * index.size, "macroblock record", frame_index)
+    payload = np.frombuffer(records, dtype=_MB_PAYLOAD)
     return MacroblockGrid._parsed(skip.reshape(rows, cols), index, payload)
 
 
