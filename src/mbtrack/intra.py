@@ -56,16 +56,18 @@ be reconstructed without touching the rest of the frame by substituting
 a background image for neighbor pixels that fall outside the region. The
 result is exact only when the block-aligned border of the region sits on
 background pixels. A payload need not even hold the rest of the frame:
-one read sparsely (``IntraPayload.sparse``) holds only the blocks its
-``mask`` marks, and decodes any region inside them.
-``decode_regions_partial`` decodes many regions in one wave: each keeps
-its own predictor planes in one zero-padded stack, aligned so that every
-region's wave starts at the same cell, and the wave takes as many steps
-as the largest region needs. The stack is skewed, one anti-diagonal per
-leading index and the planes innermost, so that each step reads and
-writes one contiguous slice. Padding lies below and right of every
-region, and the recurrence reads only above and left, so no region reads
-it (see ``_decode_regions``). A full decode is the one-region case.
+one read sparsely (``IntraPayload.sparse``) allocates and holds only the
+bands of block rows its ``mask`` marks, and decodes any region inside
+them, whose residuals are a plain slice of one band.
+``decode_regions_partial`` decodes many regions in one call, one wave
+per size class of region (``_decode_regions``): in a wave each region
+keeps its own predictor planes in one zero-padded stack, aligned so that
+every region's wave starts at the same cell, and the wave takes as many
+steps as the largest region of its class needs. The stack is skewed, one
+anti-diagonal per leading index and the planes innermost, so that each
+step reads and writes one contiguous slice. Padding lies below and right
+of every region, and the recurrence reads only above and left, so no
+region reads it (see ``_wave``). A full decode is the one-region case.
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ _REBUILD_BLOCKS = 1024
 
 class IntraFormatError(ValueError):
     """Malformed intra payload (bad mode, impossible predictor, bad size)."""
+
+
+class ReleasedPayloadError(ValueError):
+    """A decode, or a read of blocks, on a payload whose blocks were released."""
 
 
 @dataclass(frozen=True)
@@ -128,23 +134,28 @@ class PixelTile:
 
 
 class IntraPayload:
-    """Coded representation of one full RGB frame.
+    """Coded representation of one RGB frame, or of bands of its block rows.
 
     modes:     (3, H/4, W/4) uint8, plane order R, G, B: 0 at block
                (0, 0), 1 elsewhere
     residuals: (3, H/4, W/4, 4, 4) int16
 
-    Every payload keeps its blocks in the wire layout, and ``modes`` and
-    ``residuals`` are views of them, so ``wire`` serializes it without a
-    copy. ``encode_iframe`` writes that layout, ``from_bytes`` views the
-    bytes it parses and ``sparse`` reads into it; ``__init__``, for
-    payloads made by hand, copies its arrays into it once.
+    A payload that holds the whole frame keeps its blocks in the wire
+    layout, and ``modes`` and ``residuals`` are views of them, so ``wire``
+    serializes it without a copy. ``encode_iframe`` writes that layout and
+    ``from_bytes`` views the bytes it parses; ``__init__``, for payloads
+    made by hand, copies its arrays into it once.
 
     ``mask`` is None for a payload that holds the whole frame. A payload
-    read by ``sparse`` holds only the blocks its (H/4, W/4) ``mask``
-    marks, the same in every plane; the rest were never read and hold
-    whatever the allocator left there. It decodes only regions inside the
-    mask, and has no wire form and no equality.
+    read by ``sparse`` holds only the bands of block rows that cover its
+    regions, and allocates nothing else; its (H/4, W/4) ``mask`` marks
+    the blocks it read. It decodes only regions inside the mask, and has
+    no ``modes``, ``residuals``, wire form nor equality.
+
+    Every decode reads a region's residuals as a plain slice of the one
+    band that holds it (``residuals_of``); a whole payload is one band.
+    ``release`` drops the blocks: a decode, or any read of them, then
+    raises ``ReleasedPayloadError``.
     """
 
     def __init__(self, modes, residuals, width_px: int, height_px: int):
@@ -161,39 +172,89 @@ class IntraPayload:
         blocks = np.empty(3 * nby * nbx, dtype=_BLOCK_DTYPE)
         blocks["mode"] = modes.reshape(-1)
         blocks["residuals"] = residuals.reshape(-1, BLOCK * BLOCK)
-        self._view(blocks, width_px, height_px)
+        self._hold(blocks, width_px, height_px)
 
-    def _view(self, blocks: np.ndarray, width_px: int, height_px: int,
-              mask: np.ndarray | None = None) -> "IntraPayload":
-        """Make this payload view ``blocks``, its (3n,) wire layout, and
-        return it. With no ``mask`` it holds the whole frame, whose modes
-        are checked here; a sparse read checks each band as it reads it."""
+    def _hold(self, blocks: np.ndarray, width_px: int, height_px: int,
+              bands: list | None = None) -> "IntraPayload":
+        """Make this payload hold ``blocks`` and return it. With no
+        ``bands``, ``blocks`` is the whole frame's (3n,) wire layout, whose
+        modes are checked here; a sparse read passes the bands it read,
+        each checked as it was read. A band is (first, end, residuals):
+        the raster run [first, end) of blocks it read, and the
+        (3, rows, W/4, 4, 4) residuals of its whole block rows."""
         nbx, nby = width_px // BLOCK, height_px // BLOCK
-        modes = blocks["mode"]
-        if mask is None:
-            _check_modes(modes.reshape(3, nbx * nby), origin=True)
-        self.modes = modes.reshape(3, nby, nbx)
-        self.residuals = blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK)
+        self._sparse = bands is not None
+        if bands is None:
+            _check_modes(blocks["mode"].reshape(3, nbx * nby), origin=True)
+            bands = [(0, nbx * nby, blocks["residuals"].reshape(3, nby, nbx, BLOCK, BLOCK))]
         self.width_px = width_px
         self.height_px = height_px
-        self.mask = mask
         self._blocks = blocks
+        self._bands = bands
         return self
 
     @property
     def blocks_per_plane(self) -> int:
         return (self.width_px // BLOCK) * (self.height_px // BLOCK)
 
+    def _held(self) -> list:
+        if self._bands is None:
+            raise ReleasedPayloadError("the intra payload was released")
+        return self._bands
+
+    def _whole(self) -> np.ndarray:
+        """The whole frame's blocks in the wire layout."""
+        self._held()
+        if self._sparse:
+            raise ValueError("a sparse intra payload does not hold the whole frame")
+        return self._blocks
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self._whole()["mode"].reshape(3, self.height_px // BLOCK, -1)
+
+    @property
+    def residuals(self) -> np.ndarray:
+        return self._whole()["residuals"].reshape(
+            3, self.height_px // BLOCK, -1, BLOCK, BLOCK)
+
+    @property
+    def mask(self) -> np.ndarray | None:
+        """The (H/4, W/4) blocks a sparse payload read, or None when it
+        holds the whole frame."""
+        bands = self._held()
+        if not self._sparse:
+            return None
+        mask = np.zeros(self.blocks_per_plane, dtype=bool)
+        for first, end, _ in bands:
+            mask[first:end] = True
+        return mask.reshape(self.height_px // BLOCK, -1)
+
+    def residuals_of(self, bx0: int, by0: int, nbx: int, nby: int) -> np.ndarray:
+        """The (3, nby, nbx, 4, 4) int16 residuals of a block region, a
+        view of the band that holds it. A region that is not all in one
+        band of a sparse payload is a ``ValueError``."""
+        row = self.width_px // BLOCK
+        first, last = by0 * row + bx0, (by0 + nby - 1) * row + bx0 + nbx
+        for start, end, residuals in self._held():
+            if start <= first and last <= end:
+                r = by0 - start // row
+                return residuals[:, r : r + nby, bx0 : bx0 + nbx]
+        raise ValueError(f"block region {(bx0, by0, nbx, nby)} is not all in the "
+                         f"sparse payload")
+
+    def release(self) -> None:
+        """Drop the blocks. A caller that has decoded what it needs frees
+        them at once, whoever still holds the payload."""
+        self._blocks = self._bands = None
+
     def __eq__(self, other):
         if not isinstance(other, IntraPayload):
             return NotImplemented
-        if self.mask is not None or other.mask is not None:
-            raise ValueError("a sparse intra payload does not hold the whole frame")
         return (
             self.width_px == other.width_px
             and self.height_px == other.height_px
-            and np.array_equal(self.modes, other.modes)
-            and np.array_equal(self.residuals, other.residuals)
+            and np.array_equal(self._whole(), other._whole())
         )
 
     @staticmethod
@@ -203,9 +264,7 @@ class IntraPayload:
     def wire(self) -> np.ndarray:
         """The serialized payload as a flat uint8 array: a view of the
         payload's wire layout."""
-        if self.mask is not None:
-            raise ValueError("a sparse intra payload does not hold the whole frame")
-        return self._blocks.view(np.uint8)
+        return self._whole().view(np.uint8)
 
     def to_bytes(self) -> bytes:
         return self.wire().tobytes()
@@ -226,7 +285,7 @@ class IntraPayload:
                 f"intra payload is {len(data)} bytes, expected {expected}"
             )
         blocks = np.frombuffer(data, dtype=_BLOCK_DTYPE, count=n)
-        return cls.__new__(cls)._view(blocks, width_px, height_px)
+        return cls.__new__(cls)._hold(blocks, width_px, height_px)
 
     @classmethod
     def sparse(cls, width_px: int, height_px: int, regions, read_into) -> "IntraPayload":
@@ -244,9 +303,10 @@ class IntraPayload:
         checked as it is read, while its bytes are in cache, by the rule
         a whole payload's are checked by, block (0, 0) included when a
         band holds it; blocks outside the bands are never read nor
-        checked. The blocks are allocated uninitialised: pages that no band
-        touches stay out of the resident set, and the 1.9 MB of a 640x480
-        frame are not zeroed, which costs more than the reads themselves.
+        checked. Only the bands' whole block rows are allocated, one
+        array for all of them, uninitialised: a region is then a plain
+        slice of its band, and the 12.9 MB of a 1920x1088 frame are never
+        allocated for one small rect.
         """
         nbx, nby = width_px // BLOCK, height_px // BLOCK
         # A band runs from the first block of its regions in raster order to
@@ -263,19 +323,28 @@ class IntraPayload:
             else:
                 spans.append([by0 * nbx + bx0, end])
 
-        n, size = nbx * nby, _BLOCK_DTYPE.itemsize
-        blocks = np.empty(3 * n, dtype=_BLOCK_DTYPE)
-        wire = memoryview(blocks.view(np.uint8))
-        mask = np.zeros(n, dtype=bool)
-        modes = blocks["mode"].reshape(3, n)
-        for plane in range(3):
-            for first, end in spans:
-                at = (plane * n + first) * size
-                read_into(at, wire[at : at + (end - first) * size])
-                _check_modes(modes[plane, first:end], origin=first == 0)
+        # Each band holds its whole block rows, in every plane: (first, end,
+        # at, n) is its raster run, the first of its rows among the rows
+        # held and their number. A region is then a plain slice of a band.
+        layout, rows = [], 0
         for first, end in spans:
-            mask[first:end] = True
-        return cls.__new__(cls)._view(blocks, width_px, height_px, mask.reshape(nby, nbx))
+            n = (end - 1) // nbx + 1 - first // nbx
+            layout.append((first, end, rows, n))
+            rows += n
+        size = _BLOCK_DTYPE.itemsize
+        blocks = np.empty(3 * rows * nbx, dtype=_BLOCK_DTYPE)
+        wire = memoryview(blocks.view(np.uint8))
+        modes = blocks["mode"].reshape(3, rows * nbx)
+        for plane in range(3):
+            for first, end, at, _ in layout:
+                lo = at * nbx + first % nbx
+                held = (plane * rows * nbx + lo) * size
+                read_into((plane * nbx * nby + first) * size,
+                          wire[held : held + (end - first) * size])
+                _check_modes(modes[plane, lo : lo + end - first], origin=first == 0)
+        residuals = blocks["residuals"].reshape(3, rows, nbx, BLOCK, BLOCK)
+        bands = [(first, end, residuals[:, at : at + n]) for first, end, at, n in layout]
+        return cls.__new__(cls)._hold(blocks, width_px, height_px, bands)
 
 
 def _check_modes(modes: np.ndarray, origin: bool) -> None:
@@ -356,13 +425,13 @@ def encode_iframe(image) -> IntraPayload:
     for r in range(BLOCK):
         for s in range(BLOCK):
             np.subtract(blocks[:, :, r, :, s], pred, out=residuals[..., r, s])
-    return IntraPayload.__new__(IntraPayload)._view(wire, w, h)
+    return IntraPayload.__new__(IntraPayload)._hold(wire, w, h)
 
 
-def _start_predictors(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
+def _start_predictors(res: np.ndarray, bx0: int, by0: int,
                       background: np.ndarray | None) -> np.ndarray:
-    """D of the rect of nbx x nby blocks at block (bx0, by0), as a new
-    contiguous (3, nby, nbx) int32 slab.
+    """D of the rect at block (bx0, by0) whose (3, nby, nbx, 4, 4)
+    residuals are ``res``, as a new contiguous (3, nby, nbx) int32 slab.
 
     D holds the residual sums of the neighbouring edges inside the rect,
     the ``background`` pixel sums of the edges just above and just left of
@@ -372,10 +441,10 @@ def _start_predictors(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: 
     column p = D + p_nb is a running sum, so those blocks leave here with
     their final predictors.
     """
+    nby, nbx = res.shape[1:3]
     core = np.zeros((3, nby, nbx), dtype=np.int32)
     h, w = nby * BLOCK, nbx * BLOCK
     x0, y0 = bx0 * BLOCK, by0 * BLOCK
-    res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
     core[:, 1:] = _edge_sum(res[:, :-1, :, -1])  # bottom rows of the blocks above
     core[:, :, 1:] += _edge_sum(res[:, :, :-1, :, -1])  # right columns of those left
     core += BLOCK  # n // 2 for n = 8
@@ -421,8 +490,9 @@ def _as_planes(blocks: np.ndarray) -> np.ndarray:
     return planes.transpose(1, 2, 0)
 
 
-def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.ndarray | None:
-    """Pixels of one rect from its final predictors ``core`` (3, nby, nbx).
+def _rebuild(res: np.ndarray, core: np.ndarray) -> np.ndarray | None:
+    """Pixels of one rect from its residuals ``res`` and its final
+    predictors ``core`` (3, nby, nbx).
 
     The rect's channel planes are allocated first. The pixels are then
     residual plus predictor, ``_REBUILD_BLOCKS`` blocks per plane at a
@@ -434,7 +504,6 @@ def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.
     planes, or None when a pixel leaves 0..255.
     """
     nby, nbx = core.shape[1:]
-    res = payload.residuals[:, by0 : by0 + nby, bx0 : bx0 + nbx]
     planes = np.empty((3, nby * BLOCK, nbx * BLOCK), dtype=np.uint8)
     words = _plane_words(planes)
     # int16 sums: the first block in wave order with a pixel outside
@@ -462,7 +531,42 @@ def _rebuild(payload: IntraPayload, core: np.ndarray, bx0: int, by0: int) -> np.
 
 def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, int]],
                     background: np.ndarray | None) -> list[np.ndarray]:
-    """Reconstruct each (bx0, by0, nbx, nby) block region, all in one wave.
+    """Reconstruct each (bx0, by0, nbx, nby) block region, one wave per
+    size class of region.
+
+    A region's size is nbx + nby, the steps its wave takes. Largest
+    first, each region joins the last wave when it is at least half the
+    size of that wave's first region, and starts a new wave otherwise: no
+    region is padded to the stack of one more than twice its size, and
+    the waves' stacks are made and freed one after the other (``_wave``),
+    while regions of near sizes still share one wave's steps. Regions
+    decode independently, so the grouping changes no pixel. Each
+    region's residuals are a plain slice of its payload band
+    (``IntraPayload.residuals_of``), taken once here.
+
+    Returns one (4*nby, 4*nbx, 3) uint8 image per region, in order, each
+    a view of its own (3, 4*nby, 4*nbx) channel planes.
+    """
+    res = [payload.residuals_of(*region) for region in regions]
+    size = [nbx + nby for _, _, nbx, nby in regions]
+    waves: list[list[int]] = []  # region indices, largest first
+    for k in sorted(range(len(regions)), key=lambda k: -size[k]):
+        if waves and 2 * size[k] >= size[waves[-1][0]]:
+            waves[-1].append(k)
+        else:
+            waves.append([k])
+    out = [None] * len(regions)
+    for ks in waves:
+        for k, pixels in zip(ks, _wave(payload, [regions[k] for k in ks],
+                                       [res[k] for k in ks], background)):
+            out[k] = pixels
+    return out
+
+
+def _wave(payload: IntraPayload, regions: list[tuple[int, int, int, int]],
+          residuals: list[np.ndarray], background: np.ndarray | None) -> list[np.ndarray]:
+    """Reconstruct each block region of ``payload``, whose residuals are
+    ``residuals``, all in one wave.
 
     Runs the predictor recurrence of the module docstring for every
     region at once. Each region gets its own three planes in one
@@ -491,29 +595,21 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
     order no pixel clipped and every predictor was the codec's; if one
     does, the first such pixel in wave order was rebuilt from the codec's
     predictor, so the check sees it whatever the predictors after it hold.
-
-    Returns one (4*nby, 4*nbx, 3) uint8 image per region, in order, each
-    a view of its own (3, 4*nby, 4*nbx) channel planes.
     """
-    for region in regions:
-        bx0, by0, nbx, nby = region
-        if payload.mask is not None and not payload.mask[by0 : by0 + nby, bx0 : bx0 + nbx].all():
-            raise ValueError(f"block region {region} is not all in the sparse payload")
-
     # Rows and columns each region's wave covers, below and right of (0, 0).
-    rows = max((nby - (by0 == 0) for _, by0, _, nby in regions), default=0)
-    cols = max((nbx - (bx0 == 0) for bx0, _, nbx, _ in regions), default=0)
+    rows = max(nby - (by0 == 0) for _, by0, _, nby in regions)
+    cols = max(nbx - (bx0 == 0) for bx0, _, nbx, _ in regions)
     skew = np.zeros((rows + cols + 1, rows + 1, 3 * len(regions)), dtype=np.int32)
     s0, s1, s2 = skew.strides
     cores = []
-    for j, (bx0, by0, nbx, nby) in enumerate(regions):
+    for j, ((bx0, by0, nbx, nby), res) in enumerate(zip(regions, residuals)):
         r, c = int(by0 > 0), int(bx0 > 0)
         core = np.ndarray((3, nby, nbx), np.int32, skew, (r + c) * s0 + r * s1 + 3 * j * s2,
                           (s2, s0 + s1, s0))
         # D is made in a contiguous slab and copied in one assignment: made
         # op by op through the strided view it costs twice as much. The
         # slab is freed with the statement, so none adds to later peaks.
-        core[...] = _start_predictors(payload, bx0, by0, nbx, nby, background)
+        core[...] = _start_predictors(res, bx0, by0, background)
         cores.append(core)
 
     for e in range(2, rows + cols + 1 if rows and cols else 2):
@@ -524,8 +620,8 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
         p >>= 1
 
     out = []
-    for region, core in zip(regions, cores):
-        pixels = _rebuild(payload, core, *region[:2])
+    for region, res, core in zip(regions, residuals, cores):
+        pixels = _rebuild(res, core)
         out.append(_decode_blocks_clamped(payload, *region, background)
                    if pixels is None else pixels)
     return out
@@ -533,9 +629,9 @@ def _decode_regions(payload: IntraPayload, regions: list[tuple[int, int, int, in
 
 def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, nby: int,
                            background: np.ndarray | None) -> np.ndarray:
-    """One region of ``_decode_regions`` whose rebuilt pixels left
-    0..255: the wave carries pixels and clamps every block as it goes, so
-    it is exact where pixels clip.
+    """One region of ``_wave`` whose rebuilt pixels left 0..255: the wave
+    carries pixels and clamps every block as it goes, so it is exact where
+    pixels clip.
 
     The work array holds the rect's blocks padded by one block row above
     and one block column to the left. The padding blocks' last pixel row
@@ -549,11 +645,14 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
     Blocks are decoded one anti-diagonal ``i + j = d`` at a time (see the
     module docstring). In a row-major array of row width r, consecutive
     blocks of one anti-diagonal sit r - 1 apart, so a diagonal and the
-    blocks above and left of it are plain strided slices.
+    blocks above and left of it are plain strided slices; the diagonal's
+    residuals are gathered by row and column from the region's own
+    (``IntraPayload.residuals_of``).
 
     Returns the decoded rect as a (4*nby, 4*nbx, 3) uint8 image, a view
     of its channel planes as ``_rebuild`` returns.
     """
+    res = payload.residuals_of(bx0, by0, nbx, nby)
     h, w = nby * BLOCK, nbx * BLOCK
     x0, y0 = bx0 * BLOCK, by0 * BLOCK
     row = nbx + 1
@@ -571,11 +670,6 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
     count = np.maximum(count, 1).reshape(-1)
     work_flat = work.reshape(3, -1, BLOCK, BLOCK)
 
-    frame_row = payload.width_px // BLOCK
-    residuals = payload.residuals.reshape(3, -1, BLOCK, BLOCK)
-    # A one-block-wide frame has one block per diagonal; any step will do.
-    frame_step = max(frame_row - 1, 1)
-
     for d in range(nby + nbx - 1):
         i0 = max(0, d - nbx + 1)
         k = min(d, nby - 1) + 1 - i0
@@ -584,8 +678,7 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
         cur = slice(c, c + span, nbx)
         up = slice(c - row, c - row + span, nbx)
         left = slice(c - 1, c - 1 + span, nbx)
-        g = (by0 + i0) * frame_row + (bx0 + d - i0)
-        src = slice(g, g + (k - 1) * frame_step + 1, frame_step)
+        t = np.arange(i0, i0 + k)  # the diagonal's rows in the rect
 
         s = (work_flat[:, up, -1].sum(axis=-1, dtype=np.int32)
              + work_flat[:, left, :, -1].sum(axis=-1, dtype=np.int32))
@@ -593,7 +686,7 @@ def _decode_blocks_clamped(payload: IntraPayload, bx0: int, by0: int, nbx: int, 
         pred = (s + n // 2) // n
         if d == 0 and bx0 == by0 == 0:
             pred[:] = 128
-        blk = residuals[:, src].astype(np.int32)
+        blk = res[:, t, d - t].astype(np.int32)
         blk += pred[:, :, None, None]
         # In-place bounds, not np.clip, whose Python wrapper costs more
         # than the clamp on these small arrays.

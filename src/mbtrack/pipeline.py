@@ -2,7 +2,9 @@
 
 Per P-frame: cluster non-skip macroblocks, filter implausible groups,
 and advance the entity state machine. Per I-frame: partially decode a
-predicted region per tracked object, re-measure its blob against the
+predicted region per tracked object, all in one batch, release the
+I-frame payload that was read for that batch alone (its tiles own their
+pixels, so refinement runs without it), re-measure each blob against the
 reference background, rewrite the GOP's P-frame blobs by interpolation,
 and take each refined real object's hue histogram, which holds the
 blob's masked pixels until something reads it. The entity tracker takes
@@ -284,9 +286,11 @@ class Tracker:
         """The (bx0, by0, nbx, nby) block regions that the next I-frame will
         decode, or None when it decodes the whole frame: under full decode,
         and at the first I-frame of a stream with no background chunk.
-        The plan is kept for that I-frame's ``feed``, which decodes it. The
-        reader asks as it reaches the I-frame: the time up to the call is
-        parse time, the planning is decode time."""
+        The plan is kept for that I-frame's ``feed``, which decodes it and
+        then releases the payload (``IntraPayload.release``): one read for
+        these regions serves this tracker alone. The reader asks as it
+        reaches the I-frame: the time up to the call is parse time, the
+        planning is decode time."""
         self._lap("parse")
         regions = None
         if not (self.cfg.full_decode or self.background is None):
@@ -317,6 +321,10 @@ class Tracker:
         if batch:
             tiles, stats = decode_region_partial(payload, batch, self.background)
             self.decoded_blocks += stats.blocks_decoded
+        if planned is not None:
+            # The payload was read for this plan alone and the tiles own
+            # their planes: its bands are freed before refinement runs.
+            payload.release()
         if self.cfg.full_decode:
             tiles = [PixelTile((x, y, w, h), tiles[0].pixels[y : y + h, x : x + w])
                      for x, y, w, h in rects]
@@ -380,9 +388,10 @@ def run_tracker(source, config: TrackerConfig | None = None,
     and events it returns, memory does not grow with the length of the
     stream. The source is read through a ``Demand`` that asks the tracker
     for each I-frame's regions (``Tracker.iframe_regions``), so of bytes
-    or a file only the block rows it will decode are read; the reader
-    reads a source that cannot seek, such as a pipe, whole and never
-    asks. Returns records, events, and run metrics.
+    or a file only the block rows it will decode are read, and each such
+    payload is freed as soon as its batch is decoded, before refinement;
+    the reader reads a source that cannot seek, such as a pipe, whole and
+    never asks. Returns records, events, and run metrics.
     ``on_emit(after_frame, batch)`` observes each release of buffered
     records as it happens, so a ``StreamError`` raised later leaves every
     earlier batch with the caller.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .filtering import CELL_BITS, CELL_MASK
+from .filtering import _EIGHT_CONNECTED, CELL_BITS, CELL_MASK
 from .intra import BLOCK, PixelTile
 from .stream import MB
 
@@ -170,12 +170,15 @@ def background_subtract(tile: PixelTile, background: np.ndarray,
     pix = tile.pixels
     crop = np.empty_like(pix)
     crop[...] = np.asarray(background)[y : y + h, x : x + w]
-    # |pix - crop| without a signed copy: max minus min stays in range.
-    diff = np.maximum(pix, crop)
-    diff -= np.minimum(pix, crop)
-    mask = diff[:, :, 0] > config.epsilon
-    mask |= diff[:, :, 1] > config.epsilon
-    mask |= diff[:, :, 2] > config.epsilon
+    # |pix - crop| into the crop, without a signed copy: max minus min
+    # stays in range. Only the min is a second tile-sized buffer.
+    lo = np.minimum(pix, crop)
+    np.maximum(pix, crop, out=crop)
+    crop -= lo
+    del lo
+    mask = crop[:, :, 0] > config.epsilon
+    mask |= crop[:, :, 1] > config.epsilon
+    mask |= crop[:, :, 2] > config.epsilon
     bounds = _bbox(mask)
     if bounds is None:
         return mask, None
@@ -197,7 +200,7 @@ def background_subtract(tile: PixelTile, background: np.ndarray,
         box[...] = closed[r:-r, r:-r]
 
     if config.min_component_area > 0 and box.any():
-        labels, count = ndimage.label(box, structure=np.ones((3, 3), dtype=int))
+        labels, count = ndimage.label(box, structure=_EIGHT_CONNECTED)
         if count == 1:
             # The usual case: the area is the mask's, with no count per label.
             if np.count_nonzero(box) < config.min_component_area:

@@ -501,10 +501,12 @@ def read_stream(source) -> tuple[StreamHeader, BackgroundChunk | None, Iterator[
     ``regions()`` is None, an I-frame payload is read whole and every
     mode byte in it is checked; ``regions()`` is called only for a
     seekable source, once per I-frame as the reader reaches it. Otherwise
-    it holds only the bands of block rows that cover the demanded regions
-    (``_Reader.sparse``): a block outside them is never read, so its mode
-    is never checked, while truncation anywhere in the payload is still
-    caught at that I-frame.
+    it holds, and allocates, only the bands of block rows that cover the
+    demanded regions (``_Reader.sparse``): a block outside them is never
+    read, so its mode is never checked, while truncation anywhere in the
+    payload is still caught at that I-frame. Such a payload is the
+    demanding caller's to release once decoded
+    (``IntraPayload.release``), as ``run_tracker``'s tracker does.
     """
     demand = source if isinstance(source, Demand) else None
     reader = _Reader(source.file if demand else source)

@@ -602,6 +602,34 @@ class TestBatchDecode:
         with pytest.raises(ValueError):
             decode_regions_partial(pay, [(0, 0, 4, 4), (12, 0, 8, 4)], bg)
 
+    def test_small_rects_are_not_padded_to_a_large_rects_stack(self):
+        """One 400x300 rect and six 48x48 ones: each size class runs its own
+        wave, so the batch peaks near what each rect needs alone, its pixels
+        and its own skewed stack, and not at seven large stacks (1.67 MB
+        when every rect shared the 400x300 rect's stack; 0.71 MB here)."""
+        image = np.random.default_rng(3).integers(0, 256, (480, 640, 3), dtype=np.uint8)
+        payload = encode_iframe(image)
+        rects = [(100, 100, 400, 300)] + [(16 + 96 * k, 420, 48, 48) for k in range(6)]
+
+        def own_stack(rect):
+            bx0, by0, nbx, nby = block_region(rect)
+            rows, cols = nby - (by0 == 0), nbx - (bx0 == 0)
+            return (rows + cols + 1) * (rows + 1) * 3 * 4
+
+        pixels = [3 * w * h for *_, w, h in rects]
+        tracemalloc.start()
+        try:
+            tiles, _ = decode_regions_partial(payload, rects, image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Half the largest rect's pixels is room for its D slab (0.25x) or
+        # one rebuild band's buffers (0.42x), which are never live together.
+        assert peak < sum(pixels) + sum(map(own_stack, rects)) + max(pixels) // 2
+        for rect, tile in zip(rects, tiles):
+            x, y, w, h = rect
+            assert np.array_equal(tile.pixels, image[y : y + h, x : x + w])
+
 
 def row_major_decode_regions(payload, regions, background):
     """``intra._decode_regions`` as it was while its predictor stack was
@@ -611,9 +639,10 @@ def row_major_decode_regions(payload, regions, background):
     C - 1 apart in it, so each step of the wave works on strided slices.
     The mode check on block (0, 0) is left out (inputs here are valid);
     ``_start_predictors``, ``_rebuild`` and ``_decode_blocks_clamped`` are
-    the module's own.
+    the module's own. Every region shares the one stack, whatever its size.
     """
     out = [None] * len(regions)
+    res = [payload.residuals_of(*region) for region in regions]
     fast = []
     for k, (bx0, by0, nbx, nby) in enumerate(regions):
         modes = payload.modes[:, by0 : by0 + nby, bx0 : bx0 + nbx]
@@ -632,7 +661,7 @@ def row_major_decode_regions(payload, regions, background):
         bx0, by0, nbx, nby = regions[k]
         r, c = int(by0 > 0), int(bx0 > 0)
         core = stack[3 * j : 3 * j + 3, r : r + nby, c : c + nbx]
-        core[...] = intra._start_predictors(payload, bx0, by0, nbx, nby, background)
+        core[...] = intra._start_predictors(res[k], bx0, by0, background)
         cores.append(core)
 
     row = cols + 1
@@ -648,7 +677,7 @@ def row_major_decode_regions(payload, regions, background):
         p >>= 1
 
     for k, core in zip(fast, cores):
-        out[k] = intra._rebuild(payload, core, *regions[k][:2])
+        out[k] = intra._rebuild(res[k], core)
         if out[k] is None:
             out[k] = intra._decode_blocks_clamped(payload, *regions[k], background)
     return out

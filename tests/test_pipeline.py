@@ -32,6 +32,7 @@ from mbtrack.scene import (
     Waypoint,
     load_ground_truth,
     synthesize,
+    synthesize_to,
     write_ground_truth,
 )
 from mbtrack.overlay import render_overlays
@@ -172,6 +173,24 @@ class TestBoundedMemory:
         # Only what the run returns may grow; the stream is not held.
         assert peak_long - peak_short <= (kept_long - kept_short) + 64 * 1024
         assert peak_long < size_long / 2
+
+    def test_a_lanes_pass_peaks_under_its_working_set(self, tmp_path):
+        """The benchmark's lanes-noisy stream, tracked once from a file.
+        Each I-frame's payload holds only its bands and is freed before
+        refinement, and each rect size class decodes in its own wave: the
+        pass peaks at 4.17 MB (6.42 MB when a frame-sized payload was held
+        through refinement and small rects were padded to large stacks)."""
+        path = tmp_path / "lanes.mbfs"
+        with open(path, "wb") as f:
+            synthesize_to(lanes_script(NOISE_SEED), f)
+        tracemalloc.start()
+        try:
+            result = run_tracker(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.records
+        assert peak < 5.0e6
 
 
 class TestEmissionContract:

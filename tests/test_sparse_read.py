@@ -11,6 +11,7 @@ sparse payload refuses to decode a region it did not read.
 import functools
 import io
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -18,15 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbtrack import pipeline
 from mbtrack.intra import (
     BLOCK,
     IntraPayload,
+    ReleasedPayloadError,
+    block_region,
     decode_full,
     decode_regions_partial,
     encode_iframe,
 )
 from mbtrack.cli import main
-from mbtrack.pipeline import Tracker, run_tracker
+from mbtrack.pipeline import Tracker, TrackerConfig, run_tracker
 from mbtrack.scene import synthesize
 from mbtrack.stream import (
     Demand,
@@ -233,6 +237,34 @@ def test_a_dropped_iframe_is_freed_before_the_next_is_read(regions):
     assert len(payloads) == 5
 
 
+@pytest.mark.parametrize("read", ["sparse", "full-decode", "pipe"])
+def test_a_demanded_payload_is_freed_before_refinement(monkeypatch, read):
+    """``run_tracker`` frees the I-frame payload it demanded once the batch
+    is decoded, so refinement runs without it; a payload read whole, under
+    full decode or from a pipe, is never touched."""
+    blocks, alive = [], []
+    decode, refine = pipeline.decode_region_partial, pipeline.refine_object
+
+    def spy_decode(payload, rects, background):
+        blocks.append(weakref.ref(payload._blocks))
+        return decode(payload, rects, background)
+
+    def spy_refine(*args):
+        alive.append(blocks[-1]() is not None)
+        return refine(*args)
+
+    monkeypatch.setattr(pipeline, "decode_region_partial", spy_decode)
+    monkeypatch.setattr(pipeline, "refine_object", spy_refine)
+    data = single_object_stream()
+    if read == "pipe":
+        with io.BufferedReader(Pipe(data)) as pipe:
+            run_tracker(pipe)
+    else:
+        run_tracker(data, TrackerConfig(full_decode=read == "full-decode"))
+    assert len(alive) == 3
+    assert alive == [read != "sparse"] * 3
+
+
 def test_a_noise_only_scene_reads_under_a_tenth_of_its_iframe_bytes():
     """The benchmark's noise-only scene, 640x480 with lane noise and no
     objects: a few noise clusters get tracked, so some I-frame bytes are
@@ -313,6 +345,42 @@ class TestSparsePayload:
             sparse.wire()
         with pytest.raises(ValueError, match="sparse"):
             sparse == whole  # noqa: B015
+
+    def test_a_1080p_payload_for_one_rect_allocates_only_its_band(self):
+        """One 64x64 rect of a 1920x1088 frame: the payload allocates its 16
+        block rows, whole in every plane (760,320 B), not the frame's
+        12.9 MB of blocks."""
+        image = np.random.default_rng(2).integers(0, 256, (1088, 1920, 3), dtype=np.uint8)
+        whole = encode_iframe(image)
+        rect = (800, 500, 64, 64)
+        region = block_region(rect)
+        tracemalloc.start()
+        try:
+            sparse = sparse_payload(whole, [region])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = 3 * region[3] * (1920 // BLOCK) * 33
+        assert peak < 1.25 * band
+        background = np.zeros_like(image)
+        got = decode_regions_partial(sparse, [rect], background)
+        assert got == decode_regions_partial(whole, [rect], background)
+
+    def test_a_released_payload_raises_a_typed_error(self):
+        whole = encode_iframe(np.full((48, 64, 3), 90, dtype=np.uint8))
+        background = np.zeros((48, 64, 3), dtype=np.uint8)
+        for payload in (sparse_payload(whole, [(2, 3, 4, 2)]), whole):
+            rects = [(8, 12, 16, 8)]
+            decode_regions_partial(payload, rects, background)
+            payload.release()
+            with pytest.raises(ReleasedPayloadError, match="released"):
+                decode_regions_partial(payload, rects, background)
+            with pytest.raises(ReleasedPayloadError, match="released"):
+                decode_full(payload)
+            with pytest.raises(ReleasedPayloadError, match="released"):
+                payload.mask  # noqa: B018
+        with pytest.raises(ReleasedPayloadError, match="released"):
+            whole.wire()
 
 
 class TestCliOverlay:
